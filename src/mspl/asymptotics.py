@@ -14,11 +14,8 @@ with I the area under sqrt of the double well.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import trim_mean
 
 from .core import WeightParams, power_primitive, weighted_square_integrals
 from .diffuse import DiffuseField, double_well
@@ -30,7 +27,7 @@ from .errors import (
     TooFewOscillations,
     WindowOutOfDomain,
 )
-from .sharp import SawtoothProfile
+from .sharp import SawtoothProfile, close_profile
 
 
 def sawtooth(t, h: float):
@@ -44,13 +41,12 @@ def sawtooth(t, h: float):
     return np.abs(tt) - 0.25 * h
 
 
-@lru_cache(maxsize=1)
 def A0_constant() -> float:
     """Per-corner cost of an optimal slope transition in rescaled
     coordinates: twice the area under sqrt(W) across the well,
-    2 * int_{-1}^{1} sqrt(W).  Equals 4/3 for the quartic well."""
-    val, _ = quad(lambda x: math.sqrt(double_well(x)), -1.0, 1.0)
-    return 2.0 * val
+    2 * int_{-1}^{1} sqrt(W).  Equals 4/3 for the quartic well, where
+    sqrt(W) = (1 - x**2)/2."""
+    return 4.0 / 3.0
 
 
 def period_law_constant() -> float:
@@ -260,33 +256,7 @@ def period_law_profile(eps: float, w: WeightParams) -> SawtoothProfile:
     grid = (np.arange(1, 2 * k + 1) - 0.5) / (2.0 * k)
     s_corners = grid ** (1.0 / (1.0 - p))
     s_corners = s_corners[(s_corners > 0.0) & (s_corners < 1.0)]
-    from .sharp import _close_profile
-
-    return _close_profile(SawtoothProfile(tuple(float(x) for x in s_corners)))
-
-
-def _slope_reversals(positions: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Locations where the slope of a nodal field crosses zero between
-    saturated runs (hysteresis at +-0.5 suppresses rounding ripple)."""
-    crossings = []
-    state = 0
-    last_sat = 0
-    for e, p in enumerate(slopes):
-        sat = 1 if p >= 0.5 else (-1 if p <= -0.5 else 0)
-        if sat == 0:
-            continue
-        if state != 0 and sat != state:
-            # root of the slope between elements last_sat and e
-            zc = None
-            for j in range(last_sat, e):
-                if slopes[j] * slopes[j + 1] <= 0.0 and slopes[j] != slopes[j + 1]:
-                    frac = slopes[j] / (slopes[j] - slopes[j + 1])
-                    zc = positions[j] + frac * (positions[j + 1] - positions[j])
-                    break
-            crossings.append(zc if zc is not None else 0.5 * (positions[last_sat] + positions[e]))
-        state = sat
-        last_sat = e
-    return np.asarray(crossings)
+    return close_profile(SawtoothProfile(tuple(float(x) for x in s_corners)))
 
 
 def extract_period(
@@ -312,8 +282,7 @@ def extract_period(
         pts = np.asarray(obj.jumps, dtype=float)
         pts = pts[(pts >= lo) & (pts <= hi)]
     elif isinstance(obj, DiffuseField):
-        mids = 0.5 * (obj.mesh.nodes[:-1] + obj.mesh.nodes[1:])
-        pts = _slope_reversals(mids, obj.element_slopes)
+        pts = obj.slope_reversals()
         pts = pts[(pts >= lo) & (pts <= hi)]
     else:
         raise InvalidSample(f"cannot extract a period from {type(obj).__name__}")
@@ -322,8 +291,9 @@ def extract_period(
         raise TooFewOscillations(
             f"only {pts.size} slope reversals in [{lo:g}, {hi:g}]"
         )
-    gaps = np.diff(np.sort(pts))
-    h_emp = 2.0 * float(trim_mean(gaps, 0.1))
+    gaps = np.sort(np.diff(np.sort(pts)))
+    cut = int(0.1 * gaps.size)
+    h_emp = 2.0 * float(np.mean(gaps[cut : gaps.size - cut]))
     return PeriodEstimate(
         s=s, h_emp=h_emp, h_pred=h_pred, n_teeth=int(pts.size), window=float(window)
     )

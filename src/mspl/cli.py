@@ -17,19 +17,19 @@ from .asymptotics import (
     optimal_period,
     period_law_constant,
 )
-from .config import ExperimentConfig, MeshSpec, OptimizerSpec, preset
+from .config import ExperimentConfig, preset
 from .core import WeightParams
-from .diffuse import GradedMesh, _count_sign_changes, minimize_with_restarts
+from .diffuse import GradedMesh, minimize_with_restarts
 from .errors import InvalidConfig, LabError
 from .reports import (
-    _round12,
-    write_json,
     emit_distribution,
     emit_period,
     emit_sweep,
+    round12,
     run_distribution_report,
     run_period_report,
     sweep_scaling,
+    write_json,
 )
 from .sharp import SharpOptions, optimize_sharp
 
@@ -49,7 +49,6 @@ def _add_common(p: argparse.ArgumentParser, eps_list=False):
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=["csv", "json", "both"], default=None)
     p.add_argument("--plot", action="store_true", default=None)
@@ -74,13 +73,8 @@ def _build_config(args, model=None) -> ExperimentConfig:
             raise InvalidConfig(f"bad --eps-list: {exc}") from None
     if args.eps is not None:
         d["eps_list"] = [args.eps]
-    for key, attr in [
-        ("gamma", "gamma"),
-        ("n_jumps", "n_jumps"),
-        ("seed", "seed"),
-        ("threads", "threads"),
-    ]:
-        v = getattr(args, attr)
+    for key in ("gamma", "n_jumps", "seed"):
+        v = getattr(args, key)
         if v is not None:
             d[key] = v
     if args.mesh_n is not None or args.grading_q is not None:
@@ -104,7 +98,7 @@ def _build_config(args, model=None) -> ExperimentConfig:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(_round12(payload), indent=2, sort_keys=True))
+    print(json.dumps(round12(payload), indent=2, sort_keys=True))
 
 
 def _cmd_sharp_min(args) -> int:
@@ -116,12 +110,7 @@ def _cmd_sharp_min(args) -> int:
         "eps": eps,
         "alpha": cfg.weights.alpha,
         "beta": cfg.weights.beta,
-        "energy": {
-            "surface": res.energy.surface,
-            "well": res.energy.well,
-            "bulk": res.energy.bulk,
-            "total": res.energy.total,
-        },
+        "energy": res.energy.as_dict(),
         "n_jumps": res.profile.n_jumps,
         "jumps": list(res.profile.jumps),
         "converged": res.converged,
@@ -151,13 +140,8 @@ def _cmd_diffuse_min(args) -> int:
         "alpha": cfg.weights.alpha,
         "beta": cfg.weights.beta,
         "mesh": {"n": cfg.mesh.n, "q": cfg.mesh.q},
-        "energy": {
-            "surface": res.energy.surface,
-            "well": res.energy.well,
-            "bulk": res.energy.bulk,
-            "total": res.energy.total,
-        },
-        "n_teeth": _count_sign_changes(res.field.element_slopes),
+        "energy": res.energy.as_dict(),
+        "n_teeth": res.field.slope_reversals().size,
         "status": res.status,
         "iterations": res.iterations,
         "restarts": diag,

@@ -2,7 +2,6 @@
 run needs, with presets for the standard weight regimes."""
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 from .core import WeightParams
@@ -35,7 +34,6 @@ class ExperimentConfig:
     gamma: float | None = None
     n_jumps: int | None = None
     seed: int = 0
-    threads: int | None = None
     out_dir: str = "."
     formats: tuple[str, ...] = ("csv", "json")
     plot: bool = False
@@ -54,23 +52,6 @@ class ExperimentConfig:
                 raise InvalidConfig(f"unknown output format {fmt!r}")
         if self.optimizer.restarts < 1:
             raise InvalidConfig("need at least one restart")
-        if self.threads is not None and self.threads < 1:
-            raise InvalidConfig("threads must be positive")
-
-    def resolve_threads(self) -> int:
-        """Worker count: explicit field > MSPL_THREADS env > cpu count."""
-        if self.threads is not None:
-            return self.threads
-        env = os.environ.get("MSPL_THREADS")
-        if env:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise InvalidConfig(f"MSPL_THREADS={env!r} is not an integer") from exc
-            if n < 1:
-                raise InvalidConfig("MSPL_THREADS must be positive")
-            return n
-        return os.cpu_count() or 1
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -124,6 +124,14 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.surface + self.well + self.bulk
 
+    def as_dict(self) -> dict[str, float]:
+        return {
+            "surface": self.surface,
+            "well": self.well,
+            "bulk": self.bulk,
+            "total": self.total,
+        }
+
     def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         return EnergyBreakdown(
             self.surface + other.surface,

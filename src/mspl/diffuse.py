@@ -31,8 +31,8 @@ from .errors import (
 from .sharp import (
     GradedSpacingConfig,
     SawtoothProfile,
-    _calibrate_bracket_constant,
     build_graded_profile,
+    calibrate_bracket_constant,
     default_gamma,
 )
 
@@ -99,6 +99,35 @@ class DiffuseField:
         v[1:-1] = x
         return DiffuseField(self.mesh, v)
 
+    def slope_reversals(self) -> np.ndarray:
+        """Locations where the element slope crosses zero between
+        saturated runs (hysteresis at +-0.5 suppresses rounding ripple,
+        so its size is the tooth count)."""
+        nodes = self.mesh.nodes
+        positions = 0.5 * (nodes[:-1] + nodes[1:])
+        slopes = self.element_slopes
+        crossings = []
+        state = 0
+        last_sat = 0
+        for e, p in enumerate(slopes):
+            sat = 1 if p >= 0.5 else (-1 if p <= -0.5 else 0)
+            if sat == 0:
+                continue
+            if state != 0 and sat != state:
+                # root of the slope between elements last_sat and e
+                zc = None
+                for j in range(last_sat, e):
+                    if slopes[j] * slopes[j + 1] <= 0.0 and slopes[j] != slopes[j + 1]:
+                        frac = slopes[j] / (slopes[j] - slopes[j + 1])
+                        zc = positions[j] + frac * (positions[j + 1] - positions[j])
+                        break
+                crossings.append(
+                    zc if zc is not None else 0.5 * (positions[last_sat] + positions[e])
+                )
+            state = sat
+            last_sat = e
+        return np.asarray(crossings)
+
 
 def double_well(x):
     return 0.25 * (1.0 - np.asarray(x) ** 2) ** 2
@@ -157,6 +186,13 @@ def build_smoothed(
     u[0] = 0.0
     u[-1] = 0.0
     return DiffuseField(mesh, u)
+
+
+def _smooth_capped(profile: SawtoothProfile, mu: float, mesh: GradedMesh) -> DiffuseField:
+    """build_smoothed with mu capped at 0.45x the minimum gap, so the
+    caps never overlap."""
+    gaps = np.diff(profile.breakpoints)
+    return build_smoothed(profile, min(mu, 0.45 * float(np.min(gaps))), mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +432,11 @@ def smoothed_graded_init(
 
     def make(count: int) -> DiffuseField:
         prof = build_graded_profile(GradedSpacingConfig(count, gamma))
-        gaps = np.diff(prof.breakpoints)
-        mu_eff = min(mu, 0.45 * float(np.min(gaps)))
-        return build_smoothed(prof, mu_eff, mesh)
+        return _smooth_capped(prof, mu, mesh)
 
     if n is not None:
         return make(n)
-    c = _calibrate_bracket_constant(w, gamma)
+    c = calibrate_bracket_constant(w, gamma)
     base = c * eps ** (-1.0 / 3.0)
     counts = sorted({max(1, round(base * fac)) for fac in (0.6, 0.8, 1.0, 1.25, 1.6)})
     best = None
@@ -430,25 +464,23 @@ def minimize_with_restarts(
     (its jump layout is a much better guess at the final tooth spacing);
     later restarts rescale the tooth count and add a small seeded smooth
     perturbation.  Returns (best DiffuseMinimum, diagnostics rows)."""
+    # resolved at call time, so a wrapper installed on
+    # mspl.sharp.optimize_sharp (bench/tracer.py) also times this solve
     from .sharp import SharpOptions, optimize_sharp
 
     base_init = smoothed_graded_init(eps, w, mesh, gamma=gamma)
-    saw_teeth = _count_sign_changes(base_init.element_slopes)
+    saw_teeth = base_init.slope_reversals().size
     inits: list[tuple[str, DiffuseField]] = [("graded", base_init)]
     if restarts >= 2:
         prof = optimize_sharp(eps, w, SharpOptions(gamma=gamma)).profile
-        gaps = np.diff(prof.breakpoints)
-        mu_eff = min(eps, 0.45 * float(np.min(gaps)))
-        inits.append(("sharp-init", build_smoothed(prof, mu_eff, mesh)))
+        inits.append(("sharp-init", _smooth_capped(prof, eps, mesh)))
     if restarts >= 3 and w.limit_ok:
         # teeth spaced by the predicted local period; a distinct basin
         # from the sharp layout whenever alpha > 0
         from .asymptotics import period_law_profile
 
         law = period_law_profile(eps, w)
-        gaps = np.diff(law.breakpoints)
-        mu_eff = min(eps, 0.45 * float(np.min(gaps)))
-        inits.append(("law-init", build_smoothed(law, mu_eff, mesh)))
+        inits.append(("law-init", _smooth_capped(law, eps, mesh)))
     factors = [1.25, 0.8, 1.5, 0.65, 2.0]
     k = 2
     while len(inits) < max(1, restarts):
@@ -484,20 +516,3 @@ def minimize_with_restarts(
         if best is None or res.energy.total < best.energy.total:
             best = res
     return best, diagnostics
-
-
-def _count_sign_changes(slopes: np.ndarray, threshold: float = 0.5) -> int:
-    """Number of slope reversals, with hysteresis at +-threshold so
-    rounding ripple never double-counts a tooth."""
-    state = 0
-    count = 0
-    for p in slopes:
-        if p >= threshold:
-            if state == -1:
-                count += 1
-            state = 1
-        elif p <= -threshold:
-            if state == 1:
-                count += 1
-            state = -1
-    return count

@@ -15,15 +15,14 @@ re-running a configuration reproduces byte-identical files.
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import extract_period, predicted_period
 from .config import ExperimentConfig
-from .core import WeightParams, validate_weights
-from .diffuse import GradedMesh, _count_sign_changes, minimize_with_restarts
+from .core import validate_weights
+from .diffuse import GradedMesh, minimize_with_restarts
 from .errors import (
     InsufficientData,
     InvalidConfig,
@@ -31,14 +30,7 @@ from .errors import (
     NonPositiveValue,
     TooFewOscillations,
 )
-from .sharp import (
-    SharpOptions,
-    _calibrate_bracket_constant,
-    cumulative_energy,
-    default_gamma,
-    distribution_threshold,
-    optimize_sharp,
-)
+from .sharp import SharpOptions, cumulative_energy, distribution_threshold, optimize_sharp
 
 SWEEP_HEADER = [
     "eps",
@@ -117,14 +109,10 @@ def _sharp_point(eps: float, cfg: ExperimentConfig):
         max_iter=min(cfg.optimizer.max_iter, 500),
     )
     res = optimize_sharp(eps, cfg.weights, opts)
-    e = res.energy
     return {
         "eps": eps,
         "model": "sharp",
-        "energy_total": e.total,
-        "energy_surface": e.surface,
-        "energy_well": e.well,
-        "energy_bulk": e.bulk,
+        **{f"energy_{k}": v for k, v in res.energy.as_dict().items()},
         "n_jumps": res.profile.n_jumps,
         "converged": res.converged,
         "status": "converged" if res.converged else "max_iter",
@@ -144,15 +132,11 @@ def _diffuse_point(eps: float, cfg: ExperimentConfig):
         max_iter=cfg.optimizer.max_iter,
         gamma=cfg.gamma,
     )
-    e = res.energy
     return {
         "eps": eps,
         "model": "diffuse",
-        "energy_total": e.total,
-        "energy_surface": e.surface,
-        "energy_well": e.well,
-        "energy_bulk": e.bulk,
-        "n_jumps": _count_sign_changes(res.field.element_slopes),
+        **{f"energy_{k}": v for k, v in res.energy.as_dict().items()},
+        "n_jumps": res.field.slope_reversals().size,
         "converged": res.converged,
         "status": res.status,
         "result": res,
@@ -164,23 +148,14 @@ def _models(cfg: ExperimentConfig) -> list[str]:
     return ["sharp", "diffuse"] if cfg.model == "both" else [cfg.model]
 
 
-def _precalibrate(cfg: ExperimentConfig) -> None:
-    gamma = cfg.gamma if cfg.gamma is not None else default_gamma(cfg.weights.beta)
-    _calibrate_bracket_constant(cfg.weights, gamma)
-
-
 def sweep_scaling(cfg: ExperimentConfig) -> SweepReport:
     """Minimize at every eps (per model), fit the energy scaling, and
     attach a running slope column (fit over the rows so far, per model)."""
-    _precalibrate(cfg)
-    tasks = [(eps, model) for eps in cfg.eps_list for model in _models(cfg)]
-
-    def run(task):
-        eps, model = task
-        return _sharp_point(eps, cfg) if model == "sharp" else _diffuse_point(eps, cfg)
-
-    with ThreadPoolExecutor(max_workers=cfg.resolve_threads()) as pool:
-        rows = list(pool.map(run, tasks))
+    rows = [
+        _sharp_point(eps, cfg) if model == "sharp" else _diffuse_point(eps, cfg)
+        for eps in cfg.eps_list
+        for model in _models(cfg)
+    ]
     rows.sort(key=lambda r: (r["eps"], r["model"]))
 
     fits: dict[str, ScalingFit] = {}
@@ -223,7 +198,6 @@ class DistributionReport:
 def run_distribution_report(cfg: ExperimentConfig, n_samples: int = 48) -> DistributionReport:
     """Cumulative-energy profile of the sharp minimizer at the first eps:
     phi(x)/(x eps^(2/3)) should be flat above the trust threshold."""
-    _precalibrate(cfg)
     eps = cfg.eps_list[0]
     w = cfg.weights
     warnings = []
@@ -286,7 +260,6 @@ def run_period_report(cfg: ExperimentConfig, s_list) -> PeriodReport:
     for s in s_arr:
         if not 0.0 < s < 1.0:
             raise InvalidSample(f"location must be interior, got {s!r}")
-    _precalibrate(cfg)
     eps = min(cfg.eps_list)
     warnings = []
     rows_by_model: dict[str, list[dict]] = {}
@@ -361,7 +334,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _round12(obj):
+def round12(obj):
     """Round every float to 12 significant digits (recursively) so CSV
     and JSON renderings carry identical numbers."""
     if isinstance(obj, bool):
@@ -372,9 +345,9 @@ def _round12(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        return {k: round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
+        return [round12(v) for v in obj]
     return obj
 
 
@@ -395,7 +368,7 @@ def write_json(path: str, payload: dict) -> None:
         raise TypeError(f"not serializable: {type(o)!r}")
 
     with open(path, "w") as fh:
-        json.dump(_round12(payload), fh, indent=2, sort_keys=True, default=default)
+        json.dump(round12(payload), fh, indent=2, sort_keys=True, default=default)
         fh.write("\n")
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .core import (
     EnergyBreakdown,
@@ -132,7 +131,7 @@ def default_gamma(beta: float) -> float:
     return max(0.0, 2.0 / (3.0 - beta) - 1.0) + 0.25
 
 
-def _close_profile(p: SawtoothProfile) -> SawtoothProfile:
+def close_profile(p: SawtoothProfile) -> SawtoothProfile:
     """Make u(1) = 0 by inserting one auxiliary jump (or, degenerately,
     deleting one).
 
@@ -189,7 +188,7 @@ def build_graded_profile(
     jumps = np.cumsum(y)[:-1]
     p = SawtoothProfile(tuple(float(z) for z in jumps), initial_slope)
     if clamp:
-        p = _close_profile(p)
+        p = close_profile(p)
     return p
 
 
@@ -327,6 +326,7 @@ class SharpMinimum:
     n_candidates: int
 
 
+# callers may run optimize_sharp from several threads of their own
 _CAL_LOCK = threading.Lock()
 _CAL_CACHE: dict[tuple[float, float, float], float] = {}
 _CAL_EPS = 1e-3
@@ -396,7 +396,10 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
     p0 = power_primitive(p, q, -w.beta)
     p1 = power_primitive(p, q, 1.0 - w.beta)
     J = np.zeros(m)
-    J[1:] = c * p0 + signs[1:] * p1
+    # a gap driven to exactly 0 gives 0 * inf here; the line search
+    # rejects such probe points, so let the nan through silently
+    with np.errstate(invalid="ignore"):
+        J[1:] = c * p0 + signs[1:] * p1
 
     suf_even = np.zeros(m + 1)
     suf_odd = np.zeros(m + 1)
@@ -448,7 +451,10 @@ def _refine_jump_positions(
         gx[k_odd:] = ye * (ge - 2.0 * float(ge @ ye))
         return energy, gx
 
-    res = _scipy_minimize(
+    # imported here so commands that never refine skip loading scipy.optimize
+    from scipy.optimize import minimize
+
+    res = minimize(
         objective,
         x0,
         method="L-BFGS-B",
@@ -467,7 +473,7 @@ def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
     return SawtoothProfile(tuple(float(z) for z in bp), 1)
 
 
-def _calibrate_bracket_constant(w: WeightParams, gamma: float) -> float:
+def calibrate_bracket_constant(w: WeightParams, gamma: float) -> float:
     """Brute-force the optimal jump count at a fixed reference eps; the
     constant c in n*(eps) ~ c * eps**(-1/3) is cached per weight/grading."""
     key = (w.alpha, w.beta, gamma)
@@ -512,7 +518,7 @@ def optimize_sharp(
     c = (
         opts.bracket_constant
         if opts.bracket_constant is not None
-        else _calibrate_bracket_constant(w, gamma)
+        else calibrate_bracket_constant(w, gamma)
     )
     base = c * eps ** (-1.0 / 3.0)
     lo = max(1, math.floor(base) // 2)

@@ -233,6 +233,18 @@ def test_extract_period_from_smoothed_field():
     assert est.h_emp == pytest.approx(0.2, rel=1e-2)
 
 
+def test_extract_period_trimmed_mean_matches_scipy():
+    from scipy.stats import trim_mean
+
+    rng = np.random.default_rng(7)
+    for size in range(4, 64):
+        jumps = np.sort(rng.uniform(0.01, 0.99, size))
+        p = SawtoothProfile(tuple(float(z) for z in jumps))
+        est = extract_period(p, 0.5, 1.0, eps=1e-3, weights=WeightParams(0.0, 0.0))
+        want = 2.0 * trim_mean(np.diff(jumps), 0.1)
+        assert est.h_emp == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_extract_period_needs_oscillations():
     p = SawtoothProfile((0.48, 0.52))
     with pytest.raises(TooFewOscillations):

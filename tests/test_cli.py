@@ -112,6 +112,12 @@ def test_missing_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_threads_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-scaling", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------

@@ -40,24 +40,6 @@ def test_validation_rejects_nonsense():
         ExperimentConfig(formats=("csv", "xml"))
     with pytest.raises(InvalidConfig):
         ExperimentConfig(optimizer=OptimizerSpec(restarts=0))
-    with pytest.raises(InvalidConfig):
-        ExperimentConfig(threads=0)
-
-
-def test_thread_resolution_precedence(monkeypatch):
-    monkeypatch.setenv("MSPL_THREADS", "6")
-    assert ExperimentConfig(threads=2).resolve_threads() == 2
-    assert ExperimentConfig().resolve_threads() == 6
-
-    monkeypatch.delenv("MSPL_THREADS")
-    assert ExperimentConfig().resolve_threads() >= 1
-
-    monkeypatch.setenv("MSPL_THREADS", "many")
-    with pytest.raises(InvalidConfig):
-        ExperimentConfig().resolve_threads()
-    monkeypatch.setenv("MSPL_THREADS", "0")
-    with pytest.raises(InvalidConfig):
-        ExperimentConfig().resolve_threads()
 
 
 def test_json_round_trip():
@@ -92,6 +74,9 @@ def test_from_json_file(tmp_path):
 def test_unknown_field_rejected():
     with pytest.raises(InvalidConfig):
         ExperimentConfig.from_dict({"wibble": 1})
+    # sweeps run in one thread; there is no worker count to configure
+    with pytest.raises(InvalidConfig):
+        ExperimentConfig.from_dict({"threads": 2})
 
 
 def test_presets():

@@ -71,6 +71,23 @@ def test_double_well_values():
     assert double_well(0.0) == 0.25
 
 
+def test_slope_reversals_count_teeth_not_ripple():
+    # 64 uniform elements: saturated runs of slope +-1, with ripple inside
+    # +-0.5 both between equal-sign runs (no tooth) and inside a reversal
+    runs = [
+        [1.0] * 12, [0.3, -0.4, 0.2, -0.1], [1.0] * 4,
+        [-1.0] * 16, [-0.2, 0.4, -0.3, 0.1], [-1.0] * 4,
+        [-0.2, 0.2], [1.0] * 8, [-1.0] * 4, [1.0] * 3, [-1.0] * 3,
+    ]
+    slopes = np.concatenate([np.asarray(r) for r in runs])
+    mesh = GradedMesh(64, 1.0)
+    vals = np.concatenate(([0.0], np.cumsum(slopes / 64.0)))
+    vals[-1] = 0.0
+    rev = DiffuseField(mesh, vals).slope_reversals()
+    assert rev.size == 5
+    assert rev == pytest.approx(np.array([20, 45, 54, 58, 61]) / 64.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # smoothing construction
 # ---------------------------------------------------------------------------

@@ -211,16 +211,6 @@ def test_emission_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_emission_invariant_under_thread_count(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("MSPL_THREADS", "1")
-    emit_sweep(sweep_scaling(SHARP3), str(a))
-    monkeypatch.setenv("MSPL_THREADS", "4")
-    emit_sweep(sweep_scaling(SHARP3), str(b))
-    for name in ("sweep_scaling.csv", "sweep_scaling.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
 def test_distribution_and_period_emission(tmp_path):
     cfg = ExperimentConfig(eps_list=(1e-3,))
     files = emit_distribution(run_distribution_report(cfg), str(tmp_path))

@@ -1,5 +1,7 @@
 """Sawtooth construction, exact evaluation, and the jump-count optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,7 +22,7 @@ from mspl import (
     optimize_sharp,
     rescaled_min_energy,
 )
-from mspl.sharp import _close_profile, default_gamma
+from mspl.sharp import _gap_energy_and_grad, close_profile, default_gamma
 
 
 def bulk_quad(profile, beta):
@@ -41,7 +43,7 @@ def random_clamped_profile(rng, n_lo=1, n_hi=12):
     zs = np.sort(rng.uniform(0.02, 0.98, size=n))
     zs = zs[np.concatenate(([True], np.diff(zs) > 1e-3))]
     raw = SawtoothProfile(tuple(float(z) for z in zs))
-    return _close_profile(raw)
+    return close_profile(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +313,14 @@ def test_contradictory_bracket_rejected():
     # cap far below the calibrated bracket floor: nothing to search
     with pytest.raises(InvalidConfig):
         optimize_sharp(1e-4, WeightParams(0.0, 0.0), SharpOptions(n_max=3))
+
+
+def test_collapsed_gap_gradient_is_silent():
+    # L-BFGS-B probes can drive a softmax gap to exactly 0; the resulting
+    # 0 * inf in the first moments must not leak a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, grad = _gap_energy_and_grad(
+            np.array([0.0, 0.25, 0.5, 0.25]), 1e-5, WeightParams(0.5, 1.0)
+        )
+    assert grad.shape == (4,)
