@@ -140,24 +140,36 @@ class EnergyBreakdown:
         )
 
 
-def power_primitive(t0, t1, p):
-    """Integral of t**p over [t0, t1], elementwise, assuming t0 > 0.
+def power_primitives(t0, t1, exponents):
+    """Integrals of t**p over [t0, t1] for each p in `exponents`,
+    elementwise, assuming t0 > 0.
 
-    Uses the power rule away from p = -1 and switches to log within
-    POLE_TOL of the pole.  Written with expm1 so the value varies
-    continuously (to rounding) as p crosses the switch.
+    log(t1/t0) is taken once and shared.  Uses the power rule away from
+    p = -1 and switches to log within POLE_TOL of the pole.  Written with
+    expm1 so each value varies continuously (to rounding) as p crosses
+    the switch.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
-    q = p + 1.0
+    out = []
     # optimizers probe degenerate trial segments (t0 -> 0, gap -> 0);
     # let inf/nan propagate silently so a line search can reject them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.log(t1 / t0)
-        if abs(q) < POLE_TOL:
-            return r + 0.0 * t0
-        # (t1**q - t0**q)/q = t0**q * expm1(q*log(t1/t0)) / q
-        return t0**q * np.expm1(q * r) / q
+        for p in exponents:
+            q = p + 1.0
+            if abs(q) < POLE_TOL:
+                out.append(r + 0.0 * t0)
+            else:
+                # (t1**q - t0**q)/q = t0**q * expm1(q*log(t1/t0)) / q
+                out.append(t0**q * np.expm1(q * r) / q)
+    return tuple(out)
+
+
+def power_primitive(t0, t1, p):
+    """Integral of t**p over [t0, t1], elementwise, assuming t0 > 0;
+    one exponent of power_primitives."""
+    return power_primitives(t0, t1, (p,))[0]
 
 
 def weighted_square_integrals(t0, t1, u0, slope, beta):
@@ -204,9 +216,7 @@ def weighted_square_integrals(t0, t1, u0, slope, beta):
         # constant term of u written about t=0: u(t) = c + slope*t
         c = u0[inside] - slope[inside] * a
         s = slope[inside]
-        p0 = power_primitive(a, b, -beta)
-        p1 = power_primitive(a, b, 1.0 - beta)
-        p2 = power_primitive(a, b, 2.0 - beta)
+        p0, p1, p2 = power_primitives(a, b, (-beta, 1.0 - beta, 2.0 - beta))
         out[inside] = c * c * p0 + 2.0 * c * s * p1 + s * s * p2
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     EnergyBreakdown,
     WeightParams,
-    power_primitive,
+    power_primitives,
     weighted_square_integrals,
 )
 from .errors import (
@@ -279,19 +279,12 @@ def cumulative_energy(
     seg_bulk = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], slopes, w.beta)
     bulk_prefix = np.concatenate(([0.0], np.cumsum(seg_bulk)))
 
-    phis = np.empty(xs.size)
     n_jumps_le = np.searchsorted(zs, xs, side="right")
-    seg_idx = np.searchsorted(bp, xs, side="left") - 1
-    for i, x in enumerate(xs):
-        j = seg_idx[i]
-        partial = (
-            float(
-                weighted_square_integrals(bp[j], x, vals[j], slopes[j], w.beta)[0]
-            )
-            if x > bp[j]
-            else 0.0
-        )
-        phis[i] = surf_prefix[n_jumps_le[i]] + bulk_prefix[j] + partial
+    # side="left" puts every x in a segment with bp[j] < x <= bp[j + 1],
+    # so each sample has a partial segment of positive length
+    j = np.searchsorted(bp, xs, side="left") - 1
+    partial = weighted_square_integrals(bp[j], xs, vals[j], slopes[j], w.beta)
+    phis = surf_prefix[n_jumps_le] + bulk_prefix[j] + partial
     return CumulativeEnergyProfile(
         xs=tuple(float(x) for x in xs),
         phis=tuple(float(p) for p in phis),
@@ -339,31 +332,17 @@ def _interleave(y_odd: np.ndarray, y_even: np.ndarray) -> np.ndarray:
     return y
 
 
-def _profile_energy_from_gaps(y: np.ndarray, eps: float, w: WeightParams) -> float:
-    """Total energy for gap vector y whose alternating sums are both 1/2
-    (closure holds by construction)."""
-    bp = np.empty(y.size + 1)
-    bp[0] = 0.0
-    np.cumsum(y, out=bp[1:])
-    zs = bp[1:-1]
-    signs = np.ones(y.size)
-    signs[1::2] = -1.0
-    vals = np.concatenate(([0.0], np.cumsum(signs * y)))
-    surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
-    bulk = float(
-        np.sum(weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta))
-    )
-    return surface + bulk
-
-
 def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
-    """Energy and its exact gradient in the (unconstrained) gap widths.
+    """Energy and its exact gradient in the (unconstrained) gap widths y >= 0.
 
-    Moving gap i shifts every breakpoint and vertex to its right, so the
-    derivative collects a surface suffix sum plus the first moments J_j
-    of the weighted interpolant over later segments; the boundary
-    evaluation terms of adjacent segments cancel, and only segments of
-    opposite parity survive (same-parity vertices move in lockstep):
+    One pass: each power primitive of the segments after the first is
+    computed once and serves both the segment integrals and the first
+    moments.  Moving gap i shifts every breakpoint and vertex to its
+    right, so the derivative collects a surface suffix sum plus the first
+    moments J_j of the weighted interpolant over later segments; the
+    boundary evaluation terms of adjacent segments cancel, and only
+    segments of opposite parity survive (same-parity vertices move in
+    lockstep):
 
         dE/dy_i = 2 eps alpha * sum_{k>=i} z_k**(alpha-1)
                   + 4 sigma_i * sum_{j>i, parity(j) != parity(i)} J_j
@@ -378,8 +357,22 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
     signs[1::2] = -1.0
     vals = np.concatenate(([0.0], np.cumsum(signs * y)))
 
+    # segments j >= 2 written about t = 0: u(t) = c + sigma_j * t
+    p, q = bp[1:-1], bp[2:]
+    s = signs[1:]
+    c = vals[1:-1] - s * p
+    p0, p1, p2 = power_primitives(p, q, (-w.beta, 1.0 - w.beta, 2.0 - w.beta))
+
     surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
-    seg = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta)
+    if y[0] == 0.0:
+        # segment 2 starts at t = 0 too: let the general kernel apply its
+        # origin branch and divergence checks
+        seg = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta)
+    else:
+        seg = np.empty(m)
+        # segment 1 has u(0) = 0 and slope 1: only its slope term survives
+        seg[:1] = bp[1:2] ** (3.0 - w.beta) / (3.0 - w.beta)
+        seg[1:] = c * c * p0 + 2.0 * c * s * p1 + s * s * p2
     energy = surface + float(np.sum(seg))
 
     # surface suffix term (z -> 0 on probe points: let inf flow through)
@@ -391,23 +384,19 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
         grad += 2.0 * eps * w.alpha * suf
 
     # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
-    p, q = bp[1:-1], bp[2:]
-    c = vals[1:-1] - signs[1:] * p
-    p0 = power_primitive(p, q, -w.beta)
-    p1 = power_primitive(p, q, 1.0 - w.beta)
     J = np.zeros(m)
     # a gap driven to exactly 0 gives 0 * inf here; the line search
     # rejects such probe points, so let the nan through silently
     with np.errstate(invalid="ignore"):
-        J[1:] = c * p0 + signs[1:] * p1
+        J[1:] = c * p0 + s * p1
 
-    suf_even = np.zeros(m + 1)
-    suf_odd = np.zeros(m + 1)
-    for j in range(m - 1, -1, -1):  # suffix sums of J by segment parity
-        suf_even[j] = suf_even[j + 1] + (J[j] if j % 2 == 0 else 0.0)
-        suf_odd[j] = suf_odd[j + 1] + (J[j] if j % 2 == 1 else 0.0)
-    idx = np.arange(m)
-    opp = np.where(idx % 2 == 0, suf_odd[idx + 1], suf_even[idx + 1])
+    # suffix sums of J by parity, added right to left starting from 0:
+    # suf_even[k] sums J[2k::2], suf_odd[k] sums J[2k+1::2]
+    suf_even = np.cumsum(np.concatenate(([0.0], J[0::2][::-1])))[::-1]
+    suf_odd = np.cumsum(np.concatenate(([0.0], J[1::2][::-1])))[::-1]
+    opp = np.empty(m)
+    opp[0::2] = suf_odd[: (m + 1) // 2]  # even i: odd j > i
+    opp[1::2] = suf_even[1 : m // 2 + 1]  # odd i: even j > i
     grad += 4.0 * signs * opp
     return energy, grad
 
@@ -436,7 +425,7 @@ def _refine_jump_positions(
     if n == 1:
         # closure pins the single jump to 1/2; nothing to optimize
         gaps = np.array([0.5, 0.5])
-        return gaps, _profile_energy_from_gaps(gaps, eps, w), True
+        return gaps, _gap_energy_and_grad(gaps, eps, w)[0], True
 
     x0 = np.concatenate((np.log(y_odd), np.log(y_even)))
 
@@ -461,7 +450,7 @@ def _refine_jump_positions(
         jac=True,
         options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-10},
     )
-    f0 = _profile_energy_from_gaps(_interleave(y_odd, y_even), eps, w)
+    f0 = _gap_energy_and_grad(_interleave(y_odd, y_even), eps, w)[0]
     if res.fun <= f0:
         gaps = _decode_gaps(res.x, k_odd)
         return gaps, float(res.fun), bool(res.success)
@@ -469,8 +458,23 @@ def _refine_jump_positions(
 
 
 def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
-    bp = np.cumsum(y)[:-1]
-    return SawtoothProfile(tuple(float(z) for z in bp), 1)
+    """Profile with slope +1 first and a jump after each gap but the last.
+
+    A gap driven below the rounding of its neighbours' partial sums
+    makes jumps coincide, or land on 0 or 1.  Such a layout is
+    normalized without changing u: two reversals at one point cancel, a
+    jump at 0 only flips the initial slope, and one at 1 does nothing.
+    The surface energy of the dropped jumps goes with them, so the
+    caller rescores a profile that comes back with fewer jumps.
+    """
+    zs = np.cumsum(y)[:-1]
+    if zs.size == 0 or (zs[0] > 0.0 and zs[-1] < 1.0 and np.all(np.diff(zs) > 0.0)):
+        return SawtoothProfile(tuple(float(z) for z in zs), 1)
+    at, count = np.unique(zs, return_counts=True)
+    odd = count % 2 == 1
+    initial_slope = -1 if at[0] == 0.0 and odd[0] else 1
+    keep = odd & (at > 0.0) & (at < 1.0)
+    return SawtoothProfile(tuple(float(z) for z in at[keep]), initial_slope)
 
 
 def calibrate_bracket_constant(w: WeightParams, gamma: float) -> float:
@@ -534,7 +538,10 @@ def optimize_sharp(
     for n in range(lo, hi + 1):
         if opts.refine:
             gaps, total, ok = _refine_jump_positions(n, eps, w, gamma, opts.max_iter)
-            candidates.append((total, n, _profile_from_gaps(gaps), ok))
+            profile = _profile_from_gaps(gaps)
+            if profile.n_jumps != n:
+                total = evaluate_sharp(profile, eps, w).total
+            candidates.append((total, n, profile, ok))
         graded = build_graded_profile(GradedSpacingConfig(n, gamma))
         gtotal = evaluate_sharp(graded, eps, w).total
         candidates.append((gtotal, graded.n_jumps, graded, True))

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import mspl
 from mspl import WeightParams, optimize_sharp
 from mspl.cli import main
 
@@ -210,10 +211,13 @@ def test_cell_command(capsys):
 
 
 def test_console_script():
+    # the child interpreter imports the same package this test imported
+    src = os.path.dirname(os.path.dirname(mspl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "mspl.cli", "preset", "muller"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     cfg = json.loads(proc.stdout)
     assert cfg["weights"] == {"alpha": 0.0, "beta": 0.0}

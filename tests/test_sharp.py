@@ -22,7 +22,14 @@ from mspl import (
     optimize_sharp,
     rescaled_min_energy,
 )
-from mspl.sharp import _gap_energy_and_grad, close_profile, default_gamma
+from mspl.core import power_primitive, weighted_square_integrals
+from mspl.sharp import (
+    _decode_gaps,
+    _gap_energy_and_grad,
+    _profile_from_gaps,
+    close_profile,
+    default_gamma,
+)
 
 
 def bulk_quad(profile, beta):
@@ -240,6 +247,41 @@ def test_cumulative_slice_additivity():
     assert hi - lo == pytest.approx(surf + bulk, rel=1e-9)
 
 
+def cumulative_phis_loop(profile, eps, w, xs):
+    """Per-sample reference for cumulative_energy's phis."""
+    zs = np.asarray(profile.jumps, dtype=float)
+    surf_prefix = np.concatenate(([0.0], np.cumsum(2.0 * eps * zs**w.alpha)))
+    bp, vals, slopes = profile.breakpoints, profile.values, profile.slopes
+    seg_bulk = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], slopes, w.beta)
+    bulk_prefix = np.concatenate(([0.0], np.cumsum(seg_bulk)))
+    phis = np.empty(xs.size)
+    n_jumps_le = np.searchsorted(zs, xs, side="right")
+    seg_idx = np.searchsorted(bp, xs, side="left") - 1
+    for i, x in enumerate(xs):
+        j = seg_idx[i]
+        partial = (
+            float(weighted_square_integrals(bp[j], x, vals[j], slopes[j], w.beta)[0])
+            if x > bp[j]
+            else 0.0
+        )
+        phis[i] = surf_prefix[n_jumps_le[i]] + bulk_prefix[j] + partial
+    return phis
+
+
+def test_cumulative_matches_per_sample_loop():
+    # samples on the jumps themselves, below the first jump and at 1
+    rng = np.random.default_rng(5)
+    for beta in (0.0, 0.5, 1.0, 1.7):
+        w = WeightParams(0.5, beta)
+        for _ in range(4):
+            p = random_clamped_profile(rng, n_lo=3, n_hi=20)
+            xs = np.unique(
+                np.concatenate((np.geomspace(1e-4, 1.0, 60), p.jumps, [1.0]))
+            )
+            got = np.asarray(cumulative_energy(p, 1e-3, w, xs).phis)
+            assert got.tobytes() == cumulative_phis_loop(p, 1e-3, w, xs).tobytes()
+
+
 def test_cumulative_sample_validation():
     p = SawtoothProfile((0.5,))
     w = WeightParams(0.0, 0.0)
@@ -324,3 +366,111 @@ def test_collapsed_gap_gradient_is_silent():
             np.array([0.0, 0.25, 0.5, 0.25]), 1e-5, WeightParams(0.5, 1.0)
         )
     assert grad.shape == (4,)
+
+
+def gap_energy_and_grad_loop(y, eps, w):
+    """Reference gap kernel: generic segment integrator, separate first
+    moments and a per-gap loop for the parity suffix sums."""
+    m = y.size
+    bp = np.empty(m + 1)
+    bp[0] = 0.0
+    np.cumsum(y, out=bp[1:])
+    zs = bp[1:-1]
+    signs = np.ones(m)
+    signs[1::2] = -1.0
+    vals = np.concatenate(([0.0], np.cumsum(signs * y)))
+    surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
+    seg = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta)
+    energy = surface + float(np.sum(seg))
+    grad = np.full(m, vals[-1] ** 2)
+    if w.alpha != 0.0 and zs.size:
+        with np.errstate(divide="ignore"):
+            zpow = zs ** (w.alpha - 1.0)
+        suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
+        grad += 2.0 * eps * w.alpha * suf
+    p, q = bp[1:-1], bp[2:]
+    c = vals[1:-1] - signs[1:] * p
+    p0 = power_primitive(p, q, -w.beta)
+    p1 = power_primitive(p, q, 1.0 - w.beta)
+    J = np.zeros(m)
+    with np.errstate(invalid="ignore"):
+        J[1:] = c * p0 + signs[1:] * p1
+    suf_even = np.zeros(m + 1)
+    suf_odd = np.zeros(m + 1)
+    for j in range(m - 1, -1, -1):
+        suf_even[j] = suf_even[j + 1] + (J[j] if j % 2 == 0 else 0.0)
+        suf_odd[j] = suf_odd[j + 1] + (J[j] if j % 2 == 1 else 0.0)
+    idx = np.arange(m)
+    opp = np.where(idx % 2 == 0, suf_odd[idx + 1], suf_even[idx + 1])
+    grad += 4.0 * signs * opp
+    return energy, grad
+
+
+def test_gap_kernel_matches_loop_reference_bitwise():
+    # zero gaps (first and interior), the beta = 1 pole, beta < 1 and > 1
+    rng = np.random.default_rng(2024)
+    for alpha in (0.0, 0.5, 2.0):
+        for beta in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5):
+            w = WeightParams(alpha, beta)
+            for m in (2, 3, 4, 7, 12, 31, 77):
+                for zero in (None, 0, m // 2):
+                    y = _decode_gaps(rng.normal(scale=3.0, size=m), (m + 1) // 2)
+                    if zero is not None:
+                        y[zero] = 0.0
+                    e_new, g_new = _gap_energy_and_grad(y, 1e-4, w)
+                    e_ref, g_ref = gap_energy_and_grad_loop(y, 1e-4, w)
+                    assert np.float64(e_new).tobytes() == np.float64(e_ref).tobytes()
+                    assert g_new.tobytes() == g_ref.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+def test_gap_gradient_matches_finite_differences(alpha, beta):
+    rng = np.random.default_rng(17)
+    w = WeightParams(alpha, beta)
+    eps = 1e-3
+    for m in (4, 9):
+        y = _decode_gaps(rng.normal(scale=0.5, size=m), (m + 1) // 2)
+        energy, grad = _gap_energy_and_grad(y, eps, w)
+        # the gaps close the profile, so the kernel scores a real profile
+        ref = evaluate_sharp(_profile_from_gaps(y), eps, w).total
+        assert energy == pytest.approx(ref, rel=1e-13)
+        fd = np.empty(m)
+        for i in range(m):
+            h = 1e-6 * y[i]
+            up, dn = y.copy(), y.copy()
+            up[i] += h
+            dn[i] -= h
+            fd[i] = (
+                _gap_energy_and_grad(up, eps, w)[0]
+                - _gap_energy_and_grad(dn, eps, w)[0]
+            ) / (2.0 * h)
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+
+
+def test_optimize_sharp_golden_weighted():
+    # the fused kernel must leave the L-BFGS-B path, and so the result,
+    # exactly as the generic integrator and suffix-sum loop gave them
+    res = optimize_sharp(1e-3, WeightParams(0.5, 1.0))
+    assert repr(res.energy.total) == "0.0131562237857786"
+    assert res.profile.n_jumps == 8
+
+
+def test_collapsed_gaps_are_normalized():
+    # at n = 56 L-BFGS-B drives gaps below the rounding of their partial
+    # sums, so two jumps coincide; the profile must come back normalized
+    eps, w = 1e-5, WeightParams(0.5, 0.5)
+    res = optimize_sharp(eps, w, SharpOptions(n_min=56, n_max=56))
+    assert not res.profile.unclamped
+    assert np.all(np.diff(res.profile.jumps) > 0.0)
+    assert res.energy.total == evaluate_sharp(res.profile, eps, w).total
+
+
+def test_profile_from_gaps_normalizes_degenerate_jumps():
+    y = np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0])
+    # jumps at 0, 0.25, 0.25, 0.5, 1: the pair cancels, 0 flips, 1 drops
+    p = _profile_from_gaps(y)
+    assert p.jumps == (0.5,)
+    assert p.initial_slope == -1
+    full = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(p.evaluate(full), -np.minimum(full, 1.0 - full))
