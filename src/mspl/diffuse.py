@@ -19,7 +19,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .core import EnergyBreakdown, WeightParams, power_primitive, weighted_square_integrals
+from .core import (
+    EnergyBreakdown,
+    WeightParams,
+    power_primitive,
+    power_primitives,
+    weighted_square_integrals,
+)
 from .errors import (
     DivergentIntegral,
     InvalidConfig,
@@ -225,11 +231,11 @@ class _Operators:
         ta, tb = t[:-1], t[1:]
         m2 = np.empty(n)
         m2[0] = tb[0] ** (3.0 - beta) / (3.0 - beta)
-        m2[1:] = power_primitive(ta[1:], tb[1:], 2.0 - beta)
         m0 = np.zeros(n)
         m1 = np.zeros(n)
-        m0[1:] = power_primitive(ta[1:], tb[1:], -beta)
-        m1[1:] = power_primitive(ta[1:], tb[1:], 1.0 - beta)
+        m0[1:], m1[1:], m2[1:] = power_primitives(
+            ta[1:], tb[1:], (-beta, 1.0 - beta, 2.0 - beta)
+        )
         h2 = h * h
         q_aa = (tb * tb * m0 - 2.0 * tb * m1 + m2) / h2
         q_ab = (-ta * tb * m0 + (ta + tb) * m1 - m2) / h2

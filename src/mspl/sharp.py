@@ -467,12 +467,9 @@ def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
     The surface energy of the dropped jumps goes with them, so the
     caller rescores a profile that comes back with fewer jumps.
     """
-    zs = np.cumsum(y)[:-1]
-    if zs.size == 0 or (zs[0] > 0.0 and zs[-1] < 1.0 and np.all(np.diff(zs) > 0.0)):
-        return SawtoothProfile(tuple(float(z) for z in zs), 1)
-    at, count = np.unique(zs, return_counts=True)
+    at, count = np.unique(np.cumsum(y)[:-1], return_counts=True)
     odd = count % 2 == 1
-    initial_slope = -1 if at[0] == 0.0 and odd[0] else 1
+    initial_slope = -1 if at.size and at[0] == 0.0 and odd[0] else 1
     keep = odd & (at > 0.0) & (at < 1.0)
     return SawtoothProfile(tuple(float(z) for z in at[keep]), initial_slope)
 
@@ -541,7 +538,7 @@ def optimize_sharp(
             profile = _profile_from_gaps(gaps)
             if profile.n_jumps != n:
                 total = evaluate_sharp(profile, eps, w).total
-            candidates.append((total, n, profile, ok))
+            candidates.append((total, profile.n_jumps, profile, ok))
         graded = build_graded_profile(GradedSpacingConfig(n, gamma))
         gtotal = evaluate_sharp(graded, eps, w).total
         candidates.append((gtotal, graded.n_jumps, graded, True))
