@@ -28,10 +28,11 @@ from .reports import (
     round12,
     run_distribution_report,
     run_period_report,
+    sharp_options,
     sweep_scaling,
     write_json,
 )
-from .sharp import SharpOptions, optimize_sharp
+from .sharp import optimize_sharp
 
 
 def _add_common(p: argparse.ArgumentParser, eps_list=False):
@@ -104,8 +105,7 @@ def _emit_json(payload) -> None:
 def _cmd_sharp_min(args) -> int:
     cfg = _build_config(args, model="sharp")
     eps = cfg.eps_list[0]
-    opts = SharpOptions(gamma=cfg.gamma, n_min=cfg.n_jumps, n_max=cfg.n_jumps)
-    res = optimize_sharp(eps, cfg.weights, opts)
+    res = optimize_sharp(eps, cfg.weights, sharp_options(cfg))
     payload = {
         "eps": eps,
         "alpha": cfg.weights.alpha,

@@ -101,14 +101,20 @@ class SweepReport:
     config: ExperimentConfig
 
 
-def _sharp_point(eps: float, cfg: ExperimentConfig):
-    opts = SharpOptions(
+def sharp_options(cfg: ExperimentConfig) -> SharpOptions:
+    """Options of every sharp solve a configuration runs: its grading,
+    its jump count if one is fixed, and its iteration budget capped at
+    the sharp default (the shared budget defaults to the diffuse 4000)."""
+    return SharpOptions(
         gamma=cfg.gamma,
         n_min=cfg.n_jumps,
         n_max=cfg.n_jumps,
-        max_iter=min(cfg.optimizer.max_iter, 500),
+        max_iter=min(cfg.optimizer.max_iter, SharpOptions.max_iter),
     )
-    res = optimize_sharp(eps, cfg.weights, opts)
+
+
+def _sharp_point(eps: float, cfg: ExperimentConfig):
+    res = optimize_sharp(eps, cfg.weights, sharp_options(cfg))
     return {
         "eps": eps,
         "model": "sharp",
@@ -204,7 +210,7 @@ def run_distribution_report(cfg: ExperimentConfig, n_samples: int = 48) -> Distr
     validity = validate_weights(w)
     if not validity.distribution_ok:
         warnings.extend(validity.reasons)
-    res = optimize_sharp(eps, w, SharpOptions(gamma=cfg.gamma))
+    res = optimize_sharp(eps, w, sharp_options(cfg))
     threshold = distribution_threshold(eps, w.beta)
     xs = np.geomspace(max(threshold / 10.0, 1e-6), 1.0, n_samples)
     xs[-1] = 1.0
@@ -266,7 +272,7 @@ def run_period_report(cfg: ExperimentConfig, s_list) -> PeriodReport:
     fits: dict[str, ScalingFit | None] = {}
     for model in _models(cfg):
         if model == "sharp":
-            minimizer = optimize_sharp(eps, w, SharpOptions(gamma=cfg.gamma)).profile
+            minimizer = optimize_sharp(eps, w, sharp_options(cfg)).profile
         else:
             mesh = GradedMesh(cfg.mesh.n, cfg.mesh.q)
             minimizer = minimize_with_restarts(

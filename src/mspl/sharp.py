@@ -305,13 +305,17 @@ class SharpOptions:
     gamma: float | None = None
     n_min: int | None = None
     n_max: int | None = None
-    max_iter: int = 300
+    max_iter: int = 500
     refine: bool = True
     bracket_constant: float | None = None
 
 
 @dataclass(frozen=True)
 class SharpMinimum:
+    """Best candidate of `optimize_sharp`.  `bracket` is the first and
+    the last jump count scored, `n_candidates` the number of candidates
+    scored (refined and graded)."""
+
     profile: SawtoothProfile
     energy: EnergyBreakdown
     converged: bool
@@ -323,6 +327,10 @@ class SharpMinimum:
 _CAL_LOCK = threading.Lock()
 _CAL_CACHE: dict[tuple[float, float, float], float] = {}
 _CAL_EPS = 1e-3
+
+# optimize_sharp stops after this many consecutive counts that do not
+# lower the best energy found so far
+STALE_COUNTS = 4
 
 
 def _interleave(y_odd: np.ndarray, y_even: np.ndarray) -> np.ndarray:
@@ -504,10 +512,15 @@ def optimize_sharp(
 ) -> SharpMinimum:
     """Minimize the sharp energy over admissible sawtooth profiles.
 
-    Jump counts are swept over a bracket around the calibrated
+    Jump counts are walked upward from half the calibrated
     c * eps**(-1/3); for each count the positions are refined on the
-    closure manifold.  The clamped graded construction is always among
-    the candidates, so the result can never be worse than it.
+    closure manifold, and the clamped graded construction of that count
+    is scored beside them, so the result is never worse than any graded
+    construction the walk visits.  The walk stops once STALE_COUNTS
+    consecutive counts fail to strictly lower the best energy so far.
+    It never goes past twice the calibrated count (nor outside the
+    `n_min`/`n_max` of the options), so at worst it refines every
+    count of that bracket.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
@@ -532,7 +545,9 @@ def optimize_sharp(
         raise InvalidConfig(f"empty jump-count bracket [{lo}, {hi}]")
 
     candidates: list[tuple[float, int, SawtoothProfile, bool]] = []
+    best, n_best = math.inf, lo
     for n in range(lo, hi + 1):
+        first = len(candidates)
         if opts.refine:
             gaps, total, ok = _refine_jump_positions(n, eps, w, gamma, opts.max_iter)
             profile = _profile_from_gaps(gaps)
@@ -542,6 +557,11 @@ def optimize_sharp(
         graded = build_graded_profile(GradedSpacingConfig(n, gamma))
         gtotal = evaluate_sharp(graded, eps, w).total
         candidates.append((gtotal, graded.n_jumps, graded, True))
+        low = min(cand[0] for cand in candidates[first:])
+        if low < best:
+            best, n_best = low, n
+        elif n - n_best == STALE_COUNTS:
+            break
 
     candidates.sort(key=lambda cand: (cand[0], cand[1], cand[2].jumps))
     total, _, best_profile, ok = candidates[0]
@@ -550,7 +570,7 @@ def optimize_sharp(
         profile=best_profile,
         energy=energy,
         converged=ok,
-        bracket=(lo, hi),
+        bracket=(lo, n),
         n_candidates=len(candidates),
     )
 

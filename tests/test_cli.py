@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import mspl
-from mspl import WeightParams, optimize_sharp
+from mspl import SharpOptions, WeightParams, optimize_sharp
 from mspl.cli import main
 
 
@@ -47,6 +47,21 @@ def test_sharp_min_agrees_with_library(tmp_path, capsys):
     res = optimize_sharp(1e-3, WeightParams(0.5, 1.0))
     assert payload["energy"]["total"] == pytest.approx(res.energy.total, rel=1e-11)
     assert payload["n_jumps"] == res.profile.n_jumps
+
+
+def test_sharp_min_honours_max_iter(tmp_path, capsys):
+    rc, out, _ = run_cli(
+        capsys, "sharp-min", "--eps", "1e-3", "--alpha", "0.5", "--beta", "1.0",
+        "--max-iter", "2", "--out", str(tmp_path),
+    )
+    payload = json.loads(out)
+    w = WeightParams(0.5, 1.0)
+    res = optimize_sharp(1e-3, w, SharpOptions(max_iter=2))
+    assert payload["energy"]["total"] == pytest.approx(res.energy.total, rel=1e-11)
+    assert payload["converged"] == res.converged
+    assert rc == (0 if res.converged else 3)
+    # the budget must matter: the default one reaches a lower energy
+    assert res.energy.total > optimize_sharp(1e-3, w).energy.total
 
 
 def test_diffuse_min_budget_exhaustion_still_writes(tmp_path, capsys):

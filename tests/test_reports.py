@@ -13,6 +13,7 @@ from mspl import (
     MeshSpec,
     NonPositiveValue,
     OptimizerSpec,
+    SharpOptions,
     WeightParams,
     emit_distribution,
     emit_period,
@@ -23,6 +24,7 @@ from mspl import (
     run_period_report,
     sweep_scaling,
 )
+from mspl.reports import sharp_options
 
 SHARP3 = ExperimentConfig(eps_list=(1e-2, 3e-3, 1e-3), model="sharp")
 
@@ -128,6 +130,22 @@ def test_distribution_endpoint_matches_total_energy():
     total = optimize_sharp(1e-3, cfg.weights).energy.total
     assert last["phi"] == pytest.approx(total, rel=1e-12)
     assert last["ratio"] == pytest.approx(total / 1e-3 ** (2.0 / 3.0), rel=1e-12)
+
+
+def test_distribution_report_honours_jump_count_and_budget():
+    cfg = ExperimentConfig(eps_list=(1e-3,), n_jumps=3, optimizer=OptimizerSpec(max_iter=5))
+    rep = run_distribution_report(cfg)
+    opts = SharpOptions(n_min=3, n_max=3, max_iter=5)
+    total = optimize_sharp(1e-3, cfg.weights, opts).energy.total
+    assert rep.rows[-1]["phi"] == pytest.approx(total, rel=1e-12)
+    assert total > optimize_sharp(1e-3, cfg.weights).energy.total
+
+
+def test_sharp_options_cap_the_shared_budget():
+    # the shared budget defaults to the diffuse solver's 4000
+    assert sharp_options(ExperimentConfig()).max_iter == SharpOptions().max_iter == 500
+    cfg = ExperimentConfig(optimizer=OptimizerSpec(max_iter=40), gamma=0.5, n_jumps=7)
+    assert sharp_options(cfg) == SharpOptions(gamma=0.5, n_min=7, n_max=7, max_iter=40)
 
 
 def test_distribution_warns_outside_hypothesis():

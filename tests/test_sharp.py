@@ -1,5 +1,6 @@
 """Sawtooth construction, exact evaluation, and the jump-count optimizer."""
 
+import math
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from mspl.sharp import (
     _decode_gaps,
     _gap_energy_and_grad,
     _profile_from_gaps,
+    calibrate_bracket_constant,
     close_profile,
     default_gamma,
 )
@@ -349,6 +351,40 @@ def test_amplitude_envelope_uses_beta():
 def test_options_cap_jump_count():
     res = optimize_sharp(1e-3, WeightParams(0.0, 0.0), SharpOptions(n_min=2, n_max=3))
     assert 2 <= res.profile.n_jumps <= 4  # closure may add one auxiliary jump
+
+
+def full_bracket(eps, w):
+    """The jump-count bracket [n*/2, 2n*] around the calibrated count."""
+    c = calibrate_bracket_constant(w, default_gamma(w.beta))
+    base = c * eps ** (-1.0 / 3.0)
+    lo = max(1, math.floor(base) // 2)
+    return lo, max(lo + 2, 2 * math.ceil(base))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)])
+def test_early_stop_matches_exhaustive_bracket(eps, alpha, beta):
+    # oracle: every count of the full bracket solved on its own
+    w = WeightParams(alpha, beta)
+    lo, hi = full_bracket(eps, w)
+    per_count = [
+        optimize_sharp(eps, w, SharpOptions(n_min=n, n_max=n)) for n in range(lo, hi + 1)
+    ]
+    oracle = min(per_count, key=lambda r: (r.energy.total, r.profile.n_jumps, r.profile.jumps))
+    res = optimize_sharp(eps, w)
+    assert res.energy.total == oracle.energy.total
+    assert res.profile.jumps == oracle.profile.jumps
+    assert res.bracket[0] == lo and res.bracket[1] <= hi
+
+
+def test_early_stop_golden_at_smallest_sweep_eps():
+    # the exhaustive bracket [18, 76] picked n = 40 with this total
+    w = WeightParams(0.5, 1.0)
+    lo, hi = full_bracket(1e-5, w)
+    res = optimize_sharp(1e-5, w)
+    assert repr(res.energy.total) == "0.0006083419803138972"
+    assert res.profile.n_jumps == 40
+    assert res.n_candidates < 2 * (hi - lo + 1)
 
 
 def test_contradictory_bracket_rejected():
