@@ -20,7 +20,7 @@ class MeshSpec:
 @dataclass(frozen=True)
 class OptimizerSpec:
     tol: float | None = None
-    max_iter: int = 4000
+    max_iter: int = 500
     restarts: int = 3
 
 

@@ -8,16 +8,17 @@ The energy replaces the slope constraint by a double-well penalty:
 discretized with nodal values on a power-graded mesh: three-point
 nonuniform second differences with dual-cell weights for the curvature
 term, elementwise slopes for the well, and the exact singular-weight
-integral of the linear interpolant for the bulk.  Minimization is a
-memory-10 L-BFGS with Armijo backtracking, written here so the descent
-trace and stopping flags are fully under our control.
+integral of the linear interpolant for the bulk.  Minimization takes
+Newton steps on the pentadiagonal Hessian, with the non-convex part of
+the well dropped so every step descends, and Armijo backtracking; it is
+written here so the descent trace and stopping flags are fully under
+our control.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     EnergyBreakdown,
@@ -207,21 +208,23 @@ def _smooth_capped(profile: SawtoothProfile, mu: float, mesh: GradedMesh) -> Dif
 
 
 class _Operators:
+    """Mesh and weight data of the discrete energy, as numpy arrays.
+
+    Row j of the second-difference operator (interior node j + 1) is
+    cl[j] u[j] + cm[j] u[j+1] + cr[j] u[j+2], weighted by the dual-cell
+    stiffness dual_w[j]; the mass matrix of t**(-beta) is tridiagonal
+    with diagonal mass_diag (n + 1 entries) and off-diagonal mass_off (n).
+    """
+
     def __init__(self, n: int, q: float, alpha: float, beta: float):
         t = _mesh_nodes(n, q)
         h = np.diff(t)
         self.t = t
         self.h = h
-        # second-difference matrix, rows for interior nodes 1..n-1
         hl, hr = h[:-1], h[1:]
-        cl = 2.0 / (hl * (hl + hr))
-        cm = -2.0 / (hl * hr)
-        cr = 2.0 / (hr * (hl + hr))
-        rows = np.repeat(np.arange(n - 1), 3)
-        cols = (np.arange(1, n)[:, None] + np.array([-1, 0, 1])).ravel()
-        data = np.column_stack((cl, cm, cr)).ravel()
-        self.D = sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n + 1))
-        self.Dt = self.D.T.tocsr()
+        self.cl = 2.0 / (hl * (hl + hr))
+        self.cm = -2.0 / (hl * hr)
+        self.cr = 2.0 / (hr * (hl + hr))
         # dual-cell stiffness weights: integral of t**alpha between
         # midpoints around each interior node
         mids = 0.5 * (t[:-1] + t[1:])
@@ -242,29 +245,67 @@ class _Operators:
         q_bb = (ta * ta * m0 - 2.0 * ta * m1 + m2) / h2
         q_aa[0] = 0.0
         q_ab[0] = 0.0
-        diag = np.zeros(n + 1)
-        diag[:-1] += q_aa
-        diag[1:] += q_bb
-        self.Q = sp.diags([q_ab, diag, q_ab], offsets=[-1, 0, 1], format="csr")
+        self.mass_diag = np.zeros(n + 1)
+        self.mass_diag[:-1] += q_aa
+        self.mass_diag[1:] += q_bb
+        self.mass_off = q_ab
+
+    def curvature(self, u: np.ndarray) -> np.ndarray:
+        """Second differences of the nodal values at the interior nodes."""
+        return self.cl * u[:-2] + self.cm * u[1:-1] + self.cr * u[2:]
 
     def energy_and_grad(self, x: np.ndarray, eps: float):
         """Objective and gradient in the interior unknowns."""
         n = self.h.size
         u = np.zeros(n + 1)
         u[1:-1] = x
-        curv = self.D @ u
+        curv = self.curvature(u)
         wcurv = self.dual_w * curv
         surface = eps * eps * float(curv @ wcurv)
         p = np.diff(u) / self.h
         well = float(self.h @ double_well(p))
-        qu = self.Q @ u
+        qu = self.mass_diag * u
+        qu[1:] += self.mass_off * u[:-1]
+        qu[:-1] += self.mass_off * u[1:]
         bulk = float(u @ qu)
         f = surface + well + bulk
         wp = double_well_prime(p)
-        g = 2.0 * eps * eps * (self.Dt @ wcurv)[1:-1]
+        # transpose of the second-difference operator, interior rows
+        dtw = self.cm * wcurv
+        dtw[1:] += self.cr[:-1] * wcurv[:-1]
+        dtw[:-1] += self.cl[1:] * wcurv[1:]
+        g = 2.0 * eps * eps * dtw
         g += wp[:-1] - wp[1:]
         g += 2.0 * qu[1:-1]
         return f, g
+
+    def hessian_base(self, eps: float) -> np.ndarray:
+        """Hessian of the curvature and bulk terms, 2 eps**2 D^T W D + 2 Q
+        on the interior nodes, in upper band form with bandwidth 2 (row 2
+        the diagonal, row 1 the first and row 0 the second superdiagonal,
+        right-aligned as `scipy.linalg.solveh_banded` reads it)."""
+        cl, cm, cr, w = self.cl, self.cm, self.cr, self.dual_w
+        ab = np.zeros((3, cm.size))
+        ab[2] = w * cm * cm
+        ab[2, 1:] += (w * cr * cr)[:-1]
+        ab[2, :-1] += (w * cl * cl)[1:]
+        ab[1, 1:] = (w * cm * cr)[:-1] + (w * cl * cm)[1:]
+        ab[0, 2:] = (w * cl * cr)[1:-1]
+        ab *= 2.0 * eps * eps
+        ab[2] += 2.0 * self.mass_diag[1:-1]
+        ab[1, 1:] += 2.0 * self.mass_off[1:-1]
+        return ab
+
+    def convexified_hessian(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """`base` (from `hessian_base`) plus the well Hessian at the interior
+        values x, with each element's W''(p) / h = (3 p**2 - 1) / h clipped
+        at 0: symmetric positive definite, in the same band form."""
+        p = np.diff(x, prepend=0.0, append=0.0) / self.h
+        well = np.maximum(3.0 * p * p - 1.0, 0.0) / self.h
+        ab = base.copy()
+        ab[2] += well[:-1] + well[1:]
+        ab[1, 1:] -= well[1:-1]
+        return ab
 
 
 @lru_cache(maxsize=32)
@@ -282,7 +323,7 @@ def evaluate_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> Energy
         raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
     ops = _operators(field.mesh.n, field.mesh.q, w.alpha, w.beta)
     u = field.values
-    curv = ops.D @ u
+    curv = ops.curvature(u)
     surface = eps * eps * float(curv @ (ops.dual_w * curv))
     p = np.diff(u) / ops.h
     well = float(ops.h @ double_well(p))
@@ -320,27 +361,35 @@ def minimize_diffuse(
     eps: float,
     w: WeightParams,
     tol: float | None = None,
-    max_iter: int = 4000,
+    max_iter: int = 500,
 ) -> DiffuseMinimum:
-    """Descend from `init` with memory-10 L-BFGS + Armijo backtracking.
+    """Descend from `init` with convexified Newton steps + Armijo backtracking.
+
+    Each step solves with the banded Hessian of the curvature and bulk
+    terms plus the well Hessian clipped per element to
+    max(3 p**2 - 1, 0) / h, which is symmetric positive definite, so
+    every step is a descent direction.  Where no element's slope lies
+    inside +-1/sqrt(3) the clip is inactive and the step is plain Newton.
 
     Stops on gradient inf-norm <= tol (default 1e-8) or when the energy
     stagnates at rounding level for 30 consecutive steps; iteration
     budget exhaustion is reported via status='max_iter', a stalled line
-    search via status='line_search_failure' -- both still return the
-    best point seen, and the trace is strictly decreasing either way.
+    search or a failed factorization via status='line_search_failure' --
+    both still return the best point seen, and the trace is strictly
+    decreasing either way.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
+    # imported here so commands that never minimize skip loading scipy.linalg
+    from scipy.linalg import LinAlgError, solveh_banded
+
     gtol = 1e-8 if tol is None else tol
     ops = _operators(init.mesh.n, init.mesh.q, w.alpha, w.beta)
+    base = ops.hessian_base(eps)
 
     x = init.values[1:-1].copy()
     f, g = ops.energy_and_grad(x, eps)
     trace = [f]
-    mem_s: list[np.ndarray] = []
-    mem_y: list[np.ndarray] = []
-    mem_rho: list[float] = []
     status = "max_iter"
     it = 0
     stagnant = 0
@@ -349,26 +398,12 @@ def minimize_diffuse(
         if float(np.max(np.abs(g))) <= gtol:
             status = "converged"
             break
-        # two-loop recursion
-        d = -g
-        alphas = []
-        for s, y, rho in zip(reversed(mem_s), reversed(mem_y), reversed(mem_rho)):
-            a = rho * float(s @ d)
-            alphas.append(a)
-            d -= a * y
-        if mem_s:
-            y = mem_y[-1]
-            d *= float(mem_s[-1] @ y) / float(y @ y)
-        for (s, y, rho), a in zip(zip(mem_s, mem_y, mem_rho), reversed(alphas)):
-            b = rho * float(y @ d)
-            d += (a - b) * s
+        try:
+            d = solveh_banded(ops.convexified_hessian(x, base), -g, overwrite_ab=True)
+        except LinAlgError:
+            status = "line_search_failure"
+            break
         gd = float(g @ d)
-        if gd >= 0.0:  # not a descent direction: restart from steepest
-            d = -g
-            gd = float(g @ d)
-            mem_s.clear()
-            mem_y.clear()
-            mem_rho.clear()
 
         step = 1.0
         f_new = None
@@ -383,18 +418,6 @@ def minimize_diffuse(
             status = "line_search_failure"
             break
 
-        s_vec = step * d
-        y_vec = g_try - g
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            mem_s.append(s_vec)
-            mem_y.append(y_vec)
-            mem_rho.append(1.0 / sy)
-            if len(mem_s) > 10:
-                mem_s.pop(0)
-                mem_y.pop(0)
-                mem_rho.pop(0)
-
         stagnant = stagnant + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
         x, f, g = x_try, f_new, g_try
         trace.append(f)
@@ -402,8 +425,6 @@ def minimize_diffuse(
         if stagnant >= 30:
             status = "converged"
             break
-    else:
-        status = "max_iter"
     if status == "max_iter" and float(np.max(np.abs(g))) <= gtol:
         status = "converged"
 
@@ -462,7 +483,7 @@ def minimize_with_restarts(
     restarts: int = 3,
     seed: int = 0,
     tol: float | None = None,
-    max_iter: int = 4000,
+    max_iter: int = 500,
     gamma: float | None = None,
 ):
     """Best of several descents.  Restart 0 is the plain smoothed graded
@@ -478,7 +499,8 @@ def minimize_with_restarts(
     saw_teeth = base_init.slope_reversals().size
     inits: list[tuple[str, DiffuseField]] = [("graded", base_init)]
     if restarts >= 2:
-        prof = optimize_sharp(eps, w, SharpOptions(gamma=gamma)).profile
+        opts = SharpOptions(gamma=gamma, max_iter=min(max_iter, SharpOptions.max_iter))
+        prof = optimize_sharp(eps, w, opts).profile
         inits.append(("sharp-init", _smooth_capped(prof, eps, mesh)))
     if restarts >= 3 and w.limit_ok:
         # teeth spaced by the predicted local period; a distinct basin

@@ -104,7 +104,7 @@ class SweepReport:
 def sharp_options(cfg: ExperimentConfig) -> SharpOptions:
     """Options of every sharp solve a configuration runs: its grading,
     its jump count if one is fixed, and its iteration budget capped at
-    the sharp default (the shared budget defaults to the diffuse 4000)."""
+    the sharp default, `SharpOptions.max_iter`."""
     return SharpOptions(
         gamma=cfg.gamma,
         n_min=cfg.n_jumps,

@@ -86,6 +86,15 @@ def test_diffuse_min_converges_on_easy_problem(tmp_path, capsys):
     assert payload["energy"]["total"] > 0.0
 
 
+def test_default_diffuse_min_converges(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "diffuse-min", "--out", str(tmp_path))
+    payload = json.loads(out)
+    assert payload["status"] == "converged"
+    assert rc == 0
+    sharp_init = next(r for r in payload["restarts"] if r["label"] == "sharp-init")
+    assert sharp_init["status"] == "converged"
+
+
 # ---------------------------------------------------------------------------
 # exit codes on bad input
 # ---------------------------------------------------------------------------

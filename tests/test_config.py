@@ -21,7 +21,7 @@ def test_defaults():
     assert cfg.model == "sharp"
     assert cfg.eps_list == (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     assert cfg.mesh == MeshSpec(4096, 2.0)
-    assert cfg.optimizer == OptimizerSpec(None, 4000, 3)
+    assert cfg.optimizer == OptimizerSpec(None, 500, 3)
     assert cfg.seed == 0
     assert cfg.formats == ("csv", "json")
     assert not cfg.plot

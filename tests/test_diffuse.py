@@ -11,6 +11,7 @@ from mspl import (
     InvalidMu,
     MuTooLarge,
     SawtoothProfile,
+    SharpOptions,
     WeightParams,
     build_smoothed,
     evaluate_diffuse,
@@ -20,7 +21,8 @@ from mspl import (
     smoothed_graded_init,
     transition_profile,
 )
-from mspl.diffuse import double_well
+from mspl.core import power_primitive, power_primitives
+from mspl.diffuse import _operators, double_well, double_well_prime
 
 W00 = WeightParams(0.0, 0.0)
 
@@ -230,6 +232,164 @@ def test_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# numpy band kernel against a scipy.sparse reference
+# ---------------------------------------------------------------------------
+
+
+def sparse_reference(mesh, w):
+    """Second-difference matrix D (interior rows, all n + 1 columns), its
+    dual-cell weights and the mass matrix Q of t**(-beta), assembled as
+    scipy.sparse matrices straight from the discretization's formulas."""
+    import scipy.sparse as sp
+
+    n = mesh.n
+    t = mesh.nodes
+    h = np.diff(t)
+    hl, hr = h[:-1], h[1:]
+    cl = 2.0 / (hl * (hl + hr))
+    cm = -2.0 / (hl * hr)
+    cr = 2.0 / (hr * (hl + hr))
+    rows = np.repeat(np.arange(n - 1), 3)
+    cols = (np.arange(1, n)[:, None] + np.array([-1, 0, 1])).ravel()
+    data = np.column_stack((cl, cm, cr)).ravel()
+    D = sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n + 1))
+    mids = 0.5 * (t[:-1] + t[1:])
+    dual_w = power_primitive(mids[:-1], mids[1:], w.alpha)
+    ta, tb = t[:-1], t[1:]
+    beta = w.beta
+    m2 = np.empty(n)
+    m2[0] = tb[0] ** (3.0 - beta) / (3.0 - beta)
+    m0 = np.zeros(n)
+    m1 = np.zeros(n)
+    m0[1:], m1[1:], m2[1:] = power_primitives(
+        ta[1:], tb[1:], (-beta, 1.0 - beta, 2.0 - beta)
+    )
+    q_aa = (tb * tb * m0 - 2.0 * tb * m1 + m2) / (h * h)
+    q_ab = (-ta * tb * m0 + (ta + tb) * m1 - m2) / (h * h)
+    q_bb = (ta * ta * m0 - 2.0 * ta * m1 + m2) / (h * h)
+    q_aa[0] = 0.0
+    q_ab[0] = 0.0
+    diag = np.zeros(n + 1)
+    diag[:-1] += q_aa
+    diag[1:] += q_bb
+    Q = sp.diags([q_ab, diag, q_ab], offsets=[-1, 0, 1], format="csr")
+    return D, dual_w, Q
+
+
+def sparse_energy_and_grad(ref, mesh, x, eps):
+    D, dual_w, Q = ref
+    h = mesh.spacings
+    u = np.zeros(mesh.n + 1)
+    u[1:-1] = x
+    curv = D @ u
+    wcurv = dual_w * curv
+    p = np.diff(u) / h
+    qu = Q @ u
+    f = eps * eps * float(curv @ wcurv) + float(h @ double_well(p)) + float(u @ qu)
+    wp = double_well_prime(p)
+    g = 2.0 * eps * eps * (D.T.tocsr() @ wcurv)[1:-1]
+    g += wp[:-1] - wp[1:]
+    g += 2.0 * qu[1:-1]
+    return f, g
+
+
+KERNEL_CASES = [
+    (64, 1.0, W00),
+    (257, 1.3, WeightParams(0.3, 1.0 + 1e-13)),
+    (512, 2.0, WeightParams(0.5, 1.0)),
+    (1000, 1.5, WeightParams(1.0, 2.5)),
+    (2048, 2.0, WeightParams(2.0, -0.5)),
+]
+
+
+@pytest.mark.parametrize("n, q, w", KERNEL_CASES)
+def test_kernel_matches_sparse_reference(n, q, w):
+    mesh = GradedMesh(n, q)
+    ref = sparse_reference(mesh, w)
+    ops = _operators(n, q, w.alpha, w.beta)
+    rng = np.random.default_rng([n, 7])
+    for eps in (1e-2, 1e-4):
+        f = random_field(mesh, rng)
+        x = f.values[1:-1]
+        got_f, got_g = ops.energy_and_grad(x, eps)
+        want_f, want_g = sparse_energy_and_grad(ref, mesh, x, eps)
+        assert got_f == want_f
+        assert np.max(np.abs(got_g - want_g)) <= 1e-14 * np.max(np.abs(want_g))
+        curv = ref[0] @ f.values
+        surface = eps * eps * float(curv @ (ref[1] * curv))
+        assert evaluate_diffuse(f, eps, w).surface == surface
+
+
+def band_to_dense(ab):
+    a = np.diag(ab[2]) + np.diag(ab[1, 1:], 1) + np.diag(ab[0, 2:], 2)
+    return a + np.triu(a, 1).T
+
+
+HESSIAN_CASES = [
+    (64, 1.0, W00, 1e-2),
+    (80, 2.0, WeightParams(0.5, 1.0), 1e-3),
+    (96, 1.5, WeightParams(1.0, 1.0 - 1e-9), 3e-3),
+    (72, 2.0, WeightParams(2.0, 2.5), 1e-2),
+    (64, 1.3, WeightParams(0.25, 2.5), 1e-4),
+]
+
+
+@pytest.mark.parametrize("n, q, w, eps", HESSIAN_CASES)
+def test_hessian_base_matches_dense_reference(n, q, w, eps):
+    mesh = GradedMesh(n, q)
+    D, dual_w, Q = sparse_reference(mesh, w)
+    Di = D[:, 1:-1].toarray()
+    Qi = Q[1:-1, 1:-1].toarray()
+    stiff = 2.0 * eps * eps * Di.T @ (dual_w[:, None] * Di)
+    want = stiff + 2.0 * Qi
+    # every product and sum in either assembly is bounded by this scale
+    scale = 2.0 * eps * eps * np.abs(Di).T @ (dual_w[:, None] * np.abs(Di)) + 2.0 * np.abs(Qi)
+    got = band_to_dense(_operators(n, q, w.alpha, w.beta).hessian_base(eps))
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def steep_field(mesh, rng):
+    """Element slopes of magnitude 0.7 to 1.1, beyond 1/sqrt(3) where the
+    well is convex, switching sign near t = 0.2, 0.5 and 0.8; the falling
+    slopes are scaled so that u(1) = 0."""
+    t = mesh.nodes
+    h = mesh.spacings
+    mid = 0.5 * (t[:-1] + t[1:])
+    sign = np.where((mid < 0.2) | ((mid > 0.5) & (mid < 0.8)), 1.0, -1.0)
+    p = sign * rng.uniform(0.8, 1.0, h.size)
+    p[p < 0] *= np.sum((p * h)[p > 0]) / -np.sum((p * h)[p < 0])
+    vals = np.concatenate(([0.0], np.cumsum(p * h)))
+    vals[-1] = 0.0
+    return DiffuseField(mesh, vals)
+
+
+@pytest.mark.parametrize("n, q, w, eps", HESSIAN_CASES)
+def test_newton_band_is_the_hessian_where_the_well_is_convex(n, q, w, eps):
+    mesh = GradedMesh(n, q)
+    ops = _operators(n, q, w.alpha, w.beta)
+    fld = steep_field(mesh, np.random.default_rng([n, 11]))
+    assert np.min(np.abs(fld.element_slopes)) > 1.0 / np.sqrt(3.0)
+    x = fld.values[1:-1]
+    band = band_to_dense(ops.convexified_hessian(x, ops.hessian_base(eps)))
+    delta = 1e-5 * float(np.min(mesh.spacings))
+    worst = 0.0
+    for j in range(0, n - 1, 3):
+        vp, vm = fld.values.copy(), fld.values.copy()
+        vp[j + 1] += delta
+        vm[j + 1] -= delta
+        col = (
+            gradient_diffuse(DiffuseField(mesh, vp), eps, w)
+            - gradient_diffuse(DiffuseField(mesh, vm), eps, w)
+        ) / (2.0 * delta)
+        worst = max(worst, np.max(np.abs(col - band[:, j])) / np.max(np.abs(band[:, j])))
+    assert worst <= 1e-6
+    # with every slope inside the non-convex zone the clipped band stays
+    # positive definite
+    flat = 0.1 * x
+    np.linalg.cholesky(band_to_dense(ops.convexified_hessian(flat, ops.hessian_base(eps))))
+
+
+# ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
 
@@ -310,3 +470,41 @@ def test_restarts_are_deterministic():
     assert a.energy.total == b.energy.total
     assert np.array_equal(a.field.values, b.field.values)
     assert rows_a == rows_b
+
+
+def test_sharp_init_restart_gets_the_budget(monkeypatch):
+    import mspl.sharp
+
+    budgets = []
+    solve = mspl.sharp.optimize_sharp
+
+    def spy(eps, w, options=None):
+        budgets.append(options.max_iter)
+        return solve(eps, w, options)
+
+    monkeypatch.setattr(mspl.sharp, "optimize_sharp", spy)
+    mesh = GradedMesh(128, 1.0)
+    for budget in (7, None, 2000):
+        kw = {} if budget is None else {"max_iter": budget}
+        minimize_with_restarts(1e-2, W00, mesh, restarts=2, **kw)
+    assert budgets == [7, SharpOptions.max_iter, SharpOptions.max_iter]
+
+
+# Per-restart totals of the memory-10 L-BFGS that the convexified Newton
+# solver replaced, after 4000 iterations (eight times today's budget) on
+# the inputs of the test below.
+LBFGS_4000_TOTALS = {
+    "graded": 0.017835171363869574,
+    "sharp-init": 0.012423828484230449,
+    "law-init": 0.013988093896368905,
+}
+
+
+def test_restarts_end_below_the_replaced_solver():
+    best, rows = minimize_with_restarts(
+        1e-3, WeightParams(0.5, 1.0), GradedMesh(2048, 2.0), restarts=3, seed=0
+    )
+    assert [r["label"] for r in rows] == list(LBFGS_4000_TOTALS)
+    for r in rows:
+        assert r["final_total"] <= LBFGS_4000_TOTALS[r["label"]], r["label"]
+    assert np.all(np.diff(np.asarray(best.trace)) <= 0.0)

@@ -10,7 +10,7 @@ import mspl
 
 SRC = os.path.dirname(os.path.dirname(mspl.__file__))
 PKG = os.path.dirname(mspl.__file__)
-HEAVY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+HEAVY = ("scipy.optimize", "scipy.stats", "scipy.integrate", "scipy.sparse", "scipy.linalg")
 
 
 def loaded_heavy(code: str) -> list[str]:

@@ -142,7 +142,7 @@ def test_distribution_report_honours_jump_count_and_budget():
 
 
 def test_sharp_options_cap_the_shared_budget():
-    # the shared budget defaults to the diffuse solver's 4000
+    # the shared budget defaults to the diffuse solver's 500, the sharp cap
     assert sharp_options(ExperimentConfig()).max_iter == SharpOptions().max_iter == 500
     cfg = ExperimentConfig(optimizer=OptimizerSpec(max_iter=40), gamma=0.5, n_jumps=7)
     assert sharp_options(cfg) == SharpOptions(gamma=0.5, n_min=7, n_max=7, max_iter=40)
