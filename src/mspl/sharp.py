@@ -312,9 +312,10 @@ class SharpOptions:
 
 @dataclass(frozen=True)
 class SharpMinimum:
-    """Best candidate of `optimize_sharp`.  `bracket` is the first and
-    the last jump count scored, `n_candidates` the number of candidates
-    scored (refined and graded)."""
+    """Best candidate of `optimize_sharp`.  `bracket` is the lowest and
+    the highest jump count scored, `n_candidates` the number of
+    candidates scored: one graded construction per count, plus each
+    refined layout that did not collapse."""
 
     profile: SawtoothProfile
     energy: EnergyBreakdown
@@ -328,9 +329,13 @@ _CAL_LOCK = threading.Lock()
 _CAL_CACHE: dict[tuple[float, float, float], float] = {}
 _CAL_EPS = 1e-3
 
-# optimize_sharp stops after this many consecutive counts that do not
-# lower the best energy found so far
+# each leg of optimize_sharp's walk stops after this many consecutive
+# counts that do not lower the best energy found so far
 STALE_COUNTS = 4
+
+# a refined gap below this fraction of its graded starting width has
+# collapsed, and its layout is one of fewer teeth
+COLLAPSE_TOL = 1e-6
 
 
 def _interleave(y_odd: np.ndarray, y_even: np.ndarray) -> np.ndarray:
@@ -415,27 +420,39 @@ def _decode_gaps(x: np.ndarray, k_odd: int) -> np.ndarray:
     return _interleave(0.5 * eo / eo.sum(), 0.5 * ee / ee.sum())
 
 
-def _refine_jump_positions(
-    n: int, eps: float, w: WeightParams, gamma: float, max_iter: int
-):
-    """Best n-jump profile: start from the parity-projected graded gaps
-    and descend on the closure manifold (alternating gap sums pinned to
-    1/2 by a softmax reparameterization), with exact gradients."""
-    m = n + 1
-    k = np.arange(1, m + 1, dtype=float)
+def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
+    """Starting gaps of an n-jump refinement: the graded widths k**gamma,
+    each parity rescaled to sum to 1/2 so the profile closes."""
+    k = np.arange(1, n + 2, dtype=float)
     y = k**gamma
     y /= y.sum()
     y_odd, y_even = y[0::2].copy(), y[1::2].copy()
     y_odd *= 0.5 / y_odd.sum()
     y_even *= 0.5 / y_even.sum()
-    k_odd = y_odd.size
+    return _interleave(y_odd, y_even)
 
+
+def _refine_jump_positions(
+    n: int, eps: float, w: WeightParams, gamma: float, max_iter: int
+):
+    """Best n-jump profile: start from the parity-projected graded gaps
+    and descend on the closure manifold (alternating gap sums pinned to
+    1/2 by a softmax reparameterization), with exact gradients.
+
+    Returns (gaps, energy, converged), or None once the layout collapses:
+    some gap falls below COLLAPSE_TOL times its own starting width.  The
+    descent stops there instead of running such a gap towards zero until
+    the iteration cap, and the layout is dropped, because it is really
+    one of fewer teeth."""
     if n == 1:
         # closure pins the single jump to 1/2; nothing to optimize
         gaps = np.array([0.5, 0.5])
         return gaps, _gap_energy_and_grad(gaps, eps, w)[0], True
 
-    x0 = np.concatenate((np.log(y_odd), np.log(y_even)))
+    start = _graded_start_gaps(n, gamma)
+    f0 = _gap_energy_and_grad(start, eps, w)[0]
+    k_odd = (n + 2) // 2
+    floor = COLLAPSE_TOL * start
 
     def objective(x):
         gaps = _decode_gaps(x, k_odd)
@@ -448,21 +465,27 @@ def _refine_jump_positions(
         gx[k_odd:] = ye * (ge - 2.0 * float(ge @ ye))
         return energy, gx
 
+    def stop_at_collapse(intermediate_result):
+        if np.any(_decode_gaps(intermediate_result.x, k_odd) < floor):
+            raise StopIteration
+
     # imported here so commands that never refine skip loading scipy.optimize
     from scipy.optimize import minimize
 
     res = minimize(
         objective,
-        x0,
+        np.log(np.concatenate((start[0::2], start[1::2]))),
         method="L-BFGS-B",
         jac=True,
+        callback=stop_at_collapse,
         options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-10},
     )
-    f0 = _gap_energy_and_grad(_interleave(y_odd, y_even), eps, w)[0]
-    if res.fun <= f0:
-        gaps = _decode_gaps(res.x, k_odd)
-        return gaps, float(res.fun), bool(res.success)
-    return _interleave(y_odd, y_even), f0, True
+    if res.fun > f0:
+        return start, f0, True
+    gaps = _decode_gaps(res.x, k_odd)
+    if np.any(gaps < floor):
+        return None
+    return gaps, float(res.fun), bool(res.success)
 
 
 def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
@@ -472,8 +495,9 @@ def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
     makes jumps coincide, or land on 0 or 1.  Such a layout is
     normalized without changing u: two reversals at one point cancel, a
     jump at 0 only flips the initial slope, and one at 1 does nothing.
-    The surface energy of the dropped jumps goes with them, so the
-    caller rescores a profile that comes back with fewer jumps.
+    The surface energy of the dropped jumps goes with them.  Refined
+    layouts never get there: `_refine_jump_positions` drops a layout
+    long before, once a gap falls below COLLAPSE_TOL of its start.
     """
     at, count = np.unique(np.cumsum(y)[:-1], return_counts=True)
     odd = count % 2 == 1
@@ -498,9 +522,9 @@ def calibrate_bracket_constant(w: WeightParams, gamma: float) -> float:
     # refined pass in a window around it
     best = (math.inf, n_hat)
     for n in range(max(1, n_hat - 5), n_hat + 7):
-        _, total, _ = _refine_jump_positions(n, _CAL_EPS, w, gamma, max_iter=150)
-        if total < best[0]:
-            best = (total, n)
+        refined = _refine_jump_positions(n, _CAL_EPS, w, gamma, max_iter=150)
+        if refined is not None and refined[1] < best[0]:
+            best = (refined[1], n)
     c = best[1] * _CAL_EPS ** (1.0 / 3.0)
     with _CAL_LOCK:
         _CAL_CACHE[key] = c
@@ -512,15 +536,19 @@ def optimize_sharp(
 ) -> SharpMinimum:
     """Minimize the sharp energy over admissible sawtooth profiles.
 
-    Jump counts are walked upward from half the calibrated
-    c * eps**(-1/3); for each count the positions are refined on the
-    closure manifold, and the clamped graded construction of that count
-    is scored beside them, so the result is never worse than any graded
-    construction the walk visits.  The walk stops once STALE_COUNTS
-    consecutive counts fail to strictly lower the best energy so far.
-    It never goes past twice the calibrated count (nor outside the
-    `n_min`/`n_max` of the options), so at worst it refines every
-    count of that bracket.
+    The walk over jump counts starts at n0 = round(c * eps**(-1/3)), c
+    the calibrated constant, goes down from n0 and then up from n0 + 1.
+    For each count the positions are refined on the closure manifold,
+    and the clamped graded construction of that count is scored beside
+    them, so the result is never worse than any graded construction the
+    walk visits.  Each leg stops once STALE_COUNTS consecutive counts in
+    its direction fail to strictly lower the best energy so far.  A
+    refinement whose gap falls below COLLAPSE_TOL times its graded
+    starting width has collapsed into a layout of fewer teeth: it is
+    stopped there and never ranked, and the upward leg ends at the first
+    such count that does not lower the best.  The bracket [n*/2, 2n*]
+    around the calibrated count (narrowed by the `n_min`/`n_max` of the
+    options) is a hard cap on both legs.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
@@ -543,25 +571,34 @@ def optimize_sharp(
         hi = min(hi, opts.n_max)
     if hi < lo:
         raise InvalidConfig(f"empty jump-count bracket [{lo}, {hi}]")
+    n0 = min(max(round(base), lo), hi)
 
     candidates: list[tuple[float, int, SawtoothProfile, bool]] = []
-    best, n_best = math.inf, lo
-    for n in range(lo, hi + 1):
-        first = len(candidates)
-        if opts.refine:
-            gaps, total, ok = _refine_jump_positions(n, eps, w, gamma, opts.max_iter)
-            profile = _profile_from_gaps(gaps)
-            if profile.n_jumps != n:
-                total = evaluate_sharp(profile, eps, w).total
-            candidates.append((total, profile.n_jumps, profile, ok))
-        graded = build_graded_profile(GradedSpacingConfig(n, gamma))
-        gtotal = evaluate_sharp(graded, eps, w).total
-        candidates.append((gtotal, graded.n_jumps, graded, True))
-        low = min(cand[0] for cand in candidates[first:])
-        if low < best:
-            best, n_best = low, n
-        elif n - n_best == STALE_COUNTS:
-            break
+    scored: list[int] = []
+    best = math.inf
+    for leg in (range(n0, lo - 1, -1), range(n0 + 1, hi + 1)):
+        stale = 0
+        for n in leg:
+            scored.append(n)
+            first = len(candidates)
+            refined = None
+            if opts.refine:
+                refined = _refine_jump_positions(n, eps, w, gamma, opts.max_iter)
+            if refined is not None:
+                gaps, total, ok = refined
+                profile = _profile_from_gaps(gaps)
+                candidates.append((total, profile.n_jumps, profile, ok))
+            graded = build_graded_profile(GradedSpacingConfig(n, gamma))
+            gtotal = evaluate_sharp(graded, eps, w).total
+            candidates.append((gtotal, graded.n_jumps, graded, True))
+            low = min(cand[0] for cand in candidates[first:])
+            if low < best:
+                best, stale = low, 0
+                continue
+            stale += 1
+            collapsed = opts.refine and refined is None
+            if stale == STALE_COUNTS or (collapsed and n > n0):
+                break
 
     candidates.sort(key=lambda cand: (cand[0], cand[1], cand[2].jumps))
     total, _, best_profile, ok = candidates[0]
@@ -570,7 +607,7 @@ def optimize_sharp(
         profile=best_profile,
         energy=energy,
         converged=ok,
-        bracket=(lo, n),
+        bracket=(min(scored), max(scored)),
         n_candidates=len(candidates),
     )
 

@@ -24,9 +24,13 @@ from mspl import (
     rescaled_min_energy,
 )
 from mspl.core import power_primitive, weighted_square_integrals
+import mspl.sharp
 from mspl.sharp import (
+    COLLAPSE_TOL,
+    STALE_COUNTS,
     _decode_gaps,
     _gap_energy_and_grad,
+    _graded_start_gaps,
     _profile_from_gaps,
     calibrate_bracket_constant,
     close_profile,
@@ -361,20 +365,65 @@ def full_bracket(eps, w):
     return lo, max(lo + 2, 2 * math.ceil(base))
 
 
-@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
-@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)])
-def test_early_stop_matches_exhaustive_bracket(eps, alpha, beta):
-    # oracle: every count of the full bracket solved on its own
-    w = WeightParams(alpha, beta)
+def exhaustive_minimum(eps, w):
+    """Oracle: every count of the full bracket solved on its own."""
     lo, hi = full_bracket(eps, w)
     per_count = [
         optimize_sharp(eps, w, SharpOptions(n_min=n, n_max=n)) for n in range(lo, hi + 1)
     ]
-    oracle = min(per_count, key=lambda r: (r.energy.total, r.profile.n_jumps, r.profile.jumps))
+    best = min(per_count, key=lambda r: (r.energy.total, r.profile.n_jumps, r.profile.jumps))
+    return best, lo, hi
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,eps",
+    [
+        (alpha, beta, eps)
+        for alpha, beta in ((0.0, 0.0), (0.5, 1.0), (1.0, 1.0))
+        for eps in (1e-2, 1e-3, 1e-4)
+    ]
+    + [
+        (0.0, 2.5, 1e-2),  # tiny legitimate first gaps (1e-7 of the median at 1e-5)
+        (1.0, 1.5, 1e-2),  # slow collapses above the optimum
+        (1.5, 1.4, 1e-2),  # alpha + beta near 3
+    ],
+)
+def test_early_stop_matches_exhaustive_bracket(alpha, beta, eps):
+    w = WeightParams(alpha, beta)
+    oracle, lo, hi = exhaustive_minimum(eps, w)
     res = optimize_sharp(eps, w)
     assert res.energy.total == oracle.energy.total
     assert res.profile.jumps == oracle.profile.jumps
-    assert res.bracket[0] == lo and res.bracket[1] <= hi
+    # the walk starts inside the bracket, so it may never reach lo
+    assert lo <= res.bracket[0] and res.bracket[1] <= hi
+
+
+def test_walk_from_a_start_far_above_the_optimum():
+    # n0 = 31 sits 12 counts above the optimal 19: the downward leg must
+    # reach it, and the upward leg must end after its own stale counts
+    # although the best count lies far below its first count
+    eps, w = 1e-4, WeightParams(0.5, 1.0)
+    oracle, _, _ = exhaustive_minimum(eps, w)
+    c = 1.8 * calibrate_bracket_constant(w, default_gamma(w.beta))
+    n0 = round(c * eps ** (-1.0 / 3.0))
+    res = optimize_sharp(eps, w, SharpOptions(bracket_constant=c))
+    assert res.energy.total == oracle.energy.total
+    assert res.profile.jumps == oracle.profile.jumps
+    assert res.profile.n_jumps < n0 - STALE_COUNTS
+    assert res.bracket[1] <= n0 + STALE_COUNTS
+
+
+def test_stale_counts_end_the_upward_leg_without_collapses(monkeypatch):
+    # with collapse detection off only the stale count ends the upward
+    # leg, whose first count lies 7 above the best: it must stop after
+    # STALE_COUNTS counts, not run on to the cap at 30
+    monkeypatch.setattr(mspl.sharp, "COLLAPSE_TOL", 0.0)
+    eps, w = 1e-3, WeightParams(0.5, 1.0)
+    c = 1.8 * calibrate_bracket_constant(w, default_gamma(w.beta))
+    n0 = round(c * eps ** (-1.0 / 3.0))
+    res = optimize_sharp(eps, w, SharpOptions(bracket_constant=c))
+    assert res.profile.n_jumps == 8
+    assert res.bracket[1] == n0 + STALE_COUNTS
 
 
 def test_early_stop_golden_at_smallest_sweep_eps():
@@ -387,8 +436,55 @@ def test_early_stop_golden_at_smallest_sweep_eps():
     assert res.n_candidates < 2 * (hi - lo + 1)
 
 
+def test_reported_count_is_the_effective_count():
+    # the 14-jump refinement collapses (its first gap reached 1e-20 of
+    # the median when run to the cap); the 13 teeth it really has win
+    eps, w = 3e-4, WeightParams(0.5, 1.0)
+    res = optimize_sharp(eps, w)
+    assert res.profile.n_jumps == 13
+    gaps = np.diff(res.profile.breakpoints)
+    start = _graded_start_gaps(res.profile.n_jumps, default_gamma(w.beta))
+    assert np.all(gaps >= COLLAPSE_TOL * start)
+    # the walk starts at n0 = 12 and goes down until 11..8 have failed
+    # to beat it; the upward leg ends at the collapsed count 14
+    assert res.bracket == (8, 14)
+
+
+def test_tiny_first_gaps_are_not_a_collapse():
+    # the 82-jump optimum at (0, 2.5) has a first gap below 1e-6 of the
+    # median gap, yet far above its graded start: it must be ranked
+    eps, w = 3e-5, WeightParams(0.0, 2.5)
+    res = optimize_sharp(eps, w, SharpOptions(n_min=82, n_max=82))
+    gaps = np.diff(res.profile.breakpoints)
+    assert res.n_candidates == 2
+    assert res.profile.n_jumps == 82
+    assert gaps[0] < COLLAPSE_TOL * np.median(gaps)
+
+
+def test_collapsing_count_stops_short_of_the_cap(monkeypatch):
+    # count 44 at eps = 1e-5 collapses; refined to the 500-iteration cap
+    # it took about 550 kernel evaluations
+    eps, w = 1e-5, WeightParams(0.5, 1.0)
+    calibrate_bracket_constant(w, default_gamma(w.beta))
+    calls = 0
+    kernel = mspl.sharp._gap_energy_and_grad
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(mspl.sharp, "_gap_energy_and_grad", counting)
+    res = optimize_sharp(eps, w, SharpOptions(n_min=44, n_max=44))
+    assert calls < 300
+    # the collapsed layout is not ranked: only the graded one is left
+    assert res.n_candidates == 1
+    assert res.profile.n_jumps != 44
+
+
 def test_contradictory_bracket_rejected():
-    # cap far below the calibrated bracket floor: nothing to search
+    # n_max = 3 lies below the walk's hard floor n*/2 (4 here), so no
+    # count is left to score
     with pytest.raises(InvalidConfig):
         optimize_sharp(1e-4, WeightParams(0.0, 0.0), SharpOptions(n_max=3))
 
@@ -493,8 +589,9 @@ def test_optimize_sharp_golden_weighted():
 
 
 def test_collapsed_gaps_are_normalized():
-    # at n = 56 L-BFGS-B drives gaps below the rounding of their partial
-    # sums, so two jumps coincide; the profile must come back normalized
+    # n = 56 collapses: run to the cap, L-BFGS-B drives gaps below the
+    # rounding of their partial sums and two jumps coincide; whatever is
+    # returned must be a valid closed profile scored as it stands
     eps, w = 1e-5, WeightParams(0.5, 0.5)
     res = optimize_sharp(eps, w, SharpOptions(n_min=56, n_max=56))
     assert not res.profile.unclamped
