@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     EnergyBreakdown,
     WeightParams,
+    power_primitive,
     power_primitives,
     weighted_square_integrals,
 )
@@ -337,12 +338,14 @@ STALE_COUNTS = 4
 # collapsed, and its layout is one of fewer teeth
 COLLAPSE_TOL = 1e-6
 
-
-def _interleave(y_odd: np.ndarray, y_even: np.ndarray) -> np.ndarray:
-    y = np.empty(y_odd.size + y_even.size)
-    y[0::2] = y_odd
-    y[1::2] = y_even
-    return y
+# a refinement has converged at this projected-gradient inf-norm, or
+# once a step lowers the energy by less than this fraction
+GTOL = 1e-10
+FTOL = 1e-14
+# floor of the Levenberg shift once the scaled Hessian is indefinite, and
+# the Armijo halvings tried before a step is given up
+LAM_MIN = 1e-8
+MAX_BACKTRACKS = 40
 
 
 def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
@@ -388,7 +391,7 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
         seg[1:] = c * c * p0 + 2.0 * c * s * p1 + s * s * p2
     energy = surface + float(np.sum(seg))
 
-    # surface suffix term (z -> 0 on probe points: let inf flow through)
+    # surface suffix term (a jump at z = 0 gives inf: let it flow through)
     grad = np.full(m, vals[-1] ** 2)
     if w.alpha != 0.0 and zs.size:
         with np.errstate(divide="ignore"):
@@ -398,8 +401,9 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
 
     # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
     J = np.zeros(m)
-    # a gap driven to exactly 0 gives 0 * inf here; the line search
-    # rejects such probe points, so let the nan through silently
+    # a gap of exactly 0 gives 0 * inf here; the refinement never steps
+    # onto one (no step more than halves a gap), so let the nan through
+    # silently
     with np.errstate(invalid="ignore"):
         J[1:] = c * p0 + s * p1
 
@@ -414,10 +418,13 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
     return energy, grad
 
 
-def _decode_gaps(x: np.ndarray, k_odd: int) -> np.ndarray:
-    eo = np.exp(x[:k_odd] - np.max(x[:k_odd]))
-    ee = np.exp(x[k_odd:] - np.max(x[k_odd:]))
-    return _interleave(0.5 * eo / eo.sum(), 0.5 * ee / ee.sum())
+def _closed(y: np.ndarray) -> np.ndarray:
+    """Gaps `y` with each parity rescaled to sum to 1/2, so the profile
+    ends at t = 1 with u(1) = 0."""
+    out = y.copy()
+    out[0::2] *= 0.5 / y[0::2].sum()
+    out[1::2] *= 0.5 / y[1::2].sum()
+    return out
 
 
 def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
@@ -425,67 +432,118 @@ def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
     each parity rescaled to sum to 1/2 so the profile closes."""
     k = np.arange(1, n + 2, dtype=float)
     y = k**gamma
-    y /= y.sum()
-    y_odd, y_even = y[0::2].copy(), y[1::2].copy()
-    y_odd *= 0.5 / y_odd.sum()
-    y_even *= 0.5 / y_even.sum()
-    return _interleave(y_odd, y_even)
+    return _closed(y / y.sum())
+
+
+def _jump_hessian(y: np.ndarray, eps: float, w: WeightParams):
+    """Exact Hessian of the energy in the interior jump positions z_k of
+    the layout with gaps y (slope +1 first, right end at sum(y)).
+
+    Moving z_k flips the slope of everything to its right, so
+    du(t)/dz_k = 2 s_k [t > z_k], s_k the slope just left of z_k.  With
+    P(x) = int_x^1 t**-beta dt this gives
+
+        H_kl = 8 s_k s_l P(z_max(k, l))                         (k != l)
+        H_kk = 8 P(z_k) - 4 s_k z_k**-beta u(z_k)
+               + 2 eps alpha (alpha - 1) z_k**(alpha - 2)
+
+    Returns H and the vector P(z)."""
+    z = np.cumsum(y)[:-1]
+    n = z.size
+    s = np.ones(n)
+    s[1::2] = -1.0
+    u = np.cumsum(s * y[:-1])
+    P = power_primitive(z, 1.0, -w.beta)
+    idx = np.arange(n)
+    H = 8.0 * np.outer(s, s) * P[np.maximum.outer(idx, idx)]
+    surface = 2.0 * eps * w.alpha * (w.alpha - 1.0) * z ** (w.alpha - 2.0)
+    H[idx, idx] += surface - 4.0 * s * z ** (-w.beta) * u
+    return H, P
 
 
 def _refine_jump_positions(
     n: int, eps: float, w: WeightParams, gamma: float, max_iter: int
 ):
-    """Best n-jump profile: start from the parity-projected graded gaps
-    and descend on the closure manifold (alternating gap sums pinned to
-    1/2 by a softmax reparameterization), with exact gradients.
+    """Best n-jump profile: damped Newton descent on the interior jump
+    positions z from the parity-projected graded gaps, with the exact
+    Hessian of `_jump_hessian` and the gradient of the fused gap kernel.
+
+    Closure is the linear constraint sum_k s_k z_k = const (s_k the slope
+    left of z_k), eliminated in each step by two solves against one
+    matrix.  That matrix is the Hessian scaled symmetrically by its
+    8 P(z) part, plus a rank-one term along the constraint normal (the
+    step only sees the Hessian on the constraint's tangent space), plus
+    a Levenberg shift lam * I raised tenfold until its Cholesky
+    factorization succeeds and cut tenfold after each step.  A step
+    shrinks no gap by more than half, is backtracked to an Armijo
+    decrease, and the gaps of each parity are rescaled to sum to 1/2, so
+    rounding cannot drift u(1) away from 0.  The descent has converged
+    once the projected-gradient inf-norm falls to GTOL, or the relative
+    decrease, taken or predicted by the Newton model, to FTOL.  It stops
+    unconverged after max_iter steps, or when no backtracked step lowers
+    the energy.
 
     Returns (gaps, energy, converged), or None once the layout collapses:
     some gap falls below COLLAPSE_TOL times its own starting width.  The
-    descent stops there instead of running such a gap towards zero until
-    the iteration cap, and the layout is dropped, because it is really
+    descent stops there, and the layout is dropped, because it is really
     one of fewer teeth."""
     if n == 1:
         # closure pins the single jump to 1/2; nothing to optimize
         gaps = np.array([0.5, 0.5])
         return gaps, _gap_energy_and_grad(gaps, eps, w)[0], True
 
-    start = _graded_start_gaps(n, gamma)
-    f0 = _gap_energy_and_grad(start, eps, w)[0]
-    k_odd = (n + 2) // 2
-    floor = COLLAPSE_TOL * start
-
-    def objective(x):
-        gaps = _decode_gaps(x, k_odd)
-        energy, gy = _gap_energy_and_grad(gaps, eps, w)
-        # chain through the two softmax groups: y = 0.5 * softmax(x)
-        gx = np.empty_like(x)
-        yo, go = gaps[0::2], gy[0::2]
-        ye, ge = gaps[1::2], gy[1::2]
-        gx[:k_odd] = yo * (go - 2.0 * float(go @ yo))
-        gx[k_odd:] = ye * (ge - 2.0 * float(ge @ ye))
-        return energy, gx
-
-    def stop_at_collapse(intermediate_result):
-        if np.any(_decode_gaps(intermediate_result.x, k_odd) < floor):
-            raise StopIteration
-
-    # imported here so commands that never refine skip loading scipy.optimize
-    from scipy.optimize import minimize
-
-    res = minimize(
-        objective,
-        np.log(np.concatenate((start[0::2], start[1::2]))),
-        method="L-BFGS-B",
-        jac=True,
-        callback=stop_at_collapse,
-        options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    if res.fun > f0:
-        return start, f0, True
-    gaps = _decode_gaps(res.x, k_odd)
-    if np.any(gaps < floor):
-        return None
-    return gaps, float(res.fun), bool(res.success)
+    y = _graded_start_gaps(n, gamma)
+    floor = COLLAPSE_TOL * y
+    f, gy = _gap_energy_and_grad(y, eps, w)
+    s = np.ones(n)
+    s[1::2] = -1.0
+    eye = np.eye(n)
+    lam = 0.0
+    for _ in range(max_iter):
+        g = gy[:-1] - gy[1:]
+        if np.max(np.abs(g - s * (float(s @ g) / n))) <= GTOL:
+            return y, f, True
+        H, P = _jump_hessian(y, eps, w)
+        d = 1.0 / np.sqrt(8.0 * P)
+        H *= np.outer(d, d)
+        dg, ds = d * g, d * s
+        # a multiple of ds ds^T leaves the constrained step as it is; one of
+        # unit curvature, like the scaled diagonal, lifts negative curvature
+        # across the constraint that the step never sees
+        H += np.outer(ds, ds) / float(ds @ ds)
+        while True:
+            A = H + lam * eye
+            try:
+                np.linalg.cholesky(A)
+                break
+            except np.linalg.LinAlgError:
+                lam = max(10.0 * lam, LAM_MIN)
+        a, b = np.linalg.solve(A, np.column_stack((dg, ds))).T
+        p = d * (b * (float(ds @ a) / float(ds @ b)) - a)
+        slope = float(g @ p)
+        if -0.5 * slope <= FTOL * f:
+            # the Newton model predicts no decrease above rounding
+            return y, f, True
+        # p != 0 and dy sums to 0, so some gap shrinks
+        dy = np.diff(p, prepend=0.0, append=0.0)
+        shrink = dy < 0.0
+        t = min(1.0, float(np.min(0.5 * y[shrink] / -dy[shrink])))
+        for _ in range(MAX_BACKTRACKS):
+            y_new = _closed(y + t * dy)
+            f_new, gy_new = _gap_energy_and_grad(y_new, eps, w)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            return y, f, False
+        done = f - f_new <= FTOL * f
+        y, f, gy = y_new, f_new, gy_new
+        if np.any(y < floor):
+            return None
+        if done:
+            return y, f, True
+        lam /= 10.0
+    return y, f, False
 
 
 def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
@@ -538,17 +596,20 @@ def optimize_sharp(
 
     The walk over jump counts starts at n0 = round(c * eps**(-1/3)), c
     the calibrated constant, goes down from n0 and then up from n0 + 1.
-    For each count the positions are refined on the closure manifold,
-    and the clamped graded construction of that count is scored beside
-    them, so the result is never worse than any graded construction the
-    walk visits.  Each leg stops once STALE_COUNTS consecutive counts in
-    its direction fail to strictly lower the best energy so far.  A
-    refinement whose gap falls below COLLAPSE_TOL times its graded
-    starting width has collapsed into a layout of fewer teeth: it is
-    stopped there and never ranked, and the upward leg ends at the first
-    such count that does not lower the best.  The bracket [n*/2, 2n*]
-    around the calibrated count (narrowed by the `n_min`/`n_max` of the
-    options) is a hard cap on both legs.
+    For each count the positions are refined on the closure manifold by
+    damped Newton steps with the exact Hessian (`_refine_jump_positions`,
+    at most `max_iter` steps), and the clamped graded construction of
+    that count is scored beside them, so the result is never worse than
+    any graded construction the walk visits.  Each leg stops once
+    STALE_COUNTS consecutive counts in its direction fail to strictly
+    lower the best energy so far.  A refinement whose gap falls below
+    COLLAPSE_TOL times its graded starting width has collapsed into a
+    layout of fewer teeth: it is stopped there and never ranked, and its
+    count is stale unless its graded construction lowers the best.  A
+    collapse says nothing about the counts above it (at (0.5, 0.5),
+    eps = 1e-7, count 137 collapses and 139 and 141 are lower still), so
+    it does not end a leg by itself.  The bracket [n*/2, 2n*] around the calibrated count (narrowed
+    by the `n_min`/`n_max` of the options) is a hard cap on both legs.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
@@ -596,8 +657,7 @@ def optimize_sharp(
                 best, stale = low, 0
                 continue
             stale += 1
-            collapsed = opts.refine and refined is None
-            if stale == STALE_COUNTS or (collapsed and n > n0):
+            if stale == STALE_COUNTS:
                 break
 
     candidates.sort(key=lambda cand: (cand[0], cand[1], cand[2].jumps))

@@ -34,6 +34,21 @@ def test_light_paths_skip_heavy_scipy():
         "mspl.cli.main(['cell', '--s', '0.5'])\n"
         "mspl.cli.main(['preset', 'muller'])"
     ) == []
+    # the sharp refinement is numpy-only, and so is the sharp layout the
+    # diffuse start is built from
+    out = "import shutil, tempfile\nimport mspl.cli, mspl.sharp\nout = tempfile.mkdtemp()\n"
+    w = "mspl.WeightParams(0.5, 1.0)"
+    assert loaded_heavy(
+        out
+        + "mspl.cli.main(['sharp-min', '--alpha', '0.5', '--beta', '1', '--eps', '1e-3', '--out', out])\n"
+        + f"mspl.sharp.calibrate_bracket_constant({w}, mspl.default_gamma(1.0))\n"
+        + f"mspl.smoothed_graded_init(1e-3, {w}, mspl.GradedMesh(512, 2.0))\n"
+        + "shutil.rmtree(out)"
+    ) == []
+    # the diffuse Newton step needs scipy.linalg's banded solve, no more
+    assert loaded_heavy(
+        out + "mspl.cli.main(['diffuse-min', '--mesh-n', '512', '--out', out])\nshutil.rmtree(out)"
+    ) == ["scipy.linalg"]
 
 
 def test_no_private_names_imported_across_modules():

@@ -28,14 +28,26 @@ import mspl.sharp
 from mspl.sharp import (
     COLLAPSE_TOL,
     STALE_COUNTS,
-    _decode_gaps,
     _gap_energy_and_grad,
     _graded_start_gaps,
+    _jump_hessian,
     _profile_from_gaps,
+    _refine_jump_positions,
     calibrate_bracket_constant,
     close_profile,
     default_gamma,
 )
+
+
+def _decode_gaps(x, k_odd):
+    """Closed gaps from unconstrained x: 1/2 times a softmax over each
+    parity (the first k_odd entries give the gaps at even positions)."""
+    eo = np.exp(x[:k_odd] - np.max(x[:k_odd]))
+    ee = np.exp(x[k_odd:] - np.max(x[k_odd:]))
+    y = np.empty(x.size)
+    y[0::2] = 0.5 * eo / eo.sum()
+    y[1::2] = 0.5 * ee / ee.sum()
+    return y
 
 
 def bulk_quad(profile, beta):
@@ -431,14 +443,15 @@ def test_early_stop_golden_at_smallest_sweep_eps():
     w = WeightParams(0.5, 1.0)
     lo, hi = full_bracket(1e-5, w)
     res = optimize_sharp(1e-5, w)
-    assert repr(res.energy.total) == "0.0006083419803138972"
+    assert repr(res.energy.total) == "0.000608341979968667"
     assert res.profile.n_jumps == 40
     assert res.n_candidates < 2 * (hi - lo + 1)
 
 
 def test_reported_count_is_the_effective_count():
-    # the 14-jump refinement collapses (its first gap reached 1e-20 of
-    # the median when run to the cap); the 13 teeth it really has win
+    # the 14-jump refinement collapses (without the collapse stop its
+    # first gap falls to 1e-23 of the median); the 13 teeth it really has
+    # win
     eps, w = 3e-4, WeightParams(0.5, 1.0)
     res = optimize_sharp(eps, w)
     assert res.profile.n_jumps == 13
@@ -446,8 +459,21 @@ def test_reported_count_is_the_effective_count():
     start = _graded_start_gaps(res.profile.n_jumps, default_gamma(w.beta))
     assert np.all(gaps >= COLLAPSE_TOL * start)
     # the walk starts at n0 = 12 and goes down until 11..8 have failed
-    # to beat it; the upward leg ends at the collapsed count 14
-    assert res.bracket == (8, 14)
+    # to beat it, and up until 14 (collapsed) to 17 have failed
+    assert res.bracket == (8, 17)
+
+
+def test_a_collapse_does_not_end_the_upward_leg():
+    # count 137 collapses, yet 139 and 141 are lower than the best count
+    # below it (136): stopping the walk at 137 cost 7.9e-4 of the energy
+    eps, w = 1e-7, WeightParams(0.5, 0.5)
+    gamma = default_gamma(w.beta)
+    calibrate_bracket_constant(w, gamma)
+    assert _refine_jump_positions(137, eps, w, gamma, 500) is None
+    res = optimize_sharp(eps, w)
+    assert res.converged
+    assert res.profile.n_jumps == 141
+    assert res.bracket[0] < 137 < res.bracket[1]
 
 
 def test_tiny_first_gaps_are_not_a_collapse():
@@ -461,25 +487,64 @@ def test_tiny_first_gaps_are_not_a_collapse():
     assert gaps[0] < COLLAPSE_TOL * np.median(gaps)
 
 
-def test_collapsing_count_stops_short_of_the_cap(monkeypatch):
-    # count 44 at eps = 1e-5 collapses; refined to the 500-iteration cap
-    # it took about 550 kernel evaluations
-    eps, w = 1e-5, WeightParams(0.5, 1.0)
-    calibrate_bracket_constant(w, default_gamma(w.beta))
-    calls = 0
+def count_kernel_calls(monkeypatch) -> list:
+    """Spy on the gap kernel: one entry per call lands in the list."""
+    calls = []
     kernel = mspl.sharp._gap_energy_and_grad
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return kernel(*args)
 
     monkeypatch.setattr(mspl.sharp, "_gap_energy_and_grad", counting)
+    return calls
+
+
+def test_collapsing_count_stops_short_of_the_cap(monkeypatch):
+    # count 44 at eps = 1e-5 collapses, and its refinement must stop there
+    # instead of running towards the iteration cap
+    eps, w = 1e-5, WeightParams(0.5, 1.0)
+    calibrate_bracket_constant(w, default_gamma(w.beta))
+    calls = count_kernel_calls(monkeypatch)
     res = optimize_sharp(eps, w, SharpOptions(n_min=44, n_max=44))
-    assert calls < 300
+    assert len(calls) < 300
     # the collapsed layout is not ranked: only the graded one is left
     assert res.n_candidates == 1
     assert res.profile.n_jumps != 44
+
+
+def test_walk_at_smallest_sweep_eps_converges_every_refinement(monkeypatch):
+    # the walk at eps = 1e-5 scores counts 33..44; count 42 collapses
+    # slowly, and every refinement must end converged or collapsed, none
+    # at the iteration cap
+    eps, w = 1e-5, WeightParams(0.5, 1.0)
+    calibrate_bracket_constant(w, default_gamma(w.beta))
+    calls = count_kernel_calls(monkeypatch)
+    refine = mspl.sharp._refine_jump_positions
+    refined = {}
+
+    def recording(n, *args):
+        refined[n] = refine(n, *args)
+        return refined[n]
+
+    monkeypatch.setattr(mspl.sharp, "_refine_jump_positions", recording)
+    res = optimize_sharp(eps, w)
+    assert len(calls) < 500
+    assert res.converged and res.profile.n_jumps == 40
+    assert refined[42] is None
+    assert all(r is None or r[2] for r in refined.values())
+
+
+def test_curvature_across_the_closure_is_not_damped(monkeypatch):
+    # near the 48-jump optimum at (1, 2.5), eps = 1e-2, the scaled Hessian
+    # has a negative eigenvalue across the closure constraint while its
+    # tangent block is positive definite; a Levenberg shift sized for the
+    # former crawls to the iteration cap, the constrained step converges
+    eps, w = 1e-2, WeightParams(1.0, 2.5)
+    calls = count_kernel_calls(monkeypatch)
+    refined = _refine_jump_positions(48, eps, w, default_gamma(w.beta), 500)
+    assert refined is not None and refined[2]
+    assert len(calls) < 100
 
 
 def test_contradictory_bracket_rejected():
@@ -490,8 +555,8 @@ def test_contradictory_bracket_rejected():
 
 
 def test_collapsed_gap_gradient_is_silent():
-    # L-BFGS-B probes can drive a softmax gap to exactly 0; the resulting
-    # 0 * inf in the first moments must not leak a RuntimeWarning
+    # a degenerate layout may hand the kernel a gap of exactly 0; the
+    # resulting 0 * inf in the first moments must not leak a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, grad = _gap_energy_and_grad(
@@ -580,18 +645,47 @@ def test_gap_gradient_matches_finite_differences(alpha, beta):
         assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("beta", [-0.5, 0.5, 1.0, 1.5, 2.5])
+def test_jump_hessian_matches_finite_differences(alpha, beta):
+    # central differences of the kernel's position gradient
+    # g_z = g_y[:-1] - g_y[1:]; beta = 1 takes the log branch of P
+    rng = np.random.default_rng(29)
+    w = WeightParams(alpha, beta)
+    eps = 1e-3
+
+    def grad_z(z):
+        gy = _gap_energy_and_grad(np.diff(z, prepend=0.0, append=1.0), eps, w)[1]
+        return gy[:-1] - gy[1:]
+
+    for m in (3, 6, 11):
+        y = _decode_gaps(rng.normal(scale=0.5, size=m), (m + 1) // 2)
+        z = np.cumsum(y)[:-1]
+        hess, _ = _jump_hessian(y, eps, w)
+        fd = np.empty_like(hess)
+        for k in range(z.size):
+            h = 1e-6 * min(y[k], y[k + 1])
+            up, dn = z.copy(), z.copy()
+            up[k] += h
+            dn[k] -= h
+            fd[:, k] = (grad_z(up) - grad_z(dn)) / (2.0 * h)
+        assert np.array_equal(hess, hess.T)
+        assert np.linalg.norm(fd - hess) <= 1e-7 * np.linalg.norm(hess)
+
+
 def test_optimize_sharp_golden_weighted():
-    # the fused kernel must leave the L-BFGS-B path, and so the result,
-    # exactly as the generic integrator and suffix-sum loop gave them
+    # the sharp-min result the cli-cold benchmark reports: a change to the
+    # kernel or the Newton refinement that moves it must not raise it
     res = optimize_sharp(1e-3, WeightParams(0.5, 1.0))
-    assert repr(res.energy.total) == "0.0131562237857786"
+    assert repr(res.energy.total) == "0.013156223785776775"
     assert res.profile.n_jumps == 8
 
 
 def test_collapsed_gaps_are_normalized():
-    # n = 56 collapses: run to the cap, L-BFGS-B drives gaps below the
-    # rounding of their partial sums and two jumps coincide; whatever is
-    # returned must be a valid closed profile scored as it stands
+    # n = 56 collapses (without the collapse stop its first gaps fall to
+    # 1e-21 of the median, below the rounding of their partial sums, and
+    # jumps coincide); whatever is returned must be a valid closed profile
+    # scored as it stands
     eps, w = 1e-5, WeightParams(0.5, 0.5)
     res = optimize_sharp(eps, w, SharpOptions(n_min=56, n_max=56))
     assert not res.profile.unclamped
