@@ -19,9 +19,9 @@ from .asymptotics import (
 )
 from .config import ExperimentConfig, preset
 from .core import WeightParams
-from .diffuse import GradedMesh, minimize_with_restarts
 from .errors import InvalidConfig, LabError
 from .reports import (
+    diffuse_minimum,
     emit_distribution,
     emit_period,
     emit_sweep,
@@ -124,17 +124,7 @@ def _cmd_sharp_min(args) -> int:
 def _cmd_diffuse_min(args) -> int:
     cfg = _build_config(args, model="diffuse")
     eps = cfg.eps_list[0]
-    mesh = GradedMesh(cfg.mesh.n, cfg.mesh.q)
-    res, diag = minimize_with_restarts(
-        eps,
-        cfg.weights,
-        mesh,
-        restarts=cfg.optimizer.restarts,
-        seed=cfg.seed,
-        tol=cfg.optimizer.tol,
-        max_iter=cfg.optimizer.max_iter,
-        gamma=cfg.gamma,
-    )
+    res, diag = diffuse_minimum(eps, cfg)
     payload = {
         "eps": eps,
         "alpha": cfg.weights.alpha,

@@ -499,8 +499,7 @@ def minimize_with_restarts(
     saw_teeth = base_init.slope_reversals().size
     inits: list[tuple[str, DiffuseField]] = [("graded", base_init)]
     if restarts >= 2:
-        opts = SharpOptions(gamma=gamma, max_iter=min(max_iter, SharpOptions.max_iter))
-        prof = optimize_sharp(eps, w, opts).profile
+        prof = optimize_sharp(eps, w, SharpOptions(gamma=gamma, max_iter=max_iter)).profile
         inits.append(("sharp-init", _smooth_capped(prof, eps, mesh)))
     if restarts >= 3 and w.limit_ok:
         # teeth spaced by the predicted local period; a distinct basin

@@ -103,13 +103,25 @@ class SweepReport:
 
 def sharp_options(cfg: ExperimentConfig) -> SharpOptions:
     """Options of every sharp solve a configuration runs: its grading,
-    its jump count if one is fixed, and its iteration budget capped at
-    the sharp default, `SharpOptions.max_iter`."""
+    its jump count if one is fixed, and its iteration budget."""
     return SharpOptions(
+        gamma=cfg.gamma, n_jumps=cfg.n_jumps, max_iter=cfg.optimizer.max_iter
+    )
+
+
+def diffuse_minimum(eps: float, cfg: ExperimentConfig):
+    """`minimize_with_restarts` at eps on the configuration's mesh, with
+    its restarts, seed, tolerance, budget and grading.  Returns (best
+    DiffuseMinimum, diagnostics rows)."""
+    return minimize_with_restarts(
+        eps,
+        cfg.weights,
+        GradedMesh(cfg.mesh.n, cfg.mesh.q),
+        restarts=cfg.optimizer.restarts,
+        seed=cfg.seed,
+        tol=cfg.optimizer.tol,
+        max_iter=cfg.optimizer.max_iter,
         gamma=cfg.gamma,
-        n_min=cfg.n_jumps,
-        n_max=cfg.n_jumps,
-        max_iter=min(cfg.optimizer.max_iter, SharpOptions.max_iter),
     )
 
 
@@ -127,17 +139,7 @@ def _sharp_point(eps: float, cfg: ExperimentConfig):
 
 
 def _diffuse_point(eps: float, cfg: ExperimentConfig):
-    mesh = GradedMesh(cfg.mesh.n, cfg.mesh.q)
-    res, diag = minimize_with_restarts(
-        eps,
-        cfg.weights,
-        mesh,
-        restarts=cfg.optimizer.restarts,
-        seed=cfg.seed,
-        tol=cfg.optimizer.tol,
-        max_iter=cfg.optimizer.max_iter,
-        gamma=cfg.gamma,
-    )
+    res, diag = diffuse_minimum(eps, cfg)
     return {
         "eps": eps,
         "model": "diffuse",
@@ -274,17 +276,7 @@ def run_period_report(cfg: ExperimentConfig, s_list) -> PeriodReport:
         if model == "sharp":
             minimizer = optimize_sharp(eps, w, sharp_options(cfg)).profile
         else:
-            mesh = GradedMesh(cfg.mesh.n, cfg.mesh.q)
-            minimizer = minimize_with_restarts(
-                eps,
-                w,
-                mesh,
-                restarts=cfg.optimizer.restarts,
-                seed=cfg.seed,
-                tol=cfg.optimizer.tol,
-                max_iter=cfg.optimizer.max_iter,
-                gamma=cfg.gamma,
-            )[0].field
+            minimizer = diffuse_minimum(eps, cfg)[0].field
         rows = []
         for s in sorted(s_arr):
             try:

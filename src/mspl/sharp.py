@@ -113,18 +113,6 @@ class GradedSpacingConfig:
         y = k**self.gamma
         return y / y.sum()
 
-    def constraint_report(self, w: WeightParams) -> dict[str, bool]:
-        """Which admissibility/energy-bound conditions this grading meets
-        for the given weights."""
-        g, a, b = self.gamma, w.alpha, w.beta
-        return {
-            "gamma_gt_minus_one": g > -1.0,
-            "beta_lt_three": b < 3.0,
-            "bulk_sum_finite": 3.0 * g - b * (g + 1.0) > -1.0,
-            "bulk_scaling": (g + 1.0) * (3.0 - b) >= 2.0,
-            "surface_sum_finite": a > -1.0 / (1.0 + g),
-        }
-
 
 def default_gamma(beta: float) -> float:
     """Default grading exponent: the smallest nonnegative exponent that
@@ -176,7 +164,7 @@ def close_profile(p: SawtoothProfile) -> SawtoothProfile:
 
 
 def build_graded_profile(
-    cfg: GradedSpacingConfig, *, clamp: bool = True, initial_slope: int = 1
+    cfg: GradedSpacingConfig, *, clamp: bool = True
 ) -> SawtoothProfile:
     """Sawtooth with gap widths proportional to k**gamma.
 
@@ -187,7 +175,7 @@ def build_graded_profile(
     """
     y = cfg.spacings()
     jumps = np.cumsum(y)[:-1]
-    p = SawtoothProfile(tuple(float(z) for z in jumps), initial_slope)
+    p = SawtoothProfile(tuple(float(z) for z in jumps))
     if clamp:
         p = close_profile(p)
     return p
@@ -301,22 +289,26 @@ def cumulative_energy(
 
 @dataclass(frozen=True)
 class SharpOptions:
-    """Knobs for optimize_sharp; defaults follow the calibrated rules."""
+    """Knobs for optimize_sharp: the grading exponent of the starting
+    layouts (default `default_gamma`), a jump count to solve instead of
+    searching the calibrated bracket, the Newton step budget per count,
+    and whether to refine at all (refine=False takes zero steps)."""
 
     gamma: float | None = None
-    n_min: int | None = None
-    n_max: int | None = None
+    n_jumps: int | None = None
     max_iter: int = 500
     refine: bool = True
-    bracket_constant: float | None = None
+
+    def __post_init__(self):
+        if self.n_jumps is not None and self.n_jumps < 1:
+            raise InvalidConfig(f"need at least one jump, got n_jumps={self.n_jumps}")
 
 
 @dataclass(frozen=True)
 class SharpMinimum:
     """Best candidate of `optimize_sharp`.  `bracket` is the lowest and
-    the highest jump count scored, `n_candidates` the number of
-    candidates scored: one graded construction per count, plus each
-    refined layout that did not collapse."""
+    the highest jump count scored, `n_candidates` the number of counts
+    scored: each count has one candidate."""
 
     profile: SawtoothProfile
     energy: EnergyBreakdown
@@ -485,8 +477,8 @@ def _refine_jump_positions(
 
     Returns (gaps, energy, converged), or None once the layout collapses:
     some gap falls below COLLAPSE_TOL times its own starting width.  The
-    descent stops there, and the layout is dropped, because it is really
-    one of fewer teeth."""
+    descent stops there, and the layout is not returned, because it is
+    really one of fewer teeth."""
     if n == 1:
         # closure pins the single jump to 1/2; nothing to optimize
         gaps = np.array([0.5, 0.5])
@@ -589,27 +581,40 @@ def calibrate_bracket_constant(w: WeightParams, gamma: float) -> float:
     return c
 
 
+def _count_candidate(n: int, eps: float, w: WeightParams, gamma: float, max_iter: int):
+    """(total, profile, converged) of the one candidate of count n: its
+    refined layout, or its unrefined start layout if the refinement
+    collapsed."""
+    refined = _refine_jump_positions(n, eps, w, gamma, max_iter)
+    if refined is None:
+        gaps = _graded_start_gaps(n, gamma)
+        refined = gaps, _gap_energy_and_grad(gaps, eps, w)[0], False
+    gaps, total, ok = refined
+    return total, _profile_from_gaps(gaps), ok
+
+
 def optimize_sharp(
     eps: float, w: WeightParams, options: SharpOptions | None = None
 ) -> SharpMinimum:
     """Minimize the sharp energy over admissible sawtooth profiles.
 
-    The walk over jump counts starts at n0 = round(c * eps**(-1/3)), c
-    the calibrated constant, goes down from n0 and then up from n0 + 1.
-    For each count the positions are refined on the closure manifold by
-    damped Newton steps with the exact Hessian (`_refine_jump_positions`,
-    at most `max_iter` steps), and the clamped graded construction of
-    that count is scored beside them, so the result is never worse than
-    any graded construction the walk visits.  Each leg stops once
-    STALE_COUNTS consecutive counts in its direction fail to strictly
-    lower the best energy so far.  A refinement whose gap falls below
-    COLLAPSE_TOL times its graded starting width has collapsed into a
-    layout of fewer teeth: it is stopped there and never ranked, and its
-    count is stale unless its graded construction lowers the best.  A
-    collapse says nothing about the counts above it (at (0.5, 0.5),
-    eps = 1e-7, count 137 collapses and 139 and 141 are lower still), so
-    it does not end a leg by itself.  The bracket [n*/2, 2n*] around the calibrated count (narrowed
-    by the `n_min`/`n_max` of the options) is a hard cap on both legs.
+    Each count scored has one candidate: its jump positions refined on
+    the closure manifold by damped Newton steps with the exact Hessian
+    (`_refine_jump_positions`, at most `max_iter` steps, none with
+    refine=False).  A refinement whose gap falls below COLLAPSE_TOL times
+    its graded starting width has collapsed into a layout of fewer teeth:
+    it is stopped there, and the count is scored by its unrefined start
+    layout instead, marked unconverged.
+
+    A pinned `n_jumps` is the only count scored.  Otherwise the walk over
+    counts starts at n0 = round(c * eps**(-1/3)), c the calibrated
+    constant, goes down from n0 and then up from n0 + 1, and ends each
+    leg once STALE_COUNTS consecutive counts in its direction fail to
+    strictly lower the best energy so far.  A collapse says nothing about
+    the counts above it (at (0.5, 0.5), eps = 1e-7, count 137 collapses
+    and 139 and 141 are lower still), so it does not end a leg by itself.
+    The bracket [n*/2, 2n*] around the calibrated count is a hard cap on
+    both legs.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
@@ -617,57 +622,42 @@ def optimize_sharp(
         raise DivergentIntegral(f"beta={w.beta:g} >= 3: no finite minimizer")
     opts = options or SharpOptions()
     gamma = opts.gamma if opts.gamma is not None else default_gamma(w.beta)
+    max_iter = opts.max_iter if opts.refine else 0
 
-    c = (
-        opts.bracket_constant
-        if opts.bracket_constant is not None
-        else calibrate_bracket_constant(w, gamma)
+    # count -> (total, profile, converged), in the order scored
+    candidates: dict[int, tuple[float, SawtoothProfile, bool]] = {}
+
+    def score(n: int) -> float:
+        candidates[n] = _count_candidate(n, eps, w, gamma, max_iter)
+        return candidates[n][0]
+
+    if opts.n_jumps is not None:
+        score(opts.n_jumps)
+    else:
+        base = calibrate_bracket_constant(w, gamma) * eps ** (-1.0 / 3.0)
+        lo = max(1, math.floor(base) // 2)
+        hi = max(lo + 2, 2 * math.ceil(base))
+        n0 = max(round(base), lo)
+        best = math.inf
+        for leg in (range(n0, lo - 1, -1), range(n0 + 1, hi + 1)):
+            stale = 0
+            for n in leg:
+                total = score(n)
+                if total < best:
+                    best, stale = total, 0
+                    continue
+                stale += 1
+                if stale == STALE_COUNTS:
+                    break
+
+    _, best_profile, ok = min(
+        candidates.values(), key=lambda cand: (cand[0], cand[1].n_jumps, cand[1].jumps)
     )
-    base = c * eps ** (-1.0 / 3.0)
-    lo = max(1, math.floor(base) // 2)
-    hi = max(lo + 2, 2 * math.ceil(base))
-    if opts.n_min is not None:
-        lo = max(lo, opts.n_min)
-    if opts.n_max is not None:
-        hi = min(hi, opts.n_max)
-    if hi < lo:
-        raise InvalidConfig(f"empty jump-count bracket [{lo}, {hi}]")
-    n0 = min(max(round(base), lo), hi)
-
-    candidates: list[tuple[float, int, SawtoothProfile, bool]] = []
-    scored: list[int] = []
-    best = math.inf
-    for leg in (range(n0, lo - 1, -1), range(n0 + 1, hi + 1)):
-        stale = 0
-        for n in leg:
-            scored.append(n)
-            first = len(candidates)
-            refined = None
-            if opts.refine:
-                refined = _refine_jump_positions(n, eps, w, gamma, opts.max_iter)
-            if refined is not None:
-                gaps, total, ok = refined
-                profile = _profile_from_gaps(gaps)
-                candidates.append((total, profile.n_jumps, profile, ok))
-            graded = build_graded_profile(GradedSpacingConfig(n, gamma))
-            gtotal = evaluate_sharp(graded, eps, w).total
-            candidates.append((gtotal, graded.n_jumps, graded, True))
-            low = min(cand[0] for cand in candidates[first:])
-            if low < best:
-                best, stale = low, 0
-                continue
-            stale += 1
-            if stale == STALE_COUNTS:
-                break
-
-    candidates.sort(key=lambda cand: (cand[0], cand[1], cand[2].jumps))
-    total, _, best_profile, ok = candidates[0]
-    energy = evaluate_sharp(best_profile, eps, w)
     return SharpMinimum(
         profile=best_profile,
-        energy=energy,
+        energy=evaluate_sharp(best_profile, eps, w),
         converged=ok,
-        bracket=(min(scored), max(scored)),
+        bracket=(min(candidates), max(candidates)),
         n_candidates=len(candidates),
     )
 

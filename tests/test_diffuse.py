@@ -11,7 +11,6 @@ from mspl import (
     InvalidMu,
     MuTooLarge,
     SawtoothProfile,
-    SharpOptions,
     WeightParams,
     build_smoothed,
     evaluate_diffuse,
@@ -487,7 +486,7 @@ def test_sharp_init_restart_gets_the_budget(monkeypatch):
     for budget in (7, None, 2000):
         kw = {} if budget is None else {"max_iter": budget}
         minimize_with_restarts(1e-2, W00, mesh, restarts=2, **kw)
-    assert budgets == [7, SharpOptions.max_iter, SharpOptions.max_iter]
+    assert budgets == [7, 500, 2000]
 
 
 # Per-restart totals of the memory-10 L-BFGS that the convexified Newton

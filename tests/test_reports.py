@@ -135,17 +135,18 @@ def test_distribution_endpoint_matches_total_energy():
 def test_distribution_report_honours_jump_count_and_budget():
     cfg = ExperimentConfig(eps_list=(1e-3,), n_jumps=3, optimizer=OptimizerSpec(max_iter=5))
     rep = run_distribution_report(cfg)
-    opts = SharpOptions(n_min=3, n_max=3, max_iter=5)
+    opts = SharpOptions(n_jumps=3, max_iter=5)
     total = optimize_sharp(1e-3, cfg.weights, opts).energy.total
     assert rep.rows[-1]["phi"] == pytest.approx(total, rel=1e-12)
     assert total > optimize_sharp(1e-3, cfg.weights).energy.total
 
 
-def test_sharp_options_cap_the_shared_budget():
-    # the shared budget defaults to the diffuse solver's 500, the sharp cap
+def test_sharp_options_carry_the_shared_budget():
+    # the shared budget defaults to 500, the sharp default too, and
+    # reaches the sharp solves uncapped
     assert sharp_options(ExperimentConfig()).max_iter == SharpOptions().max_iter == 500
-    cfg = ExperimentConfig(optimizer=OptimizerSpec(max_iter=40), gamma=0.5, n_jumps=7)
-    assert sharp_options(cfg) == SharpOptions(gamma=0.5, n_min=7, n_max=7, max_iter=40)
+    cfg = ExperimentConfig(optimizer=OptimizerSpec(max_iter=2000), gamma=0.5, n_jumps=7)
+    assert sharp_options(cfg) == SharpOptions(gamma=0.5, n_jumps=7, max_iter=2000)
 
 
 def test_distribution_warns_outside_hypothesis():

@@ -365,8 +365,28 @@ def test_amplitude_envelope_uses_beta():
 
 
 def test_options_cap_jump_count():
-    res = optimize_sharp(1e-3, WeightParams(0.0, 0.0), SharpOptions(n_min=2, n_max=3))
-    assert 2 <= res.profile.n_jumps <= 4  # closure may add one auxiliary jump
+    res = optimize_sharp(1e-3, WeightParams(0.0, 0.0), SharpOptions(n_jumps=3))
+    assert res.profile.n_jumps == 3
+    assert res.bracket == (3, 3) and res.n_candidates == 1
+
+
+def test_pinned_count_outside_the_bracket_is_solved():
+    # the calibrated bracket at eps = 1e-2 is [1, 4]; a pinned count is
+    # solved directly, without calibration or walk
+    res = optimize_sharp(1e-2, WeightParams(0.0, 0.0), SharpOptions(n_jumps=20))
+    assert res.profile.n_jumps == 20
+    assert res.converged
+
+
+def test_unrefined_candidate_is_the_start_layout():
+    # refine=False takes zero Newton steps: the candidate is the count's
+    # closed graded start, scored as it stands and never converged
+    eps, w = 1e-3, WeightParams(0.5, 1.0)
+    gamma = default_gamma(w.beta)
+    res = optimize_sharp(eps, w, SharpOptions(n_jumps=8, refine=False))
+    assert res.profile == _profile_from_gaps(_graded_start_gaps(8, gamma))
+    assert not res.converged
+    assert res.energy.total > optimize_sharp(eps, w, SharpOptions(n_jumps=8)).energy.total
 
 
 def full_bracket(eps, w):
@@ -381,7 +401,7 @@ def exhaustive_minimum(eps, w):
     """Oracle: every count of the full bracket solved on its own."""
     lo, hi = full_bracket(eps, w)
     per_count = [
-        optimize_sharp(eps, w, SharpOptions(n_min=n, n_max=n)) for n in range(lo, hi + 1)
+        optimize_sharp(eps, w, SharpOptions(n_jumps=n)) for n in range(lo, hi + 1)
     ]
     best = min(per_count, key=lambda r: (r.energy.total, r.profile.n_jumps, r.profile.jumps))
     return best, lo, hi
@@ -410,15 +430,24 @@ def test_early_stop_matches_exhaustive_bracket(alpha, beta, eps):
     assert lo <= res.bracket[0] and res.bracket[1] <= hi
 
 
-def test_walk_from_a_start_far_above_the_optimum():
+def inflate_bracket_constant(monkeypatch, w, factor):
+    """Calibrated constant times `factor`, cached for the rest of the
+    test so the walk starts there."""
+    gamma = default_gamma(w.beta)
+    c = factor * calibrate_bracket_constant(w, gamma)
+    monkeypatch.setitem(mspl.sharp._CAL_CACHE, (w.alpha, w.beta, gamma), c)
+    return c
+
+
+def test_walk_from_a_start_far_above_the_optimum(monkeypatch):
     # n0 = 31 sits 12 counts above the optimal 19: the downward leg must
     # reach it, and the upward leg must end after its own stale counts
     # although the best count lies far below its first count
     eps, w = 1e-4, WeightParams(0.5, 1.0)
     oracle, _, _ = exhaustive_minimum(eps, w)
-    c = 1.8 * calibrate_bracket_constant(w, default_gamma(w.beta))
+    c = inflate_bracket_constant(monkeypatch, w, 1.8)
     n0 = round(c * eps ** (-1.0 / 3.0))
-    res = optimize_sharp(eps, w, SharpOptions(bracket_constant=c))
+    res = optimize_sharp(eps, w)
     assert res.energy.total == oracle.energy.total
     assert res.profile.jumps == oracle.profile.jumps
     assert res.profile.n_jumps < n0 - STALE_COUNTS
@@ -431,9 +460,9 @@ def test_stale_counts_end_the_upward_leg_without_collapses(monkeypatch):
     # STALE_COUNTS counts, not run on to the cap at 30
     monkeypatch.setattr(mspl.sharp, "COLLAPSE_TOL", 0.0)
     eps, w = 1e-3, WeightParams(0.5, 1.0)
-    c = 1.8 * calibrate_bracket_constant(w, default_gamma(w.beta))
+    c = inflate_bracket_constant(monkeypatch, w, 1.8)
     n0 = round(c * eps ** (-1.0 / 3.0))
-    res = optimize_sharp(eps, w, SharpOptions(bracket_constant=c))
+    res = optimize_sharp(eps, w)
     assert res.profile.n_jumps == 8
     assert res.bracket[1] == n0 + STALE_COUNTS
 
@@ -445,7 +474,9 @@ def test_early_stop_golden_at_smallest_sweep_eps():
     res = optimize_sharp(1e-5, w)
     assert repr(res.energy.total) == "0.000608341979968667"
     assert res.profile.n_jumps == 40
-    assert res.n_candidates < 2 * (hi - lo + 1)
+    assert lo <= res.bracket[0] and res.bracket[1] <= hi
+    # one candidate per count scored
+    assert res.n_candidates == res.bracket[1] - res.bracket[0] + 1
 
 
 def test_reported_count_is_the_effective_count():
@@ -480,9 +511,9 @@ def test_tiny_first_gaps_are_not_a_collapse():
     # the 82-jump optimum at (0, 2.5) has a first gap below 1e-6 of the
     # median gap, yet far above its graded start: it must be ranked
     eps, w = 3e-5, WeightParams(0.0, 2.5)
-    res = optimize_sharp(eps, w, SharpOptions(n_min=82, n_max=82))
+    res = optimize_sharp(eps, w, SharpOptions(n_jumps=82))
     gaps = np.diff(res.profile.breakpoints)
-    assert res.n_candidates == 2
+    assert res.converged
     assert res.profile.n_jumps == 82
     assert gaps[0] < COLLAPSE_TOL * np.median(gaps)
 
@@ -504,13 +535,15 @@ def test_collapsing_count_stops_short_of_the_cap(monkeypatch):
     # count 44 at eps = 1e-5 collapses, and its refinement must stop there
     # instead of running towards the iteration cap
     eps, w = 1e-5, WeightParams(0.5, 1.0)
-    calibrate_bracket_constant(w, default_gamma(w.beta))
+    gamma = default_gamma(w.beta)
     calls = count_kernel_calls(monkeypatch)
-    res = optimize_sharp(eps, w, SharpOptions(n_min=44, n_max=44))
+    res = optimize_sharp(eps, w, SharpOptions(n_jumps=44))
     assert len(calls) < 300
-    # the collapsed layout is not ranked: only the graded one is left
+    # the collapsed layout is not ranked: the count's start layout stands
+    # in for it, unconverged
     assert res.n_candidates == 1
-    assert res.profile.n_jumps != 44
+    assert res.profile == _profile_from_gaps(_graded_start_gaps(44, gamma))
+    assert not res.converged
 
 
 def test_walk_at_smallest_sweep_eps_converges_every_refinement(monkeypatch):
@@ -547,11 +580,9 @@ def test_curvature_across_the_closure_is_not_damped(monkeypatch):
     assert len(calls) < 100
 
 
-def test_contradictory_bracket_rejected():
-    # n_max = 3 lies below the walk's hard floor n*/2 (4 here), so no
-    # count is left to score
+def test_nonpositive_jump_count_rejected():
     with pytest.raises(InvalidConfig):
-        optimize_sharp(1e-4, WeightParams(0.0, 0.0), SharpOptions(n_max=3))
+        optimize_sharp(1e-4, WeightParams(0.0, 0.0), SharpOptions(n_jumps=0))
 
 
 def test_collapsed_gap_gradient_is_silent():
@@ -687,7 +718,7 @@ def test_collapsed_gaps_are_normalized():
     # jumps coincide); whatever is returned must be a valid closed profile
     # scored as it stands
     eps, w = 1e-5, WeightParams(0.5, 0.5)
-    res = optimize_sharp(eps, w, SharpOptions(n_min=56, n_max=56))
+    res = optimize_sharp(eps, w, SharpOptions(n_jumps=56))
     assert not res.profile.unclamped
     assert np.all(np.diff(res.profile.jumps) > 0.0)
     assert res.energy.total == evaluate_sharp(res.profile, eps, w).total
