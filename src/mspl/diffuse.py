@@ -44,6 +44,8 @@ from .sharp import (
 )
 
 BOUNDARY_TOL = 1e-12
+# steps over which a bounded descent measures its recent rate of decrease
+DOMINANCE_WINDOW = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +354,7 @@ class DiffuseMinimum:
     energy: EnergyBreakdown
     iterations: int
     converged: bool
-    status: str  # converged | max_iter | line_search_failure
+    status: str  # converged | max_iter | line_search_failure | dominated
     trace: tuple[float, ...]
 
 
@@ -362,6 +364,8 @@ def minimize_diffuse(
     w: WeightParams,
     tol: float | None = None,
     max_iter: int = 500,
+    *,
+    bound: float | None = None,
 ) -> DiffuseMinimum:
     """Descend from `init` with convexified Newton steps + Armijo backtracking.
 
@@ -377,6 +381,13 @@ def minimize_diffuse(
     search or a failed factorization via status='line_search_failure' --
     both still return the best point seen, and the trace is strictly
     decreasing either way.
+
+    With a `bound`, the descent is abandoned with status='dominated' once,
+    after step k >= 10 (DOMINANCE_WINDOW), its projected energy
+    f_k - (max_iter - k) * (f_{k-10} - f_k) / 10 -- its mean decrease per
+    step over the last 10 steps, kept up for the rest of the budget -- is
+    above the bound.  The trace decreases, so the projection is at most
+    f_k and an abandoned descent ends above the bound.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
@@ -425,6 +436,11 @@ def minimize_diffuse(
         if stagnant >= 30:
             status = "converged"
             break
+        if bound is not None and DOMINANCE_WINDOW <= it < max_iter:
+            rate = (trace[-1 - DOMINANCE_WINDOW] - f) / DOMINANCE_WINDOW
+            if f - (max_iter - it) * rate > bound:
+                status = "dominated"
+                break
     if status == "max_iter" and float(np.max(np.abs(g))) <= gtol:
         status = "converged"
 
@@ -489,8 +505,20 @@ def minimize_with_restarts(
     """Best of several descents.  Restart 0 is the plain smoothed graded
     construction; restart 1 smooths the refined sharp-model minimizer
     (its jump layout is a much better guess at the final tooth spacing);
-    later restarts rescale the tooth count and add a small seeded smooth
-    perturbation.  Returns (best DiffuseMinimum, diagnostics rows)."""
+    restart 2 spaces the teeth by the predicted period law, where that law
+    holds and its corner count is finite ((alpha + 2 beta) / 6 < 1); the
+    rest rescale the tooth count and add a small seeded smooth
+    perturbation.
+
+    The starts descend best-first, in order of initial energy (ties in
+    label order).  The first descends in full; each later one gets the
+    lowest final energy so far as `bound` in `minimize_diffuse`, and is
+    abandoned with status 'dominated' once its projected energy is above
+    it.  An abandoned start ends above the best so far, so it is never
+    the one returned.  The best is the lowest final energy, ties going to
+    the first label.  Returns (best DiffuseMinimum, diagnostics rows); the
+    rows are in label order, each with the energy and iteration count at
+    which its start stopped."""
     # resolved at call time, so a wrapper installed on
     # mspl.sharp.optimize_sharp (bench/tracer.py) also times this solve
     from .sharp import SharpOptions, optimize_sharp
@@ -501,7 +529,7 @@ def minimize_with_restarts(
     if restarts >= 2:
         prof = optimize_sharp(eps, w, SharpOptions(gamma=gamma, max_iter=max_iter)).profile
         inits.append(("sharp-init", _smooth_capped(prof, eps, mesh)))
-    if restarts >= 3 and w.limit_ok:
+    if restarts >= 3 and w.limit_ok and w.alpha + 2.0 * w.beta < 6.0:
         # teeth spaced by the predicted local period; a distinct basin
         # from the sharp layout whenever alpha > 0
         from .asymptotics import period_law_profile
@@ -526,11 +554,18 @@ def minimize_with_restarts(
         inits.append((f"restart{k}", DiffuseField(mesh, vals)))
         k += 1
 
+    init_totals = [evaluate_diffuse(init, eps, w).total for _, init in inits]
+    results: list[DiffuseMinimum | None] = [None] * len(inits)
+    bound = None
+    for i in sorted(range(len(inits)), key=lambda i: (init_totals[i], i)):
+        res = minimize_diffuse(inits[i][1], eps, w, tol=tol, max_iter=max_iter, bound=bound)
+        results[i] = res
+        if bound is None or res.energy.total < bound:
+            bound = res.energy.total
+
     best = None
     diagnostics = []
-    for label, init in inits:
-        res = minimize_diffuse(init, eps, w, tol=tol, max_iter=max_iter)
-        init_total = evaluate_diffuse(init, eps, w).total
+    for (label, _), init_total, res in zip(inits, init_totals, results):
         diagnostics.append(
             {
                 "label": label,

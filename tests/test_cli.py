@@ -93,6 +93,9 @@ def test_default_diffuse_min_converges(tmp_path, capsys):
     assert rc == 0
     sharp_init = next(r for r in payload["restarts"] if r["label"] == "sharp-init")
     assert sharp_init["status"] == "converged"
+    assert {r["status"] for r in payload["restarts"]} <= {
+        "converged", "max_iter", "line_search_failure", "dominated"
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -507,3 +507,107 @@ def test_restarts_end_below_the_replaced_solver():
     for r in rows:
         assert r["final_total"] <= LBFGS_4000_TOTALS[r["label"]], r["label"]
     assert np.all(np.diff(np.asarray(best.trace)) <= 0.0)
+
+
+def test_a_bound_abandons_only_a_descent_projected_above_it():
+    eps, budget = 1e-3, 300
+    init = smoothed_graded_init(eps, W00, GradedMesh(512, 1.0))
+    free = minimize_diffuse(init, eps, W00, max_iter=budget)
+    loose = minimize_diffuse(init, eps, W00, max_iter=budget, bound=np.inf)
+    assert loose.status == free.status
+    assert np.array_equal(loose.field.values, free.field.values)
+    f = np.asarray(free.trace)
+    for bound in (-np.inf, 0.0, 0.999 * free.energy.total):
+        res = minimize_diffuse(init, eps, W00, max_iter=budget, bound=bound)
+        stop = next(
+            k
+            for k in range(10, free.iterations)
+            if f[k] - (budget - k) * (f[k - 10] - f[k]) / 10 > bound
+        )
+        assert res.status == "dominated"
+        assert not res.converged
+        assert res.iterations == stop
+        assert res.trace == free.trace[: stop + 1]
+        assert res.energy.total > bound
+
+
+def _spy_on_descents(monkeypatch):
+    """Record (start field, bound) of every descent `minimize_with_restarts`
+    runs, in the order it runs them."""
+    import mspl.diffuse
+
+    calls = []
+    solve = mspl.diffuse.minimize_diffuse
+
+    def spy(init, eps, w, tol=None, max_iter=500, *, bound=None):
+        calls.append((init, bound))
+        return solve(init, eps, w, tol=tol, max_iter=max_iter, bound=bound)
+
+    monkeypatch.setattr(mspl.diffuse, "minimize_diffuse", spy)
+    return calls, solve
+
+
+# (weights, eps, mesh, restarts): every weight pair and eps once, meshes of
+# 512 to 2048 cells, both restart counts.  In several of them a bounded
+# start runs its full budget instead of being abandoned.
+RACES = [
+    ((0.0, 0.0), 1e-2, (512, 1.0), 3),
+    ((0.0, 0.0), 1e-3, (2048, 2.0), 5),
+    ((0.5, 1.0), 1e-2, (1024, 2.0), 5),
+    ((0.5, 1.0), 1e-3, (2048, 2.0), 3),
+    ((0.0, 1.5), 1e-2, (2048, 2.0), 3),
+    ((0.0, 1.5), 1e-3, (1024, 2.0), 5),
+    ((1.5, 1.4), 1e-2, (1024, 2.0), 5),
+    ((1.5, 1.4), 1e-3, (2048, 2.0), 3),
+]
+
+
+@pytest.mark.parametrize("weights,eps,mesh,restarts", RACES)
+def test_raced_restarts_match_exhaustive_best_of_n(monkeypatch, weights, eps, mesh, restarts):
+    w = WeightParams(*weights)
+    calls, solve = _spy_on_descents(monkeypatch)
+    best, _ = minimize_with_restarts(eps, w, GradedMesh(*mesh), restarts=restarts, seed=0)
+    assert len(calls) == restarts
+    full = [solve(init, eps, w) for init, _ in calls]
+    exhaustive = min(full, key=lambda res: res.energy.total)
+    assert best.energy.total == exhaustive.energy.total
+    assert np.array_equal(best.field.values, exhaustive.field.values)
+
+
+DIFFUSE_STATUSES = {"converged", "max_iter", "line_search_failure", "dominated"}
+
+
+def test_raced_restarts_keep_their_invariants(monkeypatch):
+    eps, w = 1e-3, WeightParams(0.5, 1.0)
+    calls, _ = _spy_on_descents(monkeypatch)
+    best, rows = minimize_with_restarts(eps, w, GradedMesh(1024, 2.0), restarts=5, seed=0)
+    assert [r["label"] for r in rows] == [
+        "graded", "sharp-init", "law-init", "restart2", "restart3"
+    ]
+    assert best.status != "dominated"
+    assert best.energy.total == min(r["final_total"] for r in rows)
+    assert any(r["status"] == "dominated" for r in rows)
+    for r in rows:
+        assert r["status"] in DIFFUSE_STATUSES
+        assert r["final_total"] <= r["init_total"]
+        if r["status"] == "dominated":
+            assert r["final_total"] > best.energy.total
+    # best-first: starts descend by initial energy, the first with no bound,
+    # each later one bounded by the lowest final energy before it
+    starts = [evaluate_diffuse(init, eps, w).total for init, _ in calls]
+    assert starts == sorted(r["init_total"] for r in rows)
+    bounds = [bound for _, bound in calls]
+    assert bounds[0] is None
+    finals = sorted(rows, key=lambda r: r["init_total"])
+    for k in range(1, len(bounds)):
+        assert bounds[k] == min(r["final_total"] for r in finals[:k])
+
+
+def test_law_init_is_skipped_where_the_corner_count_diverges():
+    # (alpha + 2 beta) / 6 = 1: the period law places infinitely many
+    # corners, so the seeded starts fill the count instead
+    w = WeightParams(1.0, 2.5)
+    assert w.limit_ok
+    best, rows = minimize_with_restarts(1e-2, w, GradedMesh(256, 2.0), restarts=3, seed=0)
+    assert [r["label"] for r in rows] == ["graded", "sharp-init", "restart2"]
+    assert best.energy.total == min(r["final_total"] for r in rows)
