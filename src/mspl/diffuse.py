@@ -9,10 +9,11 @@ discretized with nodal values on a power-graded mesh: three-point
 nonuniform second differences with dual-cell weights for the curvature
 term, elementwise slopes for the well, and the exact singular-weight
 integral of the linear interpolant for the bulk.  Minimization takes
-Newton steps on the pentadiagonal Hessian, with the non-convex part of
-the well dropped so every step descends, and Armijo backtracking; it is
-written here so the descent trace and stopping flags are fully under
-our control.
+Newton steps on the true pentadiagonal Hessian, shifted by a Levenberg
+term where the well makes it indefinite, with Armijo backtracking; it
+is written here so the descent trace and stopping flags are fully under
+our control.  Its best start smooths the minimizer of the model's
+sharp-interface limit (`diffuse_surrogate`).
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,8 @@ from .sharp import (
 BOUNDARY_TOL = 1e-12
 # steps over which a bounded descent measures its recent rate of decrease
 DOMINANCE_WINDOW = 10
+# floor of the Levenberg shift once the Hessian is indefinite
+LAM_MIN = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,12 +301,13 @@ class _Operators:
         ab[1, 1:] += 2.0 * self.mass_off[1:-1]
         return ab
 
-    def convexified_hessian(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
+    def hessian(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
         """`base` (from `hessian_base`) plus the well Hessian at the interior
-        values x, with each element's W''(p) / h = (3 p**2 - 1) / h clipped
-        at 0: symmetric positive definite, in the same band form."""
+        values x, each element adding W''(p) / h = (3 p**2 - 1) / h: the true
+        Hessian, in the same band form.  Where slopes lie inside
+        +-1/sqrt(3) the well curves down, and the band can be indefinite."""
         p = np.diff(x, prepend=0.0, append=0.0) / self.h
-        well = np.maximum(3.0 * p * p - 1.0, 0.0) / self.h
+        well = (3.0 * p * p - 1.0) / self.h
         ab = base.copy()
         ab[2] += well[:-1] + well[1:]
         ab[1, 1:] -= well[1:-1]
@@ -350,6 +354,16 @@ def gradient_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> np.nda
 
 @dataclass(frozen=True)
 class DiffuseMinimum:
+    """Where a `minimize_diffuse` descent stopped, and why.
+
+    status is 'converged' (gradient inf-norm at most the tolerance, or
+    30 steps in a row that lower the energy only at rounding level),
+    'max_iter' (budget spent), 'line_search_failure' (no backtracked step
+    descends, or no finite Levenberg shift factors the Hessian) or
+    'dominated' (abandoned under a `bound`).  `converged` is
+    status == 'converged'.  `trace` holds the energy at the start and
+    after each of the `iterations` accepted steps; it never increases."""
+
     field: DiffuseField
     energy: EnergyBreakdown
     iterations: int
@@ -367,20 +381,24 @@ def minimize_diffuse(
     *,
     bound: float | None = None,
 ) -> DiffuseMinimum:
-    """Descend from `init` with convexified Newton steps + Armijo backtracking.
+    """Descend from `init` with Levenberg-shifted Newton steps + Armijo
+    backtracking.
 
-    Each step solves with the banded Hessian of the curvature and bulk
-    terms plus the well Hessian clipped per element to
-    max(3 p**2 - 1, 0) / h, which is symmetric positive definite, so
-    every step is a descent direction.  Where no element's slope lies
-    inside +-1/sqrt(3) the clip is inactive and the step is plain Newton.
+    Each step factors the true banded Hessian (`_Operators.hessian`) plus
+    a shift lam * I with one band Cholesky and solves against it.  Where
+    the factorization fails, lam is raised tenfold (to at least LAM_MIN)
+    and the factorization retried; after each accepted step lam is cut
+    tenfold, so near a nondegenerate minimum the shift dies out and the
+    steps become plain Newton steps.  The shifted matrix is positive
+    definite, so every step is a descent direction.
 
     Stops on gradient inf-norm <= tol (default 1e-8) or when the energy
     stagnates at rounding level for 30 consecutive steps; iteration
     budget exhaustion is reported via status='max_iter', a stalled line
-    search or a failed factorization via status='line_search_failure' --
-    both still return the best point seen, and the trace is strictly
-    decreasing either way.
+    search, or a Hessian that no finite shift makes factorizable (a
+    non-finite entry, or lam overflowing), via
+    status='line_search_failure' -- both still return the best point
+    seen, and the trace never increases either way.
 
     With a `bound`, the descent is abandoned with status='dominated' once,
     after step k >= 10 (DOMINANCE_WINDOW), its projected energy
@@ -392,7 +410,7 @@ def minimize_diffuse(
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
     # imported here so commands that never minimize skip loading scipy.linalg
-    from scipy.linalg import LinAlgError, solveh_banded
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
     gtol = 1e-8 if tol is None else tol
     ops = _operators(init.mesh.n, init.mesh.q, w.alpha, w.beta)
@@ -404,16 +422,27 @@ def minimize_diffuse(
     status = "max_iter"
     it = 0
     stagnant = 0
+    lam = 0.0
 
     while it < max_iter:
         if float(np.max(np.abs(g))) <= gtol:
             status = "converged"
             break
-        try:
-            d = solveh_banded(ops.convexified_hessian(x, base), -g, overwrite_ab=True)
-        except LinAlgError:
+        ab = ops.hessian(x, base)
+        diag = ab[2].copy()
+        factor = None
+        while factor is None and lam < np.inf:
+            ab[2] = diag + lam
+            try:
+                # ValueError: a non-finite entry, which no shift removes, so
+                # lam climbs until it overflows and the descent stops
+                factor = cholesky_banded(ab)
+            except (LinAlgError, ValueError):
+                lam = max(10.0 * lam, LAM_MIN)
+        if factor is None:
             status = "line_search_failure"
             break
+        d = cho_solve_banded((factor, False), -g)
         gd = float(g @ d)
 
         step = 1.0
@@ -433,6 +462,7 @@ def minimize_diffuse(
         x, f, g = x_try, f_new, g_try
         trace.append(f)
         it += 1
+        lam /= 10.0
         if stagnant >= 30:
             status = "converged"
             break
@@ -454,6 +484,23 @@ def minimize_diffuse(
         status=status,
         trace=tuple(trace),
     )
+
+
+def diffuse_surrogate(eps: float, w: WeightParams) -> tuple[float, WeightParams]:
+    """(eps', w') of the sharp model that is the diffuse model's
+    sharp-interface limit: its minimizers are what the diffuse minimizers
+    approach as eps -> 0.
+
+    Across a diffuse slope reversal at t the curvature cost
+    eps**2 t**alpha u''**2 balances the well, and the layer costs
+    A0 eps t**(alpha/2), with A0 = 2 int_{-1}^{1} sqrt(W) = 4/3
+    (`asymptotics.A0_constant`).  A sharp corner at t costs
+    2 eps t**alpha.  The bulk terms agree, so matching the corner costs,
+    2 eps' t**alpha' = A0 eps t**(alpha/2), gives
+
+        eps' = A0 eps / 2 = 2 eps / 3,    w' = (alpha / 2, beta).
+    """
+    return 2.0 * eps / 3.0, WeightParams(0.5 * w.alpha, w.beta)
 
 
 def smoothed_graded_init(
@@ -503,12 +550,14 @@ def minimize_with_restarts(
     gamma: float | None = None,
 ):
     """Best of several descents.  Restart 0 is the plain smoothed graded
-    construction; restart 1 smooths the refined sharp-model minimizer
-    (its jump layout is a much better guess at the final tooth spacing);
-    restart 2 spaces the teeth by the predicted period law, where that law
-    holds and its corner count is finite ((alpha + 2 beta) / 6 < 1); the
-    rest rescale the tooth count and add a small seeded smooth
-    perturbation.
+    construction; restart 1 ('sharp-init') smooths the minimizer of the
+    diffuse model's sharp-interface limit, `optimize_sharp` at
+    `diffuse_surrogate(eps, w)` -- the descent keeps the tooth count of
+    its start, and that layout puts it in the basin of the diffuse
+    minimum; restart 2 spaces the teeth by the predicted period law,
+    where that law holds and its corner count is finite
+    ((alpha + 2 beta) / 6 < 1); the rest rescale the tooth count and add
+    a small seeded smooth perturbation.
 
     The starts descend best-first, in order of initial energy (ties in
     label order).  The first descends in full; each later one gets the
@@ -527,7 +576,8 @@ def minimize_with_restarts(
     saw_teeth = base_init.slope_reversals().size
     inits: list[tuple[str, DiffuseField]] = [("graded", base_init)]
     if restarts >= 2:
-        prof = optimize_sharp(eps, w, SharpOptions(gamma=gamma, max_iter=max_iter)).profile
+        opts = SharpOptions(gamma=gamma, max_iter=max_iter)
+        prof = optimize_sharp(*diffuse_surrogate(eps, w), opts).profile
         inits.append(("sharp-init", _smooth_capped(prof, eps, mesh)))
     if restarts >= 3 and w.limit_ok and w.alpha + 2.0 * w.beta < 6.0:
         # teeth spaced by the predicted local period; a distinct basin

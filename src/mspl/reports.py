@@ -133,7 +133,9 @@ def _sharp_point(eps: float, cfg: ExperimentConfig):
         **{f"energy_{k}": v for k, v in res.energy.as_dict().items()},
         "n_jumps": res.profile.n_jumps,
         "converged": res.converged,
-        "status": "converged" if res.converged else "max_iter",
+        # an unconverged winner need not have spent its budget: a collapsed
+        # count scores its start layout, and a backtrack can stall
+        "status": "converged" if res.converged else "unconverged",
         "result": res,
     }
 

@@ -13,6 +13,7 @@ from mspl import (
     SawtoothProfile,
     WeightParams,
     build_smoothed,
+    diffuse_surrogate,
     evaluate_diffuse,
     gradient_diffuse,
     minimize_diffuse,
@@ -362,17 +363,13 @@ def steep_field(mesh, rng):
     return DiffuseField(mesh, vals)
 
 
-@pytest.mark.parametrize("n, q, w, eps", HESSIAN_CASES)
-def test_newton_band_is_the_hessian_where_the_well_is_convex(n, q, w, eps):
-    mesh = GradedMesh(n, q)
-    ops = _operators(n, q, w.alpha, w.beta)
-    fld = steep_field(mesh, np.random.default_rng([n, 11]))
-    assert np.min(np.abs(fld.element_slopes)) > 1.0 / np.sqrt(3.0)
-    x = fld.values[1:-1]
-    band = band_to_dense(ops.convexified_hessian(x, ops.hessian_base(eps)))
+def worst_band_column_error(fld, band, eps, w):
+    """Largest relative gap between a column of `band` (every third) and
+    the central difference of the gradient in that nodal value."""
+    mesh = fld.mesh
     delta = 1e-5 * float(np.min(mesh.spacings))
     worst = 0.0
-    for j in range(0, n - 1, 3):
+    for j in range(0, mesh.n - 1, 3):
         vp, vm = fld.values.copy(), fld.values.copy()
         vp[j + 1] += delta
         vm[j + 1] -= delta
@@ -381,11 +378,24 @@ def test_newton_band_is_the_hessian_where_the_well_is_convex(n, q, w, eps):
             - gradient_diffuse(DiffuseField(mesh, vm), eps, w)
         ) / (2.0 * delta)
         worst = max(worst, np.max(np.abs(col - band[:, j])) / np.max(np.abs(band[:, j])))
-    assert worst <= 1e-6
-    # with every slope inside the non-convex zone the clipped band stays
-    # positive definite
-    flat = 0.1 * x
-    np.linalg.cholesky(band_to_dense(ops.convexified_hessian(flat, ops.hessian_base(eps))))
+    return worst
+
+
+@pytest.mark.parametrize("n, q, w, eps", HESSIAN_CASES)
+def test_newton_band_is_the_hessian_where_the_well_is_convex(n, q, w, eps):
+    mesh = GradedMesh(n, q)
+    ops = _operators(n, q, w.alpha, w.beta)
+    fld = steep_field(mesh, np.random.default_rng([n, 11]))
+    assert np.min(np.abs(fld.element_slopes)) > 1.0 / np.sqrt(3.0)
+    x = fld.values[1:-1]
+    band = band_to_dense(ops.hessian(x, ops.hessian_base(eps)))
+    assert worst_band_column_error(fld, band, eps, w) <= 1e-6
+    # with every slope inside the non-convex zone the band is still the
+    # Hessian, and indefinite: the step needs its Levenberg shift there
+    flat = fld.with_interior(0.1 * x)
+    band = band_to_dense(ops.hessian(flat.values[1:-1], ops.hessian_base(eps)))
+    assert worst_band_column_error(flat, band, eps, w) <= 1e-6
+    assert np.min(np.linalg.eigvalsh(band)) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +521,7 @@ def test_restarts_end_below_the_replaced_solver():
 
 def test_a_bound_abandons_only_a_descent_projected_above_it():
     eps, budget = 1e-3, 300
-    init = smoothed_graded_init(eps, W00, GradedMesh(512, 1.0))
+    init = smoothed_graded_init(eps, W00, GradedMesh(2048, 2.0))
     free = minimize_diffuse(init, eps, W00, max_iter=budget)
     loose = minimize_diffuse(init, eps, W00, max_iter=budget, bound=np.inf)
     assert loose.status == free.status
@@ -529,6 +539,99 @@ def test_a_bound_abandons_only_a_descent_projected_above_it():
         assert res.iterations == stop
         assert res.trace == free.trace[: stop + 1]
         assert res.energy.total > bound
+
+
+@pytest.mark.parametrize(
+    "n, q, w, eps",
+    [
+        (64, 1.0, W00, 1e-2),
+        (256, 2.0, WeightParams(0.5, 1.0), 1e-3),
+        (128, 1.5, WeightParams(1.0, 1.0), 3e-3),
+    ],
+)
+def test_unshifted_step_is_the_dense_newton_step(n, q, w, eps):
+    # a small smooth push off a converged minimum keeps the true Hessian
+    # positive definite, so the first step takes no shift and its full
+    # length passes the Armijo test
+    mesh = GradedMesh(n, q)
+    res = minimize_diffuse(smoothed_graded_init(eps, w, mesh), eps, w, max_iter=200)
+    assert res.converged
+    t = mesh.nodes
+    fld = DiffuseField(mesh, res.field.values + 1e-3 * np.sin(3.0 * np.pi * t) * t * (1.0 - t))
+    x = fld.values[1:-1]
+    ops = _operators(n, q, w.alpha, w.beta)
+    hess = band_to_dense(ops.hessian(x, ops.hessian_base(eps)))
+    np.linalg.cholesky(hess)
+    want = np.linalg.solve(hess, -gradient_diffuse(fld, eps, w))
+    step = minimize_diffuse(fld, eps, w, max_iter=1)
+    assert step.iterations == 1
+    got = step.field.values[1:-1] - x
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_a_non_finite_hessian_ends_the_descent(monkeypatch, entry):
+    import mspl.diffuse
+
+    hessian = mspl.diffuse._Operators.hessian
+
+    def broken(self, x, base):
+        ab = hessian(self, x, base)
+        ab[2, 5] = entry
+        return ab
+
+    monkeypatch.setattr(mspl.diffuse._Operators, "hessian", broken)
+    init = smoothed_graded_init(1e-2, W00, GradedMesh(64, 1.0))
+    res = minimize_diffuse(init, 1e-2, W00)
+    assert res.status == "line_search_failure"
+    assert res.iterations == 0
+    assert len(res.trace) == 1
+    assert np.array_equal(res.field.values, init.values)
+
+
+def test_a_shift_that_overflows_ends_the_descent(monkeypatch):
+    import mspl.diffuse
+
+    # finite, but so negative that only a shift past the largest float
+    # would make it positive definite
+    monkeypatch.setattr(
+        mspl.diffuse._Operators, "hessian", lambda self, x, base: np.full_like(base, -1e308)
+    )
+    init = smoothed_graded_init(1e-2, W00, GradedMesh(64, 1.0))
+    res = minimize_diffuse(init, 1e-2, W00)
+    assert res.status == "line_search_failure"
+    assert res.iterations == 0
+
+
+def test_period_law_run_converges_in_the_surrogate_basin():
+    # criterion 7's setting: the sharp-init start, built from the diffuse
+    # model's sharp limit, converges in few steps and below the energy the
+    # unconverged descent from the sharp model's own minimizer reached
+    eps, w = 1e-4, WeightParams(0.5, 1.0)
+    best, rows = minimize_with_restarts(eps, w, GradedMesh(8192, 2.0), restarts=3, seed=0)
+    assert best.status == "converged"
+    assert np.max(np.abs(gradient_diffuse(best.field, eps, w))) <= 1e-8
+    assert best.iterations <= 100
+    assert best.energy.total < 1.17347 * eps ** (2.0 / 3.0)
+    assert best.energy.total == next(
+        r["final_total"] for r in rows if r["label"] == "sharp-init"
+    )
+
+
+def test_sharp_init_start_smooths_the_surrogate_minimizer(monkeypatch):
+    import mspl.sharp
+
+    calls = []
+    solve = mspl.sharp.optimize_sharp
+
+    def spy(eps, w, options=None):
+        calls.append((eps, w))
+        return solve(eps, w, options)
+
+    monkeypatch.setattr(mspl.sharp, "optimize_sharp", spy)
+    w = WeightParams(0.5, 1.0)
+    minimize_with_restarts(1e-3, w, GradedMesh(256, 2.0), restarts=2)
+    assert calls == [diffuse_surrogate(1e-3, w)] == [(2e-3 / 3.0, WeightParams(0.25, 1.0))]
 
 
 def _spy_on_descents(monkeypatch):

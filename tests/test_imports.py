@@ -45,7 +45,8 @@ def test_light_paths_skip_heavy_scipy():
         + f"mspl.smoothed_graded_init(1e-3, {w}, mspl.GradedMesh(512, 2.0))\n"
         + "shutil.rmtree(out)"
     ) == []
-    # the diffuse Newton step needs scipy.linalg's banded solve, no more
+    # the diffuse Newton step needs scipy.linalg's banded Cholesky factor
+    # and solve, no more
     assert loaded_heavy(
         out + "mspl.cli.main(['diffuse-min', '--mesh-n', '512', '--out', out])\nshutil.rmtree(out)"
     ) == ["scipy.linalg"]

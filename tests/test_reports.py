@@ -15,6 +15,7 @@ from mspl import (
     OptimizerSpec,
     SharpOptions,
     WeightParams,
+    default_gamma,
     emit_distribution,
     emit_period,
     emit_sweep,
@@ -25,6 +26,7 @@ from mspl import (
     sweep_scaling,
 )
 from mspl.reports import sharp_options
+from mspl.sharp import _refine_jump_positions
 
 SHARP3 = ExperimentConfig(eps_list=(1e-2, 3e-3, 1e-3), model="sharp")
 
@@ -102,6 +104,20 @@ def test_sweep_both_models():
     for r in rep.rows:
         if r["model"] == "sharp":
             assert r["energy_well"] == 0.0
+
+
+def test_an_unconverged_sharp_row_is_not_labelled_budget_exhaustion():
+    # count 44 collapses at this eps, so the row scores the count's start
+    # layout: unconverged, without having used up any iteration budget
+    w = WeightParams(0.5, 1.0)
+    assert _refine_jump_positions(44, 1e-5, w, default_gamma(w.beta), 500) is None
+    cfg = ExperimentConfig(eps_list=(1e-5,), model="sharp", weights=w, n_jumps=44)
+    rep = sweep_scaling(cfg)
+    (row,) = rep.rows
+    assert row["n_jumps"] == 44
+    assert not row["converged"]
+    assert row["status"] == "unconverged"
+    assert rep.flagged == [{"eps": 1e-5, "model": "sharp", "status": "unconverged"}]
 
 
 # ---------------------------------------------------------------------------
