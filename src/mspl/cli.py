@@ -48,8 +48,6 @@ def _add_common(p: argparse.ArgumentParser, eps_list=False):
     p.add_argument("--grading-q", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", choices=["csv", "json", "both"], default=None)
     p.add_argument("--plot", action="store_true", default=None)
@@ -74,7 +72,7 @@ def _build_config(args, model=None) -> ExperimentConfig:
             raise InvalidConfig(f"bad --eps-list: {exc}") from None
     if args.eps is not None:
         d["eps_list"] = [args.eps]
-    for key in ("gamma", "n_jumps", "seed"):
+    for key in ("gamma", "n_jumps"):
         v = getattr(args, key)
         if v is not None:
             d[key] = v
@@ -83,11 +81,10 @@ def _build_config(args, model=None) -> ExperimentConfig:
             "n": args.mesh_n if args.mesh_n is not None else cfg.mesh.n,
             "q": args.grading_q if args.grading_q is not None else cfg.mesh.q,
         }
-    if args.tol is not None or args.max_iter is not None or args.restarts is not None:
+    if args.tol is not None or args.max_iter is not None:
         d["optimizer"] = {
             "tol": args.tol if args.tol is not None else cfg.optimizer.tol,
             "max_iter": args.max_iter if args.max_iter is not None else cfg.optimizer.max_iter,
-            "restarts": args.restarts if args.restarts is not None else cfg.optimizer.restarts,
         }
     if args.out is not None:
         d["out_dir"] = args.out
@@ -134,7 +131,7 @@ def _cmd_diffuse_min(args) -> int:
         "n_teeth": res.field.slope_reversals().size,
         "status": res.status,
         "iterations": res.iterations,
-        "restarts": diag,
+        "counts": diag,
     }
     _emit_json(payload)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -21,7 +21,6 @@ class MeshSpec:
 class OptimizerSpec:
     tol: float | None = None
     max_iter: int = 500
-    restarts: int = 3
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class ExperimentConfig:
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     gamma: float | None = None
     n_jumps: int | None = None
-    seed: int = 0
     out_dir: str = "."
     formats: tuple[str, ...] = ("csv", "json")
     plot: bool = False
@@ -50,8 +48,6 @@ class ExperimentConfig:
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise InvalidConfig(f"unknown output format {fmt!r}")
-        if self.optimizer.restarts < 1:
-            raise InvalidConfig("need at least one restart")
 
     def to_dict(self) -> dict:
         d = asdict(self)

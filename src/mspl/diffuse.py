@@ -12,8 +12,10 @@ integral of the linear interpolant for the bulk.  Minimization takes
 Newton steps on the true pentadiagonal Hessian, shifted by a Levenberg
 term where the well makes it indefinite, with Armijo backtracking; it
 is written here so the descent trace and stopping flags are fully under
-our control.  Its best start smooths the minimizer of the model's
-sharp-interface limit (`diffuse_surrogate`).
+our control.  The descent keeps the tooth count of its start, so
+`minimize_with_restarts` walks that count, starting each descent from
+the smoothed minimizer of the model's sharp-interface limit
+(`diffuse_surrogate`) at the count.
 """
 
 from dataclasses import dataclass
@@ -543,88 +545,66 @@ def minimize_with_restarts(
     w: WeightParams,
     mesh: GradedMesh,
     *,
-    restarts: int = 3,
-    seed: int = 0,
+    n_jumps: int | None = None,
+    restarts: int | None = None,
+    seed: int | None = None,
     tol: float | None = None,
     max_iter: int = 500,
     gamma: float | None = None,
 ):
-    """Best of several descents.  Restart 0 is the plain smoothed graded
-    construction; restart 1 ('sharp-init') smooths the minimizer of the
-    diffuse model's sharp-interface limit, `optimize_sharp` at
-    `diffuse_surrogate(eps, w)` -- the descent keeps the tooth count of
-    its start, and that layout puts it in the basin of the diffuse
-    minimum; restart 2 spaces the teeth by the predicted period law,
-    where that law holds and its corner count is finite
-    ((alpha + 2 beta) / 6 < 1); the rest rescale the tooth count and add
-    a small seeded smooth perturbation.
+    """Walk the tooth count of the diffuse minimum.
 
-    The starts descend best-first, in order of initial energy (ties in
-    label order).  The first descends in full; each later one gets the
-    lowest final energy so far as `bound` in `minimize_diffuse`, and is
-    abandoned with status 'dominated' once its projected energy is above
-    it.  An abandoned start ends above the best so far, so it is never
-    the one returned.  The best is the lowest final energy, ties going to
-    the first label.  Returns (best DiffuseMinimum, diagnostics rows); the
-    rows are in label order, each with the energy and iteration count at
-    which its start stopped."""
+    The descent keeps the tooth count of its start, so each count gets
+    its own start: the minimizer of the model's sharp-interface limit,
+    `optimize_sharp` at `diffuse_surrogate(eps, w)` with `max_iter`
+    Newton steps, smoothed with caps of half-width eps.  The walk begins
+    at the surrogate's own minimizer, count n0, which descends in full.
+    One leg then goes down from n0 - 1 and one up from n0 + 1, pinning
+    each count on the surrogate (SharpOptions(n_jumps=n)); each descends
+    with the lowest final energy so far as the `bound` of
+    `minimize_diffuse`, and a leg ends at the first count that does not
+    strictly lower it.  A descent abandoned as 'dominated' ends above
+    the bound, so it ends its leg and is never returned.  A pinned
+    `n_jumps` is the only count descended.
+
+    `restarts` and `seed` are ignored: the walk has no random starts.
+    Returns (best DiffuseMinimum, diagnostics rows); one row per count
+    descended, in count order, with the pinned count `n_jumps`, the tooth
+    count `teeth` the descent ended with (it differs where the descent
+    merged or added teeth), and its `init_total`, `final_total`, `status`
+    and `iterations`."""
     # resolved at call time, so a wrapper installed on
-    # mspl.sharp.optimize_sharp (bench/tracer.py) also times this solve
+    # mspl.sharp.optimize_sharp (bench/tracer.py) also times these solves
     from .sharp import SharpOptions, optimize_sharp
 
-    base_init = smoothed_graded_init(eps, w, mesh, gamma=gamma)
-    saw_teeth = base_init.slope_reversals().size
-    inits: list[tuple[str, DiffuseField]] = [("graded", base_init)]
-    if restarts >= 2:
-        opts = SharpOptions(gamma=gamma, max_iter=max_iter)
-        prof = optimize_sharp(*diffuse_surrogate(eps, w), opts).profile
-        inits.append(("sharp-init", _smooth_capped(prof, eps, mesh)))
-    if restarts >= 3 and w.limit_ok and w.alpha + 2.0 * w.beta < 6.0:
-        # teeth spaced by the predicted local period; a distinct basin
-        # from the sharp layout whenever alpha > 0
-        from .asymptotics import period_law_profile
+    surrogate = diffuse_surrogate(eps, w)
+    rows = []
 
-        law = period_law_profile(eps, w)
-        inits.append(("law-init", _smooth_capped(law, eps, mesh)))
-    factors = [1.25, 0.8, 1.5, 0.65, 2.0]
-    k = 2
-    while len(inits) < max(1, restarts):
-        fac = factors[(k - 2) % len(factors)]
-        count = max(1, round(max(saw_teeth, 1) * fac))
-        fld = smoothed_graded_init(eps, w, mesh, n=count, gamma=gamma)
-        rng = np.random.default_rng([seed, k])
-        t = mesh.nodes
-        bump = np.zeros_like(t)
-        for _ in range(3):
-            j = int(rng.integers(1, 9))
-            bump += float(rng.normal()) * np.sin(np.pi * j * t)
-        amp = 0.02 * float(np.max(np.abs(fld.values)))
-        vals = fld.values + amp * bump
-        vals[0] = vals[-1] = 0.0
-        inits.append((f"restart{k}", DiffuseField(mesh, vals)))
-        k += 1
-
-    init_totals = [evaluate_diffuse(init, eps, w).total for _, init in inits]
-    results: list[DiffuseMinimum | None] = [None] * len(inits)
-    bound = None
-    for i in sorted(range(len(inits)), key=lambda i: (init_totals[i], i)):
-        res = minimize_diffuse(inits[i][1], eps, w, tol=tol, max_iter=max_iter, bound=bound)
-        results[i] = res
-        if bound is None or res.energy.total < bound:
-            bound = res.energy.total
-
-    best = None
-    diagnostics = []
-    for (label, _), init_total, res in zip(inits, init_totals, results):
-        diagnostics.append(
+    def descend(n: int | None, bound: float | None) -> DiffuseMinimum:
+        opts = SharpOptions(gamma=gamma, n_jumps=n, max_iter=max_iter)
+        prof = optimize_sharp(*surrogate, opts).profile
+        init = _smooth_capped(prof, eps, mesh)
+        res = minimize_diffuse(init, eps, w, tol=tol, max_iter=max_iter, bound=bound)
+        rows.append(
             {
-                "label": label,
-                "init_total": init_total,
+                "n_jumps": prof.n_jumps,
+                "teeth": res.field.slope_reversals().size,
+                "init_total": evaluate_diffuse(init, eps, w).total,
                 "final_total": res.energy.total,
                 "status": res.status,
                 "iterations": res.iterations,
             }
         )
-        if best is None or res.energy.total < best.energy.total:
-            best = res
-    return best, diagnostics
+        return res
+
+    best = descend(n_jumps, None)
+    if n_jumps is None:
+        n0 = rows[0]["n_jumps"]
+        # a tooth needs at least one cell, so the mesh caps the up leg
+        for leg in (range(n0 - 1, 0, -1), range(n0 + 1, mesh.n)):
+            for n in leg:
+                res = descend(n, best.energy.total)
+                if not res.energy.total < best.energy.total:
+                    break
+                best = res
+    return best, sorted(rows, key=lambda r: r["n_jumps"])

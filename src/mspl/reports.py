@@ -111,14 +111,13 @@ def sharp_options(cfg: ExperimentConfig) -> SharpOptions:
 
 def diffuse_minimum(eps: float, cfg: ExperimentConfig):
     """`minimize_with_restarts` at eps on the configuration's mesh, with
-    its restarts, seed, tolerance, budget and grading.  Returns (best
+    its pinned jump count, tolerance, budget and grading.  Returns (best
     DiffuseMinimum, diagnostics rows)."""
     return minimize_with_restarts(
         eps,
         cfg.weights,
         GradedMesh(cfg.mesh.n, cfg.mesh.q),
-        restarts=cfg.optimizer.restarts,
-        seed=cfg.seed,
+        n_jumps=cfg.n_jumps,
         tol=cfg.optimizer.tol,
         max_iter=cfg.optimizer.max_iter,
         gamma=cfg.gamma,
@@ -150,7 +149,7 @@ def _diffuse_point(eps: float, cfg: ExperimentConfig):
         "converged": res.converged,
         "status": res.status,
         "result": res,
-        "restart_diagnostics": diag,
+        "counts": diag,
     }
 
 

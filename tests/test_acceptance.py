@@ -157,7 +157,9 @@ def test_criterion_7_period_law():
     eps = 1e-4
     w = WeightParams(0.5, 1.0)
     mesh = GradedMesh(8192, 2.0)
-    best, _ = minimize_with_restarts(eps, w, mesh, restarts=3, seed=0)
+    best, rows = minimize_with_restarts(eps, w, mesh)
+    counts = [r["n_jumps"] for r in rows]
+    winner = next(r["n_jumps"] for r in rows if r["final_total"] == best.energy.total)
     locations = (0.3, 0.5, 0.8)
     try:
         ests = [extract_period(best.field, s, eps=eps, weights=w) for s in locations]
@@ -172,7 +174,8 @@ def test_criterion_7_period_law():
     print(
         f"criterion 7 ({source}): ratios={[round(r, 4) for r in ratios]}"
         f" (band [0.75, 1.35]), slope={fit.slope:.4f}"
-        f" (target 5/12={5 / 12:.4f} +- 0.1), {elapsed:.1f}s"
+        f" (target 5/12={5 / 12:.4f} +- 0.1), counts {counts} won by {winner},"
+        f" {elapsed:.1f}s"
     )
     for s, r in zip(locations, ratios):
         assert 0.75 <= r <= 1.35, f"ratio at s={s}"

@@ -91,11 +91,22 @@ def test_default_diffuse_min_converges(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["status"] == "converged"
     assert rc == 0
-    sharp_init = next(r for r in payload["restarts"] if r["label"] == "sharp-init")
-    assert sharp_init["status"] == "converged"
-    assert {r["status"] for r in payload["restarts"]} <= {
+    counts = [r["n_jumps"] for r in payload["counts"]]
+    assert counts == list(range(counts[0], counts[-1] + 1))
+    assert payload["energy"]["total"] == min(r["final_total"] for r in payload["counts"])
+    assert {r["status"] for r in payload["counts"]} <= {
         "converged", "max_iter", "line_search_failure", "dominated"
     }
+
+
+def test_diffuse_min_n_jumps_pins_the_descended_count(tmp_path, capsys):
+    rc, out, _ = run_cli(
+        capsys, "diffuse-min", "--eps", "1e-3", "--mesh-n", "512", "--n-jumps", "5",
+        "--out", str(tmp_path),
+    )
+    payload = json.loads(out)
+    assert [r["n_jumps"] for r in payload["counts"]] == [5]
+    assert payload["n_teeth"] == payload["counts"][0]["teeth"]
 
 
 # ---------------------------------------------------------------------------

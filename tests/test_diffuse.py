@@ -11,6 +11,7 @@ from mspl import (
     InvalidMu,
     MuTooLarge,
     SawtoothProfile,
+    SharpOptions,
     WeightParams,
     build_smoothed,
     diffuse_surrogate,
@@ -18,11 +19,12 @@ from mspl import (
     gradient_diffuse,
     minimize_diffuse,
     minimize_with_restarts,
+    optimize_sharp,
     smoothed_graded_init,
     transition_profile,
 )
 from mspl.core import power_primitive, power_primitives
-from mspl.diffuse import _operators, double_well, double_well_prime
+from mspl.diffuse import _operators, _smooth_capped, double_well, double_well_prime
 
 W00 = WeightParams(0.0, 0.0)
 
@@ -462,46 +464,57 @@ def test_slope_saturation_outside_layers():
 def test_restarts_return_best_and_diagnostics():
     eps = 1e-3
     mesh = GradedMesh(512, 1.0)
-    best, rows = minimize_with_restarts(eps, W00, mesh, restarts=3, seed=0, max_iter=400)
-    labels = [r["label"] for r in rows]
-    assert labels[0] == "graded"
-    assert "sharp-init" in labels
+    best, rows = minimize_with_restarts(eps, W00, mesh, max_iter=400)
+    counts = [r["n_jumps"] for r in rows]
+    # one row per count, in count order, without gaps: the walk's two legs
+    assert counts == list(range(counts[0], counts[-1] + 1))
+    assert len(counts) >= 3
     assert best.energy.total == min(r["final_total"] for r in rows)
     for r in rows:
         assert r["final_total"] <= r["init_total"] + 1e-15
+        assert r["teeth"] >= 1
 
 
 def test_restarts_are_deterministic():
+    # the walk has no random start: restarts and seed are accepted and ignored
     eps = 1e-3
     mesh = GradedMesh(256, 1.0)
     a, rows_a = minimize_with_restarts(eps, W00, mesh, restarts=4, seed=7, max_iter=200)
-    b, rows_b = minimize_with_restarts(eps, W00, mesh, restarts=4, seed=7, max_iter=200)
+    b, rows_b = minimize_with_restarts(eps, W00, mesh, max_iter=200)
     assert a.energy.total == b.energy.total
     assert np.array_equal(a.field.values, b.field.values)
     assert rows_a == rows_b
 
 
-def test_sharp_init_restart_gets_the_budget(monkeypatch):
+def _spy_on_surrogate(monkeypatch):
+    """Record (eps, w, options) of every `optimize_sharp` solve."""
     import mspl.sharp
 
-    budgets = []
+    calls = []
     solve = mspl.sharp.optimize_sharp
 
     def spy(eps, w, options=None):
-        budgets.append(options.max_iter)
+        calls.append((eps, w, options))
         return solve(eps, w, options)
 
     monkeypatch.setattr(mspl.sharp, "optimize_sharp", spy)
+    return calls
+
+
+def test_sharp_init_restart_gets_the_budget(monkeypatch):
+    calls = _spy_on_surrogate(monkeypatch)
     mesh = GradedMesh(128, 1.0)
     for budget in (7, None, 2000):
         kw = {} if budget is None else {"max_iter": budget}
-        minimize_with_restarts(1e-2, W00, mesh, restarts=2, **kw)
-    assert budgets == [7, 500, 2000]
+        calls.clear()
+        minimize_with_restarts(1e-2, W00, mesh, **kw)
+        assert len(calls) >= 3
+        assert {opts.max_iter for _, _, opts in calls} == {500 if budget is None else budget}
 
 
-# Per-restart totals of the memory-10 L-BFGS that the convexified Newton
+# Per-start totals of the memory-10 L-BFGS that the convexified Newton
 # solver replaced, after 4000 iterations (eight times today's budget) on
-# the inputs of the test below.
+# the inputs of the test below; the surrogate layout was its best start.
 LBFGS_4000_TOTALS = {
     "graded": 0.017835171363869574,
     "sharp-init": 0.012423828484230449,
@@ -510,12 +523,8 @@ LBFGS_4000_TOTALS = {
 
 
 def test_restarts_end_below_the_replaced_solver():
-    best, rows = minimize_with_restarts(
-        1e-3, WeightParams(0.5, 1.0), GradedMesh(2048, 2.0), restarts=3, seed=0
-    )
-    assert [r["label"] for r in rows] == list(LBFGS_4000_TOTALS)
-    for r in rows:
-        assert r["final_total"] <= LBFGS_4000_TOTALS[r["label"]], r["label"]
+    best, rows = minimize_with_restarts(1e-3, WeightParams(0.5, 1.0), GradedMesh(2048, 2.0))
+    assert best.energy.total <= min(LBFGS_4000_TOTALS.values())
     assert np.all(np.diff(np.asarray(best.trace)) <= 0.0)
 
 
@@ -604,34 +613,52 @@ def test_a_shift_that_overflows_ends_the_descent(monkeypatch):
 
 
 def test_period_law_run_converges_in_the_surrogate_basin():
-    # criterion 7's setting: the sharp-init start, built from the diffuse
-    # model's sharp limit, converges in few steps and below the energy the
-    # unconverged descent from the sharp model's own minimizer reached
+    # criterion 7's setting: the surrogate's own count, 18, converges in
+    # few steps and below the energy the unconverged descent from the
+    # sharp model's own minimizer reached; its neighbours do not beat it
     eps, w = 1e-4, WeightParams(0.5, 1.0)
-    best, rows = minimize_with_restarts(eps, w, GradedMesh(8192, 2.0), restarts=3, seed=0)
+    best, rows = minimize_with_restarts(eps, w, GradedMesh(8192, 2.0))
     assert best.status == "converged"
     assert np.max(np.abs(gradient_diffuse(best.field, eps, w))) <= 1e-8
     assert best.iterations <= 100
     assert best.energy.total < 1.17347 * eps ** (2.0 / 3.0)
-    assert best.energy.total == next(
-        r["final_total"] for r in rows if r["label"] == "sharp-init"
-    )
+    assert [r["n_jumps"] for r in rows] == [17, 18, 19]
+    assert best.energy.total == rows[1]["final_total"]
+    assert best.field.slope_reversals().size == rows[1]["teeth"] == 18
 
 
 def test_sharp_init_start_smooths_the_surrogate_minimizer(monkeypatch):
-    import mspl.sharp
-
-    calls = []
-    solve = mspl.sharp.optimize_sharp
-
-    def spy(eps, w, options=None):
-        calls.append((eps, w))
-        return solve(eps, w, options)
-
-    monkeypatch.setattr(mspl.sharp, "optimize_sharp", spy)
+    calls = _spy_on_surrogate(monkeypatch)
     w = WeightParams(0.5, 1.0)
-    minimize_with_restarts(1e-3, w, GradedMesh(256, 2.0), restarts=2)
-    assert calls == [diffuse_surrogate(1e-3, w)] == [(2e-3 / 3.0, WeightParams(0.25, 1.0))]
+    _, rows = minimize_with_restarts(1e-3, w, GradedMesh(256, 2.0))
+    surrogate = diffuse_surrogate(1e-3, w)
+    assert surrogate == (2e-3 / 3.0, WeightParams(0.25, 1.0))
+    assert all((e, v) == surrogate for e, v, _ in calls)
+    # the first solve finds the surrogate's count n0; each later one pins a
+    # count of the walk, and every count descended has its row
+    assert calls[0][2].n_jumps is None
+    n0 = optimize_sharp(*surrogate).profile.n_jumps
+    pinned = [opts.n_jumps for _, _, opts in calls[1:]]
+    assert sorted([n0] + pinned) == [r["n_jumps"] for r in rows]
+
+
+def test_a_pinned_count_is_the_only_count_descended(monkeypatch):
+    calls = _spy_on_surrogate(monkeypatch)
+    w = WeightParams(0.5, 1.0)
+    best, rows = minimize_with_restarts(1e-3, w, GradedMesh(512, 2.0), n_jumps=5)
+    assert [opts.n_jumps for _, _, opts in calls] == [5]
+    assert [r["n_jumps"] for r in rows] == [5]
+    assert best.energy.total == rows[0]["final_total"]
+
+
+def test_rows_show_a_pinned_count_that_collapses():
+    # pinned 8 on the surrogate descends to a layout of 7 teeth
+    best, rows = minimize_with_restarts(1e-2, WeightParams(1.5, 1.4), GradedMesh(2048, 1.0))
+    by_count = {r["n_jumps"]: r for r in rows}
+    assert by_count[8]["teeth"] == 7
+    assert by_count[8]["status"] == "converged"
+    assert list(by_count) == sorted(by_count)
+    assert best.energy.total == min(r["final_total"] for r in rows)
 
 
 def _spy_on_descents(monkeypatch):
@@ -651,8 +678,11 @@ def _spy_on_descents(monkeypatch):
 
 
 # (weights, eps, mesh, restarts): every weight pair and eps once, meshes of
-# 512 to 2048 cells, both restart counts.  In several of them a bounded
-# start runs its full budget instead of being abandoned.
+# 256 to 2048 cells.  `restarts` is the number of starts of the best-of-N
+# solver the walk replaced, and RACE_BEST_OF_N its best final energy there
+# (graded, surrogate, period-law and seeded perturbed starts, raced
+# best-first); the walk ignores `restarts`.  At (1, 2.5) the period law
+# places infinitely many corners.
 RACES = [
     ((0.0, 0.0), 1e-2, (512, 1.0), 3),
     ((0.0, 0.0), 1e-3, (2048, 2.0), 5),
@@ -662,31 +692,48 @@ RACES = [
     ((0.0, 1.5), 1e-3, (1024, 2.0), 5),
     ((1.5, 1.4), 1e-2, (1024, 2.0), 5),
     ((1.5, 1.4), 1e-3, (2048, 2.0), 3),
+    ((1.0, 2.5), 1e-2, (256, 2.0), 3),
 ]
+RACE_BEST_OF_N = {
+    ((0.0, 0.0), 1e-2): 0.046666002842833676,
+    ((0.0, 0.0), 1e-3): 0.009956338799812024,
+    ((0.5, 1.0), 1e-2): 0.05487392811884812,
+    ((0.5, 1.0), 1e-3): 0.011931990643219453,
+    ((0.0, 1.5), 1e-2): 0.08071883947554603,
+    ((0.0, 1.5), 1e-3): 0.01900634786652701,
+    ((1.5, 1.4), 1e-2): 0.044625804011728186,
+    ((1.5, 1.4), 1e-3): 0.00953895370426903,
+    ((1.0, 2.5), 1e-2): 0.08047747361993882,
+}
 
 
 @pytest.mark.parametrize("weights,eps,mesh,restarts", RACES)
-def test_raced_restarts_match_exhaustive_best_of_n(monkeypatch, weights, eps, mesh, restarts):
+def test_raced_restarts_match_exhaustive_best_of_n(weights, eps, mesh, restarts):
+    # the walk is not above the best unbounded descent over the pinned
+    # counts n0 - 4 .. n0 + 4 around the surrogate's count n0, nor above
+    # the best-of-N solver it replaced; a count that collapses onto
+    # another ties with it to rounding
     w = WeightParams(*weights)
-    calls, solve = _spy_on_descents(monkeypatch)
-    best, _ = minimize_with_restarts(eps, w, GradedMesh(*mesh), restarts=restarts, seed=0)
-    assert len(calls) == restarts
-    full = [solve(init, eps, w) for init, _ in calls]
-    exhaustive = min(full, key=lambda res: res.energy.total)
-    assert best.energy.total == exhaustive.energy.total
-    assert np.array_equal(best.field.values, exhaustive.field.values)
+    mesh = GradedMesh(*mesh)
+    best, _ = minimize_with_restarts(eps, w, mesh, restarts=restarts, seed=0)
+    surrogate = diffuse_surrogate(eps, w)
+    n0 = optimize_sharp(*surrogate).profile.n_jumps
+    scan = []
+    for n in range(max(1, n0 - 4), n0 + 5):
+        prof = optimize_sharp(*surrogate, SharpOptions(n_jumps=n)).profile
+        scan.append(minimize_diffuse(_smooth_capped(prof, eps, mesh), eps, w).energy.total)
+    assert best.energy.total <= min(scan) * (1.0 + 1e-12)
+    assert best.energy.total <= RACE_BEST_OF_N[weights, eps] * (1.0 + 1e-12)
 
 
 DIFFUSE_STATUSES = {"converged", "max_iter", "line_search_failure", "dominated"}
 
 
 def test_raced_restarts_keep_their_invariants(monkeypatch):
-    eps, w = 1e-3, WeightParams(0.5, 1.0)
+    eps, w = 1e-3, WeightParams(1.5, 1.4)
     calls, _ = _spy_on_descents(monkeypatch)
-    best, rows = minimize_with_restarts(eps, w, GradedMesh(1024, 2.0), restarts=5, seed=0)
-    assert [r["label"] for r in rows] == [
-        "graded", "sharp-init", "law-init", "restart2", "restart3"
-    ]
+    best, rows = minimize_with_restarts(eps, w, GradedMesh(2048, 2.0))
+    assert len(calls) == len(rows)
     assert best.status != "dominated"
     assert best.energy.total == min(r["final_total"] for r in rows)
     assert any(r["status"] == "dominated" for r in rows)
@@ -695,22 +742,13 @@ def test_raced_restarts_keep_their_invariants(monkeypatch):
         assert r["final_total"] <= r["init_total"]
         if r["status"] == "dominated":
             assert r["final_total"] > best.energy.total
-    # best-first: starts descend by initial energy, the first with no bound,
-    # each later one bounded by the lowest final energy before it
+    # the surrogate's count descends with no bound, each later count
+    # bounded by the lowest final energy before it
     starts = [evaluate_diffuse(init, eps, w).total for init, _ in calls]
-    assert starts == sorted(r["init_total"] for r in rows)
+    assert sorted(starts) == sorted(r["init_total"] for r in rows)
+    by_start = {r["init_total"]: r["final_total"] for r in rows}
+    finals = [by_start[e] for e in starts]
     bounds = [bound for _, bound in calls]
     assert bounds[0] is None
-    finals = sorted(rows, key=lambda r: r["init_total"])
     for k in range(1, len(bounds)):
-        assert bounds[k] == min(r["final_total"] for r in finals[:k])
-
-
-def test_law_init_is_skipped_where_the_corner_count_diverges():
-    # (alpha + 2 beta) / 6 = 1: the period law places infinitely many
-    # corners, so the seeded starts fill the count instead
-    w = WeightParams(1.0, 2.5)
-    assert w.limit_ok
-    best, rows = minimize_with_restarts(1e-2, w, GradedMesh(256, 2.0), restarts=3, seed=0)
-    assert [r["label"] for r in rows] == ["graded", "sharp-init", "restart2"]
-    assert best.energy.total == min(r["final_total"] for r in rows)
+        assert bounds[k] == min(finals[:k])

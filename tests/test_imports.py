@@ -65,3 +65,18 @@ def test_no_private_names_imported_across_modules():
                     f"{name}: {a.name}" for a in node.names if a.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_diffuse_does_not_import_asymptotics():
+    # asymptotics builds on the diffuse model, so an import back from
+    # diffuse would close a cycle
+    with open(os.path.join(PKG, "diffuse.py")) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert not [name for name in imported if "asymptotics" in name]

@@ -95,7 +95,7 @@ def test_sweep_both_models():
         eps_list=(3e-3, 1e-3, 3e-4),
         model="both",
         mesh=MeshSpec(512, 1.0),
-        optimizer=OptimizerSpec(max_iter=400, restarts=1),
+        optimizer=OptimizerSpec(max_iter=400),
     )
     rep = sweep_scaling(cfg)
     assert {r["model"] for r in rep.rows} == {"sharp", "diffuse"}
