@@ -27,7 +27,7 @@ from .errors import (
     TooFewOscillations,
     WindowOutOfDomain,
 )
-from .sharp import SawtoothProfile, close_profile
+from .sharp import SawtoothProfile
 
 
 def sawtooth(t, h: float):
@@ -233,30 +233,6 @@ def predicted_period(s: float, eps: float, w: WeightParams) -> float:
     return eps ** (1.0 / 3.0) * period_law_constant() * s ** (
         (w.alpha + 2.0 * w.beta) / 6.0
     )
-
-
-def period_law_profile(eps: float, w: WeightParams) -> SawtoothProfile:
-    """Sawtooth whose corner spacing follows the predicted period law.
-
-    Corners are placed by inverting the corner-count measure
-    N(s) = integral of 2/h(t) dt, so consecutive corners are h(s)/2
-    apart locally, then the profile is closed to u(1) = 0.  Useful as a
-    theory-guided starting point for the diffuse descent.
-    """
-    p = (w.alpha + 2.0 * w.beta) / 6.0
-    if p >= 1.0:
-        raise InvalidConfig(
-            f"period exponent {p:g} >= 1: corner count diverges"
-        )
-    c = period_law_constant() * eps ** (1.0 / 3.0)
-    # N(s) = 2 s^{1-p} / (c (1-p)); put 2K corners at equal N-increments
-    n_total = 2.0 / (c * (1.0 - p))
-    k = max(2, int(round(n_total / 2.0)))
-    # N(s)/N(1) = s^{1-p}; corners at midpoint fractions of the count
-    grid = (np.arange(1, 2 * k + 1) - 0.5) / (2.0 * k)
-    s_corners = grid ** (1.0 / (1.0 - p))
-    s_corners = s_corners[(s_corners > 0.0) & (s_corners < 1.0)]
-    return close_profile(SawtoothProfile(tuple(float(x) for x in s_corners)))
 
 
 def extract_period(

@@ -42,8 +42,8 @@ from .sharp import (
     GradedSpacingConfig,
     SawtoothProfile,
     build_graded_profile,
-    calibrate_bracket_constant,
     default_gamma,
+    jump_count_estimate,
 )
 
 BOUNDARY_TOL = 1e-12
@@ -516,8 +516,9 @@ def smoothed_graded_init(
     """Canonical starting point: corner-rounded graded sawtooth.
 
     Tooth count defaults to the cheapest count among a small family
-    around the calibrated c * eps**(-1/3); mu defaults to eps, capped at
-    0.45x the minimum gap so the caps never overlap.
+    around `jump_count_estimate` of the model's sharp-interface limit,
+    `diffuse_surrogate(eps, w)`; mu defaults to eps, capped at 0.45x the
+    minimum gap so the caps never overlap.
     """
     gamma = default_gamma(w.beta) if gamma is None else gamma
     mu = eps if mu is None else mu
@@ -528,8 +529,7 @@ def smoothed_graded_init(
 
     if n is not None:
         return make(n)
-    c = calibrate_bracket_constant(w, gamma)
-    base = c * eps ** (-1.0 / 3.0)
+    base = jump_count_estimate(*diffuse_surrogate(eps, w))
     counts = sorted({max(1, round(base * fac)) for fac in (0.6, 0.8, 1.0, 1.25, 1.6)})
     best = None
     for count in counts:

@@ -80,3 +80,8 @@ class NonPositiveValue(LabError):
 
 class UnknownPreset(LabError):
     """Preset name not recognised."""
+
+
+class TooManyJumps(LabError):
+    """The sharp solver would have to score a jump count above
+    `sharp.MAX_JUMPS`, whose dense Newton step it does not form."""

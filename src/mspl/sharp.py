@@ -10,8 +10,8 @@ here is exact given the jump positions; optimization is over those
 positions and their count.
 """
 
+import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +29,7 @@ from .errors import (
     InvalidConfig,
     InvalidProfile,
     InvalidSample,
+    TooManyJumps,
     UnclampedProfile,
 )
 
@@ -291,8 +292,9 @@ def cumulative_energy(
 class SharpOptions:
     """Knobs for optimize_sharp: the grading exponent of the starting
     layouts (default `default_gamma`), a jump count to solve instead of
-    searching the calibrated bracket, the Newton step budget per count,
-    and whether to refine at all (refine=False takes zero steps)."""
+    walking the counts from `jump_count_estimate`, the Newton step budget
+    per count, and whether to refine at all (refine=False takes zero
+    steps)."""
 
     gamma: float | None = None
     n_jumps: int | None = None
@@ -317,14 +319,14 @@ class SharpMinimum:
     n_candidates: int
 
 
-# callers may run optimize_sharp from several threads of their own
-_CAL_LOCK = threading.Lock()
-_CAL_CACHE: dict[tuple[float, float, float], float] = {}
-_CAL_EPS = 1e-3
-
 # each leg of optimize_sharp's walk stops after this many consecutive
 # counts that do not lower the best energy found so far
 STALE_COUNTS = 4
+
+# the Newton step of an n-jump refinement forms several dense n x n
+# float64 matrices, 32 MB each at this n and about 135 MB at the step's
+# peak; optimize_sharp scores no larger count and raises TooManyJumps
+MAX_JUMPS = 2048
 
 # a refined gap below this fraction of its graded starting width has
 # collapsed, and its layout is one of fewer teeth
@@ -556,29 +558,26 @@ def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
     return SawtoothProfile(tuple(float(z) for z in at[keep]), initial_slope)
 
 
-def calibrate_bracket_constant(w: WeightParams, gamma: float) -> float:
-    """Brute-force the optimal jump count at a fixed reference eps; the
-    constant c in n*(eps) ~ c * eps**(-1/3) is cached per weight/grading."""
-    key = (w.alpha, w.beta, gamma)
-    with _CAL_LOCK:
-        if key in _CAL_CACHE:
-            return _CAL_CACHE[key]
-    # cheap pass: clamped graded constructions locate the neighbourhood
-    coarse = []
-    for n in range(1, 61):
-        p = build_graded_profile(GradedSpacingConfig(n, gamma))
-        coarse.append((evaluate_sharp(p, _CAL_EPS, w).total, n))
-    n_hat = min(coarse)[1]
-    # refined pass in a window around it
-    best = (math.inf, n_hat)
-    for n in range(max(1, n_hat - 5), n_hat + 7):
-        refined = _refine_jump_positions(n, _CAL_EPS, w, gamma, max_iter=150)
-        if refined is not None and refined[1] < best[0]:
-            best = (refined[1], n)
-    c = best[1] * _CAL_EPS ** (1.0 / 3.0)
-    with _CAL_LOCK:
-        _CAL_CACHE[key] = c
-    return c
+def jump_count_estimate(eps: float, w: WeightParams) -> int:
+    """Jump count of the cell law, where `optimize_sharp` starts its walk
+    over counts; a start, not a bound on the counts it scores.
+
+    Frozen at s, a sawtooth of period h spends 4 eps s**alpha / h per
+    unit length on its two corners per period and s**-beta h**2 / 48 on
+    the bulk (the mean of u**2 over a slope-one tooth of amplitude h/4).
+    The sum is least at h(s) = 2 (12 eps)**(1/3) s**((alpha+beta)/3), so
+    the jumps have density 2 / h(s) and their count is
+
+        n = (12 eps)**(-1/3) * int_{eps**2}^1 s**(-(alpha+beta)/3) ds.
+
+    The integral diverges at 0 once alpha + beta >= 3, and just below 3
+    the law's first tooth ends far below any resolvable s (near 1e-63 at
+    alpha + beta = 2.9, eps = 1e-3).  The cut at eps**2 keeps the value
+    finite and continuous over the whole regime (`power_primitive` takes
+    the log branch at alpha + beta = 3), and for alpha + beta near and
+    above 3 it is the cut, not the law, that sets the value."""
+    density = power_primitive(eps**2, 1.0, -(w.alpha + w.beta) / 3.0)
+    return max(1, round(float((12.0 * eps) ** (-1.0 / 3.0) * density)))
 
 
 def _count_candidate(n: int, eps: float, w: WeightParams, gamma: float, max_iter: int):
@@ -607,14 +606,17 @@ def optimize_sharp(
     layout instead, marked unconverged.
 
     A pinned `n_jumps` is the only count scored.  Otherwise the walk over
-    counts starts at n0 = round(c * eps**(-1/3)), c the calibrated
-    constant, goes down from n0 and then up from n0 + 1, and ends each
+    counts starts at n0 = `jump_count_estimate(eps, w)`, goes down from
+    n0 towards 1 and then up from n0 + 1 without limit, and ends each
     leg once STALE_COUNTS consecutive counts in its direction fail to
     strictly lower the best energy so far.  A collapse says nothing about
     the counts above it (at (0.5, 0.5), eps = 1e-7, count 137 collapses
     and 139 and 141 are lower still), so it does not end a leg by itself.
-    The bracket [n*/2, 2n*] around the calibrated count is a hard cap on
-    both legs.
+
+    A count above MAX_JUMPS, pinned or reached by the walk, raises
+    TooManyJumps before it is scored: a start above it fails before any
+    count is solved, and a walk that climbs past it fails rather than
+    return a count the limit chose.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
@@ -628,18 +630,20 @@ def optimize_sharp(
     candidates: dict[int, tuple[float, SawtoothProfile, bool]] = {}
 
     def score(n: int) -> float:
+        if n > MAX_JUMPS:
+            raise TooManyJumps(
+                f"jump count {n} at eps={eps:g}, weights ({w.alpha:g}, {w.beta:g}) "
+                f"is above MAX_JUMPS = {MAX_JUMPS}"
+            )
         candidates[n] = _count_candidate(n, eps, w, gamma, max_iter)
         return candidates[n][0]
 
     if opts.n_jumps is not None:
         score(opts.n_jumps)
     else:
-        base = calibrate_bracket_constant(w, gamma) * eps ** (-1.0 / 3.0)
-        lo = max(1, math.floor(base) // 2)
-        hi = max(lo + 2, 2 * math.ceil(base))
-        n0 = max(round(base), lo)
+        n0 = jump_count_estimate(eps, w)
         best = math.inf
-        for leg in (range(n0, lo - 1, -1), range(n0 + 1, hi + 1)):
+        for leg in (range(n0, 0, -1), itertools.count(n0 + 1)):
             stale = 0
             for n in leg:
                 total = score(n)

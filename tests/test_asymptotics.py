@@ -27,7 +27,6 @@ from mspl import (
     sawtooth,
     window_functional,
 )
-from mspl.asymptotics import period_law_profile
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +264,3 @@ def test_exact_sawtooth_window_recovers_period():
     fld = DiffuseField(mesh, vals)
     est = extract_period(fld, 0.5, 0.2, eps=1e-3, weights=WeightParams(0.0, 0.0))
     assert est.h_emp == pytest.approx(h, rel=1e-2)
-
-
-def test_period_law_profile_is_admissible():
-    w = WeightParams(0.5, 1.0)
-    p = period_law_profile(1e-4, w)
-    assert abs(p.boundary_value) <= 1e-12
-    # locally the spacing tracks the predicted half-period
-    zs = np.asarray(p.jumps)
-    mids = 0.5 * (zs[1:] + zs[:-1])
-    gaps = np.diff(zs)
-    pred = np.array([predicted_period(float(s), 1e-4, w) / 2.0 for s in mids])
-    ratio = gaps / pred
-    core = ratio[(mids > 0.1) & (mids < 0.9)]
-    assert np.all((core > 0.4) & (core < 1.3))
-
-
-def test_period_law_profile_rejects_divergent_exponent():
-    with pytest.raises(InvalidConfig):
-        period_law_profile(1e-4, WeightParams(2.0, 2.5))  # exponent 7/6 >= 1

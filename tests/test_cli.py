@@ -145,6 +145,16 @@ def test_undersized_mesh_is_config_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_sharp_count_above_the_limit_is_an_error(tmp_path, capsys):
+    # the walk would start at 43508 jumps; it fails before solving any
+    rc, _, err = run_cli(
+        capsys, "sharp-min", "--alpha", "2", "--beta", "2.9", "--eps", "1e-3",
+        "--out", str(tmp_path),
+    )
+    assert rc == 2
+    assert "MAX_JUMPS" in err
+
+
 def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

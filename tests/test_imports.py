@@ -41,7 +41,6 @@ def test_light_paths_skip_heavy_scipy():
     assert loaded_heavy(
         out
         + "mspl.cli.main(['sharp-min', '--alpha', '0.5', '--beta', '1', '--eps', '1e-3', '--out', out])\n"
-        + f"mspl.sharp.calibrate_bracket_constant({w}, mspl.default_gamma(1.0))\n"
         + f"mspl.smoothed_graded_init(1e-3, {w}, mspl.GradedMesh(512, 2.0))\n"
         + "shutil.rmtree(out)"
     ) == []

@@ -1,6 +1,6 @@
 """Sawtooth construction, exact evaluation, and the jump-count optimizer."""
 
-import math
+import time
 import warnings
 
 import numpy as np
@@ -14,11 +14,13 @@ from mspl import (
     InvalidSample,
     SawtoothProfile,
     SharpOptions,
+    TooManyJumps,
     UnclampedProfile,
     WeightParams,
     amplitude_envelope_ratio,
     build_graded_profile,
     cumulative_energy,
+    diffuse_surrogate,
     evaluate_sharp,
     optimize_sharp,
     rescaled_min_energy,
@@ -27,15 +29,16 @@ from mspl.core import power_primitive, weighted_square_integrals
 import mspl.sharp
 from mspl.sharp import (
     COLLAPSE_TOL,
+    MAX_JUMPS,
     STALE_COUNTS,
     _gap_energy_and_grad,
     _graded_start_gaps,
     _jump_hessian,
     _profile_from_gaps,
     _refine_jump_positions,
-    calibrate_bracket_constant,
     close_profile,
     default_gamma,
+    jump_count_estimate,
 )
 
 
@@ -371,8 +374,8 @@ def test_options_cap_jump_count():
 
 
 def test_pinned_count_outside_the_bracket_is_solved():
-    # the calibrated bracket at eps = 1e-2 is [1, 4]; a pinned count is
-    # solved directly, without calibration or walk
+    # the walk at eps = 1e-2 starts at 2 and scores [1, 6]; a pinned count
+    # is solved directly, without a walk
     res = optimize_sharp(1e-2, WeightParams(0.0, 0.0), SharpOptions(n_jumps=20))
     assert res.profile.n_jumps == 20
     assert res.converged
@@ -390,11 +393,9 @@ def test_unrefined_candidate_is_the_start_layout():
 
 
 def full_bracket(eps, w):
-    """The jump-count bracket [n*/2, 2n*] around the calibrated count."""
-    c = calibrate_bracket_constant(w, default_gamma(w.beta))
-    base = c * eps ** (-1.0 / 3.0)
-    lo = max(1, math.floor(base) // 2)
-    return lo, max(lo + 2, 2 * math.ceil(base))
+    """A jump-count bracket wider than the walk's: from 1 to STALE_COUNTS
+    past twice the walk's starting count."""
+    return 1, 2 * jump_count_estimate(eps, w) + STALE_COUNTS
 
 
 def exhaustive_minimum(eps, w):
@@ -426,27 +427,23 @@ def test_early_stop_matches_exhaustive_bracket(alpha, beta, eps):
     res = optimize_sharp(eps, w)
     assert res.energy.total == oracle.energy.total
     assert res.profile.jumps == oracle.profile.jumps
-    # the walk starts inside the bracket, so it may never reach lo
     assert lo <= res.bracket[0] and res.bracket[1] <= hi
 
 
-def inflate_bracket_constant(monkeypatch, w, factor):
-    """Calibrated constant times `factor`, cached for the rest of the
-    test so the walk starts there."""
-    gamma = default_gamma(w.beta)
-    c = factor * calibrate_bracket_constant(w, gamma)
-    monkeypatch.setitem(mspl.sharp._CAL_CACHE, (w.alpha, w.beta, gamma), c)
-    return c
+def start_walk_at(monkeypatch, n0):
+    """Make the walk of optimize_sharp start at count n0 for the rest of
+    the test."""
+    monkeypatch.setattr(mspl.sharp, "jump_count_estimate", lambda eps, w: n0)
+    return n0
 
 
 def test_walk_from_a_start_far_above_the_optimum(monkeypatch):
-    # n0 = 31 sits 12 counts above the optimal 19: the downward leg must
+    # n0 = 34 sits 15 counts above the optimal 19: the downward leg must
     # reach it, and the upward leg must end after its own stale counts
     # although the best count lies far below its first count
     eps, w = 1e-4, WeightParams(0.5, 1.0)
     oracle, _, _ = exhaustive_minimum(eps, w)
-    c = inflate_bracket_constant(monkeypatch, w, 1.8)
-    n0 = round(c * eps ** (-1.0 / 3.0))
+    n0 = start_walk_at(monkeypatch, round(1.8 * jump_count_estimate(eps, w)))
     res = optimize_sharp(eps, w)
     assert res.energy.total == oracle.energy.total
     assert res.profile.jumps == oracle.profile.jumps
@@ -456,19 +453,18 @@ def test_walk_from_a_start_far_above_the_optimum(monkeypatch):
 
 def test_stale_counts_end_the_upward_leg_without_collapses(monkeypatch):
     # with collapse detection off only the stale count ends the upward
-    # leg, whose first count lies 7 above the best: it must stop after
-    # STALE_COUNTS counts, not run on to the cap at 30
+    # leg, whose first count lies 9 above the best: it must stop after
+    # STALE_COUNTS counts, although no cap bounds it
     monkeypatch.setattr(mspl.sharp, "COLLAPSE_TOL", 0.0)
     eps, w = 1e-3, WeightParams(0.5, 1.0)
-    c = inflate_bracket_constant(monkeypatch, w, 1.8)
-    n0 = round(c * eps ** (-1.0 / 3.0))
+    n0 = start_walk_at(monkeypatch, round(1.8 * jump_count_estimate(eps, w)))
     res = optimize_sharp(eps, w)
     assert res.profile.n_jumps == 8
     assert res.bracket[1] == n0 + STALE_COUNTS
 
 
 def test_early_stop_golden_at_smallest_sweep_eps():
-    # the exhaustive bracket [18, 76] picked n = 40 with this total
+    # solving every count from 18 to 76 on its own picked n = 40 with this total
     w = WeightParams(0.5, 1.0)
     lo, hi = full_bracket(1e-5, w)
     res = optimize_sharp(1e-5, w)
@@ -489,22 +485,76 @@ def test_reported_count_is_the_effective_count():
     gaps = np.diff(res.profile.breakpoints)
     start = _graded_start_gaps(res.profile.n_jumps, default_gamma(w.beta))
     assert np.all(gaps >= COLLAPSE_TOL * start)
-    # the walk starts at n0 = 12 and goes down until 11..8 have failed
+    # the walk starts at n0 = 13 and goes down until 12..9 have failed
     # to beat it, and up until 14 (collapsed) to 17 have failed
-    assert res.bracket == (8, 17)
+    assert res.bracket == (9, 17)
 
 
-def test_a_collapse_does_not_end_the_upward_leg():
+def test_a_collapse_does_not_end_the_upward_leg(monkeypatch):
     # count 137 collapses, yet 139 and 141 are lower than the best count
-    # below it (136): stopping the walk at 137 cost 7.9e-4 of the energy
+    # below it (136): stopping the walk at 137 cost 7.9e-4 of the energy.
+    # The estimate starts the walk at 141 itself, so start it below 137
     eps, w = 1e-7, WeightParams(0.5, 0.5)
     gamma = default_gamma(w.beta)
-    calibrate_bracket_constant(w, gamma)
     assert _refine_jump_positions(137, eps, w, gamma, 500) is None
+    start_walk_at(monkeypatch, 129)
     res = optimize_sharp(eps, w)
     assert res.converged
     assert res.profile.n_jumps == 141
     assert res.bracket[0] < 137 < res.bracket[1]
+
+
+@pytest.mark.parametrize(
+    "eps,w,n_jumps,total,capped",
+    [
+        # the old cap [n*/2, 2n*] around a count calibrated at eps = 1e-3
+        # ended the upward leg at 20 jumps, total 0.039913691222809425
+        (1e-2, WeightParams(1.5, 1.4), 27, 0.03991368971875241, 0.039913691222809425),
+        # and here at 46 jumps, total 0.09294219296804707
+        (*diffuse_surrogate(1e-2, WeightParams(1.0, 2.5)), 54, 0.092925322772648, 0.09294219296804707),
+    ],
+    ids=("1.5-1.4", "surrogate-of-1-2.5"),
+)
+def test_the_walk_has_no_count_cap(eps, w, n_jumps, total, capped):
+    t0 = time.perf_counter()
+    res = optimize_sharp(eps, w)
+    seconds = time.perf_counter() - t0
+    print(
+        f"count walk at ({w.alpha:g}, {w.beta:g}), eps = {eps:.3g}: "
+        f"{res.profile.n_jumps} jumps, bracket {res.bracket}, "
+        f"total {res.energy.total!r}, {seconds:.2f} s"
+    )
+    assert res.converged
+    assert res.profile.n_jumps == n_jumps
+    assert res.energy.total == pytest.approx(total, rel=1e-12)
+    assert res.energy.total < capped
+    # the upward leg ends on its stale counts alone
+    assert res.bracket[1] == n_jumps + STALE_COUNTS
+
+
+def test_a_start_above_max_jumps_raises_before_any_solve(monkeypatch):
+    # far above alpha + beta = 3 the eps**2 cut sets the estimate: 43508
+    # at (2, 2.9), eps = 1e-3, a dense Newton step of about 15 GB
+    eps, w = 1e-3, WeightParams(2.0, 2.9)
+    assert jump_count_estimate(eps, w) > MAX_JUMPS
+
+    def never(*args):
+        raise AssertionError("a count was solved")
+
+    monkeypatch.setattr(mspl.sharp, "_count_candidate", never)
+    with pytest.raises(TooManyJumps):
+        optimize_sharp(eps, w)
+    with pytest.raises(TooManyJumps):
+        optimize_sharp(1e-2, WeightParams(0.5, 1.0), SharpOptions(n_jumps=MAX_JUMPS + 1))
+
+
+def test_a_walk_past_max_jumps_raises(monkeypatch):
+    # at (1.5, 1.4), eps = 1e-2 the walk starts at 16 and its upward leg
+    # reaches 31; with the limit at 29 it fails instead of returning the
+    # best count below the limit
+    monkeypatch.setattr(mspl.sharp, "MAX_JUMPS", 29)
+    with pytest.raises(TooManyJumps, match="jump count 30 "):
+        optimize_sharp(1e-2, WeightParams(1.5, 1.4))
 
 
 def test_tiny_first_gaps_are_not_a_collapse():
@@ -547,11 +597,10 @@ def test_collapsing_count_stops_short_of_the_cap(monkeypatch):
 
 
 def test_walk_at_smallest_sweep_eps_converges_every_refinement(monkeypatch):
-    # the walk at eps = 1e-5 scores counts 33..44; count 42 collapses
+    # the walk at eps = 1e-5 scores counts 36..45; count 42 collapses
     # slowly, and every refinement must end converged or collapsed, none
     # at the iteration cap
     eps, w = 1e-5, WeightParams(0.5, 1.0)
-    calibrate_bracket_constant(w, default_gamma(w.beta))
     calls = count_kernel_calls(monkeypatch)
     refine = mspl.sharp._refine_jump_positions
     refined = {}
