@@ -4,165 +4,115 @@ Two models of branched-pattern formation on the unit interval — a sharp
 sawtooth model with slope constraint and a diffuse double-well relaxation
 — plus the asymptotic machinery (energy scaling, cumulative distribution,
 local cell problem and period law) to test the predictions numerically.
+
+Public names load on first use (PEP 562): `import mspl` imports no
+submodule, and `mspl.optimize_sharp` imports `mspl.sharp` (and numpy)
+the first time it is read.
 """
 
-from .asymptotics import (
-    A0_constant,
-    CellDensityParams,
-    CellMinimum,
-    PeriodEstimate,
-    cell_density,
-    extract_period,
-    minimize_cell,
-    optimal_period,
-    period_law_constant,
-    predicted_period,
-    sawtooth,
-    window_functional,
-)
-from .config import ExperimentConfig, MeshSpec, OptimizerSpec, preset
-from .core import (
-    AffineSegment,
-    EnergyBreakdown,
-    WeightParams,
-    WeightValidity,
-    integrate_weighted_square,
-    validate_weights,
-)
-from .diffuse import (
-    DiffuseField,
-    DiffuseMinimum,
-    GradedMesh,
-    build_smoothed,
-    diffuse_surrogate,
-    evaluate_diffuse,
-    gradient_diffuse,
-    minimize_diffuse,
-    minimize_with_restarts,
-    smoothed_graded_init,
-    transition_profile,
-)
-from .reports import (
-    ScalingFit,
-    emit_distribution,
-    emit_period,
-    emit_sweep,
-    fit_scaling,
-    run_distribution_report,
-    run_period_report,
-    sweep_scaling,
-)
-from .sharp import (
-    CumulativeEnergyProfile,
-    GradedSpacingConfig,
-    SawtoothProfile,
-    SharpMinimum,
-    SharpOptions,
-    amplitude_envelope_ratio,
-    build_graded_profile,
-    cumulative_energy,
-    default_gamma,
-    distribution_threshold,
-    evaluate_sharp,
-    optimize_sharp,
-    rescaled_min_energy,
-)
-from . import errors
-from .errors import (
-    BracketFailure,
-    DivergentIntegral,
-    InsufficientData,
-    InvalidConfig,
-    InvalidField,
-    InvalidMu,
-    InvalidPeriod,
-    InvalidProfile,
-    InvalidSample,
-    InvalidSegment,
-    LabError,
-    MuTooLarge,
-    NonPositiveValue,
-    TooFewOscillations,
-    TooManyJumps,
-    UnclampedProfile,
-    UnknownPreset,
-    WindowOutOfDomain,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A0_constant",
-    "BracketFailure",
-    "DivergentIntegral",
-    "InsufficientData",
-    "InvalidConfig",
-    "InvalidField",
-    "InvalidMu",
-    "InvalidPeriod",
-    "InvalidProfile",
-    "InvalidSample",
-    "InvalidSegment",
-    "LabError",
-    "MuTooLarge",
-    "NonPositiveValue",
-    "TooFewOscillations",
-    "TooManyJumps",
-    "UnclampedProfile",
-    "UnknownPreset",
-    "WindowOutOfDomain",
-    "AffineSegment",
-    "CellDensityParams",
-    "CellMinimum",
-    "CumulativeEnergyProfile",
-    "DiffuseField",
-    "DiffuseMinimum",
-    "EnergyBreakdown",
-    "ExperimentConfig",
-    "GradedMesh",
-    "GradedSpacingConfig",
-    "MeshSpec",
-    "OptimizerSpec",
-    "PeriodEstimate",
-    "SawtoothProfile",
-    "ScalingFit",
-    "SharpMinimum",
-    "SharpOptions",
-    "WeightParams",
-    "WeightValidity",
-    "amplitude_envelope_ratio",
-    "build_graded_profile",
-    "build_smoothed",
-    "cell_density",
-    "cumulative_energy",
-    "default_gamma",
-    "diffuse_surrogate",
-    "distribution_threshold",
-    "errors",
-    "evaluate_diffuse",
-    "evaluate_sharp",
-    "extract_period",
-    "emit_distribution",
-    "emit_period",
-    "emit_sweep",
-    "fit_scaling",
-    "gradient_diffuse",
-    "integrate_weighted_square",
-    "minimize_cell",
-    "minimize_diffuse",
-    "minimize_with_restarts",
-    "optimal_period",
-    "optimize_sharp",
-    "period_law_constant",
-    "predicted_period",
-    "preset",
-    "rescaled_min_energy",
-    "run_distribution_report",
-    "run_period_report",
-    "sawtooth",
-    "smoothed_graded_init",
-    "sweep_scaling",
-    "transition_profile",
-    "validate_weights",
-    "window_functional",
-]
+# home submodule of every public name; `errors` is the submodule itself
+_HOMES = {
+    name: module
+    for module, names in {
+        "asymptotics": (
+            "PeriodEstimate",
+            "extract_period",
+            "predicted_period",
+            "sawtooth",
+            "window_functional",
+        ),
+        "cell": (
+            "A0_constant",
+            "CellDensityParams",
+            "CellMinimum",
+            "cell_density",
+            "minimize_cell",
+            "optimal_period",
+            "period_law_constant",
+        ),
+        "config": ("ExperimentConfig", "MeshSpec", "OptimizerSpec", "preset"),
+        "core": ("AffineSegment", "EnergyBreakdown", "integrate_weighted_square"),
+        "diffuse": (
+            "DiffuseField",
+            "DiffuseMinimum",
+            "GradedMesh",
+            "build_smoothed",
+            "diffuse_surrogate",
+            "evaluate_diffuse",
+            "gradient_diffuse",
+            "minimize_diffuse",
+            "minimize_with_restarts",
+            "smoothed_graded_init",
+            "transition_profile",
+        ),
+        "errors": (
+            "errors",
+            "BracketFailure",
+            "DivergentIntegral",
+            "InsufficientData",
+            "InvalidConfig",
+            "InvalidField",
+            "InvalidMu",
+            "InvalidPeriod",
+            "InvalidProfile",
+            "InvalidSample",
+            "InvalidSegment",
+            "LabError",
+            "MuTooLarge",
+            "NonPositiveValue",
+            "TooFewOscillations",
+            "TooManyJumps",
+            "UnclampedProfile",
+            "UnknownPreset",
+            "WindowOutOfDomain",
+        ),
+        "reports": (
+            "ScalingFit",
+            "emit_distribution",
+            "emit_period",
+            "emit_sweep",
+            "fit_scaling",
+            "run_distribution_report",
+            "run_period_report",
+            "sweep_scaling",
+        ),
+        "sharp": (
+            "CumulativeEnergyProfile",
+            "GradedSpacingConfig",
+            "SawtoothProfile",
+            "SharpMinimum",
+            "SharpOptions",
+            "amplitude_envelope_ratio",
+            "build_graded_profile",
+            "cumulative_energy",
+            "default_gamma",
+            "distribution_threshold",
+            "evaluate_sharp",
+            "optimize_sharp",
+            "rescaled_min_energy",
+        ),
+        "weights": ("WeightParams", "WeightValidity", "validate_weights"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,7 +10,9 @@ import json
 import os
 import sys
 
-from .asymptotics import (
+# numpy and the solver modules are imported by the handlers that run
+# them, so `cell` and `preset` start without loading either
+from .cell import (
     A0_constant,
     CellDensityParams,
     minimize_cell,
@@ -18,21 +20,9 @@ from .asymptotics import (
     period_law_constant,
 )
 from .config import ExperimentConfig, preset
-from .core import WeightParams
 from .errors import InvalidConfig, LabError
-from .reports import (
-    diffuse_minimum,
-    emit_distribution,
-    emit_period,
-    emit_sweep,
-    round12,
-    run_distribution_report,
-    run_period_report,
-    sharp_options,
-    sweep_scaling,
-    write_json,
-)
-from .sharp import optimize_sharp
+from .rounding import round12
+from .weights import WeightParams
 
 
 def _add_common(p: argparse.ArgumentParser, eps_list=False):
@@ -100,6 +90,9 @@ def _emit_json(payload) -> None:
 
 
 def _cmd_sharp_min(args) -> int:
+    from .reports import sharp_options, write_json
+    from .sharp import optimize_sharp
+
     cfg = _build_config(args, model="sharp")
     eps = cfg.eps_list[0]
     res = optimize_sharp(eps, cfg.weights, sharp_options(cfg))
@@ -119,6 +112,8 @@ def _cmd_sharp_min(args) -> int:
 
 
 def _cmd_diffuse_min(args) -> int:
+    from .reports import diffuse_minimum, write_json
+
     cfg = _build_config(args, model="diffuse")
     eps = cfg.eps_list[0]
     res, diag = diffuse_minimum(eps, cfg)
@@ -143,6 +138,8 @@ def _cmd_diffuse_min(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .reports import emit_sweep, sweep_scaling
+
     cfg = _build_config(args, model=args.model)
     report = sweep_scaling(cfg)
     written = emit_sweep(report, cfg.out_dir)
@@ -159,6 +156,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .reports import emit_distribution, run_distribution_report
+
     cfg = _build_config(args, model="sharp")
     report = run_distribution_report(cfg)
     written = emit_distribution(report, cfg.out_dir)
@@ -175,6 +174,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_period(args) -> int:
+    from .reports import emit_period, run_period_report
+
     cfg = _build_config(args, model=args.model)
     try:
         s_list = [float(tok) for tok in args.s_list.split(",") if tok.strip()]

@@ -4,8 +4,8 @@ run needs, with presets for the standard weight regimes."""
 import json
 from dataclasses import asdict, dataclass, field
 
-from .core import WeightParams
 from .errors import InvalidConfig, UnknownPreset
+from .weights import WeightParams
 
 _MODELS = ("sharp", "diffuse", "both")
 _FORMATS = ("csv", "json")

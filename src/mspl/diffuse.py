@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import (
     EnergyBreakdown,
-    WeightParams,
     power_primitive,
     power_primitives,
     weighted_square_integrals,
@@ -45,6 +44,7 @@ from .sharp import (
     default_gamma,
     jump_count_estimate,
 )
+from .weights import WeightParams
 
 BOUNDARY_TOL = 1e-12
 # steps over which a bounded descent measures its recent rate of decrease
@@ -116,31 +116,31 @@ class DiffuseField:
     def slope_reversals(self) -> np.ndarray:
         """Locations where the element slope crosses zero between
         saturated runs (hysteresis at +-0.5 suppresses rounding ripple,
-        so its size is the tooth count)."""
+        so its size is the tooth count).
+
+        Each reversal sits in the gap between two consecutive saturated
+        elements of opposite sign, at the first sign change of the slope
+        in that gap, interpolated linearly between element midpoints; a
+        gap with no sign change (nan slopes) gets its midpoint."""
         nodes = self.mesh.nodes
         positions = 0.5 * (nodes[:-1] + nodes[1:])
         slopes = self.element_slopes
-        crossings = []
-        state = 0
-        last_sat = 0
-        for e, p in enumerate(slopes):
-            sat = 1 if p >= 0.5 else (-1 if p <= -0.5 else 0)
-            if sat == 0:
-                continue
-            if state != 0 and sat != state:
-                # root of the slope between elements last_sat and e
-                zc = None
-                for j in range(last_sat, e):
-                    if slopes[j] * slopes[j + 1] <= 0.0 and slopes[j] != slopes[j + 1]:
-                        frac = slopes[j] / (slopes[j] - slopes[j + 1])
-                        zc = positions[j] + frac * (positions[j + 1] - positions[j])
-                        break
-                crossings.append(
-                    zc if zc is not None else 0.5 * (positions[last_sat] + positions[e])
-                )
-            state = sat
-            last_sat = e
-        return np.asarray(crossings)
+        sat = np.where(slopes >= 0.5, 1, np.where(slopes <= -0.5, -1, 0))
+        runs = np.flatnonzero(sat)
+        flip = np.flatnonzero(sat[runs[1:]] != sat[runs[:-1]])
+        lo, hi = runs[flip], runs[flip + 1]
+        # an overflowing product (+inf) and inf * 0 (nan) are no sign change
+        with np.errstate(over="ignore", invalid="ignore"):
+            change = (slopes[:-1] * slopes[1:] <= 0.0) & (slopes[:-1] != slopes[1:])
+        roots = np.flatnonzero(change)
+        k = np.searchsorted(roots, lo)
+        found = k < roots.size
+        found[found] = roots[k[found]] < hi[found]
+        j = roots[k[found]]
+        frac = slopes[j] / (slopes[j] - slopes[j + 1])
+        crossings = 0.5 * (positions[lo] + positions[hi])
+        crossings[found] = positions[j] + frac * (positions[j + 1] - positions[j])
+        return crossings
 
 
 def double_well(x):

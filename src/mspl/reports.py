@@ -21,7 +21,6 @@ import numpy as np
 
 from .asymptotics import extract_period, predicted_period
 from .config import ExperimentConfig
-from .core import validate_weights
 from .diffuse import GradedMesh, minimize_with_restarts
 from .errors import (
     InsufficientData,
@@ -30,7 +29,9 @@ from .errors import (
     NonPositiveValue,
     TooFewOscillations,
 )
+from .rounding import round12
 from .sharp import SharpOptions, cumulative_energy, distribution_threshold, optimize_sharp
+from .weights import validate_weights
 
 SWEEP_HEADER = [
     "eps",
@@ -331,23 +332,6 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12g}"
     return str(v)
-
-
-def round12(obj):
-    """Round every float to 12 significant digits (recursively) so CSV
-    and JSON renderings carry identical numbers."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if not math.isfinite(f) else float(f"{f:.12g}")
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round12(v) for v in obj]
-    return obj
 
 
 def write_csv(path: str, header: list[str], rows: list[dict]) -> None:

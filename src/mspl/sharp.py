@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     EnergyBreakdown,
-    WeightParams,
     power_primitive,
     power_primitives,
     weighted_square_integrals,
@@ -32,6 +31,7 @@ from .errors import (
     TooManyJumps,
     UnclampedProfile,
 )
+from .weights import WeightParams
 
 # |u(1)| below this counts as clamped (returning to zero).
 CLAMP_TOL = 1e-12

@@ -1,22 +1,28 @@
 """Import hygiene: what loading the package costs, and module boundaries."""
 
 import ast
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
+
+import numpy as np
+import pytest
 
 import mspl
 
 SRC = os.path.dirname(os.path.dirname(mspl.__file__))
 PKG = os.path.dirname(mspl.__file__)
 HEAVY = ("scipy.optimize", "scipy.stats", "scipy.integrate", "scipy.sparse", "scipy.linalg")
+SOLVERS = ("numpy", "mspl.sharp", "mspl.diffuse", "mspl.asymptotics", "mspl.reports")
 
 
-def loaded_heavy(code: str) -> list[str]:
-    """Heavy scipy subpackages in sys.modules after `code` runs in a
-    fresh interpreter."""
-    probe = code + f"\nimport sys, json\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+def loaded(code: str, watched: tuple[str, ...]) -> list[str]:
+    """The `watched` modules in sys.modules after `code` runs in a fresh
+    interpreter."""
+    probe = code + f"\nimport sys, json\nprint(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
@@ -25,30 +31,108 @@ def loaded_heavy(code: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_light_paths_skip_heavy_scipy():
-    assert loaded_heavy("import mspl") == []
-    assert loaded_heavy("import mspl.cli") == []
-    # `cell` and `preset` never refine a sharp profile
-    assert loaded_heavy(
+def test_commands_that_do_not_solve_load_no_solver():
+    assert loaded("import mspl", SOLVERS) == []
+    assert loaded("import mspl.cli", SOLVERS) == []
+    assert loaded(
         "import mspl.cli\n"
         "mspl.cli.main(['cell', '--s', '0.5'])\n"
-        "mspl.cli.main(['preset', 'muller'])"
+        "mspl.cli.main(['preset', 'muller'])",
+        SOLVERS,
     ) == []
-    # the sharp refinement is numpy-only, and so is the sharp layout the
-    # diffuse start is built from
+    # a name loads its home module, and only what that module needs
+    assert loaded("import mspl\nmspl.WeightParams, mspl.minimize_cell", SOLVERS) == []
+    assert loaded("import mspl\nmspl.SawtoothProfile", SOLVERS) == ["numpy", "mspl.sharp"]
+
+
+def test_light_paths_skip_heavy_scipy():
+    # `import mspl`, `cell` and `preset` load no numpy, hence no scipy
+    # (see the test above); the sharp refinement is numpy-only, and so is
+    # the sharp layout the diffuse start is built from
     out = "import shutil, tempfile\nimport mspl.cli, mspl.sharp\nout = tempfile.mkdtemp()\n"
     w = "mspl.WeightParams(0.5, 1.0)"
-    assert loaded_heavy(
+    assert loaded(
         out
         + "mspl.cli.main(['sharp-min', '--alpha', '0.5', '--beta', '1', '--eps', '1e-3', '--out', out])\n"
         + f"mspl.smoothed_graded_init(1e-3, {w}, mspl.GradedMesh(512, 2.0))\n"
-        + "shutil.rmtree(out)"
+        + "shutil.rmtree(out)",
+        HEAVY,
     ) == []
     # the diffuse Newton step needs scipy.linalg's banded Cholesky factor
     # and solve, no more
-    assert loaded_heavy(
-        out + "mspl.cli.main(['diffuse-min', '--mesh-n', '512', '--out', out])\nshutil.rmtree(out)"
+    assert loaded(
+        out + "mspl.cli.main(['diffuse-min', '--mesh-n', '512', '--out', out])\nshutil.rmtree(out)",
+        HEAVY,
     ) == ["scipy.linalg"]
+
+
+def test_dir_lists_every_public_name_before_any_loads():
+    listed = loaded(
+        "import mspl\nnames = set(dir(mspl))\n"
+        "assert names >= set(mspl.__all__), set(mspl.__all__) - names",
+        SOLVERS,
+    )
+    assert listed == []
+
+
+# names whose home is a numpy-free module
+NUMPY_FREE_HOMES = {
+    "WeightParams": "mspl.weights",
+    "WeightValidity": "mspl.weights",
+    "validate_weights": "mspl.weights",
+    "A0_constant": "mspl.cell",
+    "period_law_constant": "mspl.cell",
+    "CellDensityParams": "mspl.cell",
+    "cell_density": "mspl.cell",
+    "optimal_period": "mspl.cell",
+    "CellMinimum": "mspl.cell",
+    "minimize_cell": "mspl.cell",
+}
+
+
+def test_public_names_are_the_objects_of_their_home_modules():
+    for name in mspl.__all__:
+        obj = getattr(mspl, name)
+        if name == "errors":
+            assert obj is importlib.import_module("mspl.errors")
+            continue
+        home = sys.modules[obj.__module__]
+        assert getattr(home, name) is obj, name
+        assert obj.__module__ == NUMPY_FREE_HOMES.get(name, obj.__module__), name
+    assert set(NUMPY_FREE_HOMES) <= set(mspl.__all__)
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mspl.no_such_name
+    assert not hasattr(mspl, "round12")
+
+
+def test_round12_maps_numpy_scalars_like_python_numbers():
+    from mspl.rounding import round12
+
+    out = round12(
+        {
+            "f32": np.float32(0.1),
+            "f64": np.float64(1.0) / 3.0,
+            "i64": np.int64(-7),
+            "flag": np.bool_(True),
+            "bool": True,
+            "nested": [(np.float64(2.0) ** 0.5, np.int64(3)), {"inf": np.float64("inf")}],
+            "nan": float("nan"),
+            "text": "x",
+        }
+    )
+    assert out["f32"] == 0.10000000149 and type(out["f32"]) is float
+    assert out["f64"] == 0.333333333333 and type(out["f64"]) is float
+    assert out["i64"] == -7 and type(out["i64"]) is int
+    # numpy's bool is no Python number and passes through unchanged
+    assert type(out["flag"]) is np.bool_ and out["flag"]
+    assert out["bool"] is True
+    assert out["nested"] == [[1.41421356237, 3], {"inf": math.inf}]
+    assert [type(v) for v in out["nested"][0]] == [float, int]
+    assert math.isnan(out["nan"])
+    assert out["text"] == "x"
 
 
 def test_no_private_names_imported_across_modules():
