@@ -21,7 +21,7 @@ from .cell import (
 )
 from .config import ExperimentConfig, preset
 from .errors import InvalidConfig, LabError
-from .rounding import round12
+from .rounding import round12, write_json
 from .weights import WeightParams
 
 
@@ -90,8 +90,7 @@ def _emit_json(payload) -> None:
 
 
 def _cmd_sharp_min(args) -> int:
-    from .reports import sharp_options, write_json
-    from .sharp import optimize_sharp
+    from .sharp import optimize_sharp, sharp_options
 
     cfg = _build_config(args, model="sharp")
     eps = cfg.eps_list[0]
@@ -112,7 +111,7 @@ def _cmd_sharp_min(args) -> int:
 
 
 def _cmd_diffuse_min(args) -> int:
-    from .reports import diffuse_minimum, write_json
+    from .reports import diffuse_minimum
 
     cfg = _build_config(args, model="diffuse")
     eps = cfg.eps_list[0]

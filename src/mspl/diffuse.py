@@ -288,19 +288,20 @@ class _Operators:
 
     def hessian_base(self, eps: float) -> np.ndarray:
         """Hessian of the curvature and bulk terms, 2 eps**2 D^T W D + 2 Q
-        on the interior nodes, in upper band form with bandwidth 2 (row 2
-        the diagonal, row 1 the first and row 0 the second superdiagonal,
-        right-aligned as `scipy.linalg.solveh_banded` reads it)."""
+        on the interior nodes, in lower band form with bandwidth 2 (row 0
+        the diagonal, row 1 the first and row 2 the second subdiagonal,
+        left-aligned as `scipy.linalg.cholesky_banded(..., lower=True)`
+        reads it; the unused tail of rows 1 and 2 is 0)."""
         cl, cm, cr, w = self.cl, self.cm, self.cr, self.dual_w
         ab = np.zeros((3, cm.size))
-        ab[2] = w * cm * cm
-        ab[2, 1:] += (w * cr * cr)[:-1]
-        ab[2, :-1] += (w * cl * cl)[1:]
-        ab[1, 1:] = (w * cm * cr)[:-1] + (w * cl * cm)[1:]
-        ab[0, 2:] = (w * cl * cr)[1:-1]
+        ab[0] = w * cm * cm
+        ab[0, 1:] += (w * cr * cr)[:-1]
+        ab[0, :-1] += (w * cl * cl)[1:]
+        ab[1, :-1] = (w * cm * cr)[:-1] + (w * cl * cm)[1:]
+        ab[2, :-2] = (w * cl * cr)[1:-1]
         ab *= 2.0 * eps * eps
-        ab[2] += 2.0 * self.mass_diag[1:-1]
-        ab[1, 1:] += 2.0 * self.mass_off[1:-1]
+        ab[0] += 2.0 * self.mass_diag[1:-1]
+        ab[1, :-1] += 2.0 * self.mass_off[1:-1]
         return ab
 
     def hessian(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -311,8 +312,8 @@ class _Operators:
         p = np.diff(x, prepend=0.0, append=0.0) / self.h
         well = (3.0 * p * p - 1.0) / self.h
         ab = base.copy()
-        ab[2] += well[:-1] + well[1:]
-        ab[1, 1:] -= well[1:-1]
+        ab[0] += well[:-1] + well[1:]
+        ab[1, :-1] -= well[1:-1]
         return ab
 
 
@@ -431,20 +432,20 @@ def minimize_diffuse(
             status = "converged"
             break
         ab = ops.hessian(x, base)
-        diag = ab[2].copy()
+        diag = ab[0].copy()
         factor = None
         while factor is None and lam < np.inf:
-            ab[2] = diag + lam
+            ab[0] = diag + lam
             try:
                 # ValueError: a non-finite entry, which no shift removes, so
                 # lam climbs until it overflows and the descent stops
-                factor = cholesky_banded(ab)
+                factor = cholesky_banded(ab, lower=True)
             except (LinAlgError, ValueError):
                 lam = max(10.0 * lam, LAM_MIN)
         if factor is None:
             status = "line_search_failure"
             break
-        d = cho_solve_banded((factor, False), -g)
+        d = cho_solve_banded((factor, True), -g)
         gd = float(g @ d)
 
         step = 1.0
@@ -559,13 +560,18 @@ def minimize_with_restarts(
     `optimize_sharp` at `diffuse_surrogate(eps, w)` with `max_iter`
     Newton steps, smoothed with caps of half-width eps.  The walk begins
     at the surrogate's own minimizer, count n0, which descends in full.
-    One leg then goes down from n0 - 1 and one up from n0 + 1, pinning
-    each count on the surrogate (SharpOptions(n_jumps=n)); each descends
-    with the lowest final energy so far as the `bound` of
+    One leg then goes down from n0 - 1 and one up from n0 + 1; each
+    count descends with the lowest final energy so far as the `bound` of
     `minimize_diffuse`, and a leg ends at the first count that does not
     strictly lower it.  A descent abandoned as 'dominated' ends above
     the bound, so it ends its leg and is never returned.  A pinned
     `n_jumps` is the only count descended.
+
+    The surrogate solve that finds n0 scores the counts around it, and
+    each row of its table (`SharpMinimum.candidates`) is the layout a
+    solve pinned to that count (SharpOptions(n_jumps=n)) returns.  A
+    leg's count starts from its row; only a count the table lacks is
+    pinned on the surrogate.
 
     `restarts` and `seed` are ignored: the walk has no random starts.
     Returns (best DiffuseMinimum, diagnostics rows); one row per count
@@ -578,11 +584,14 @@ def minimize_with_restarts(
     from .sharp import SharpOptions, optimize_sharp
 
     surrogate = diffuse_surrogate(eps, w)
+    found = optimize_sharp(
+        *surrogate, SharpOptions(gamma=gamma, n_jumps=n_jumps, max_iter=max_iter)
+    )
+    # count -> its layout on the surrogate
+    layouts = {n: profile for n, _, profile, _ in found.candidates}
     rows = []
 
-    def descend(n: int | None, bound: float | None) -> DiffuseMinimum:
-        opts = SharpOptions(gamma=gamma, n_jumps=n, max_iter=max_iter)
-        prof = optimize_sharp(*surrogate, opts).profile
+    def descend(prof: SawtoothProfile, bound: float | None) -> DiffuseMinimum:
         init = _smooth_capped(prof, eps, mesh)
         res = minimize_diffuse(init, eps, w, tol=tol, max_iter=max_iter, bound=bound)
         rows.append(
@@ -597,13 +606,16 @@ def minimize_with_restarts(
         )
         return res
 
-    best = descend(n_jumps, None)
+    best = descend(found.profile, None)
     if n_jumps is None:
-        n0 = rows[0]["n_jumps"]
+        n0 = found.profile.n_jumps
         # a tooth needs at least one cell, so the mesh caps the up leg
         for leg in (range(n0 - 1, 0, -1), range(n0 + 1, mesh.n)):
             for n in leg:
-                res = descend(n, best.energy.total)
+                if n not in layouts:
+                    opts = SharpOptions(gamma=gamma, n_jumps=n, max_iter=max_iter)
+                    layouts[n] = optimize_sharp(*surrogate, opts).profile
+                res = descend(layouts[n], best.energy.total)
                 if not res.energy.total < best.energy.total:
                     break
                 best = res

@@ -12,7 +12,6 @@ renderings, JSON keys are sorted, and nothing timestamped is written, so
 re-running a configuration reproduces byte-identical files.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -29,8 +28,8 @@ from .errors import (
     NonPositiveValue,
     TooFewOscillations,
 )
-from .rounding import round12
-from .sharp import SharpOptions, cumulative_energy, distribution_threshold, optimize_sharp
+from .rounding import write_json
+from .sharp import cumulative_energy, distribution_threshold, optimize_sharp, sharp_options
 from .weights import validate_weights
 
 SWEEP_HEADER = [
@@ -100,14 +99,6 @@ class SweepReport:
     fits: dict[str, ScalingFit]
     flagged: list[dict]
     config: ExperimentConfig
-
-
-def sharp_options(cfg: ExperimentConfig) -> SharpOptions:
-    """Options of every sharp solve a configuration runs: its grading,
-    its jump count if one is fixed, and its iteration budget."""
-    return SharpOptions(
-        gamma=cfg.gamma, n_jumps=cfg.n_jumps, max_iter=cfg.optimizer.max_iter
-    )
 
 
 def diffuse_minimum(eps: float, cfg: ExperimentConfig):
@@ -340,19 +331,6 @@ def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
         lines.append(",".join(_fmt(r[col]) for col in header))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_json(path: str, payload: dict) -> None:
-    def default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        raise TypeError(f"not serializable: {type(o)!r}")
-
-    with open(path, "w") as fh:
-        json.dump(round12(payload), fh, indent=2, sort_keys=True, default=default)
-        fh.write("\n")
 
 
 def _public_row(r: dict, header: list[str]) -> dict:

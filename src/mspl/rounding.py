@@ -1,9 +1,11 @@
-"""Twelve-significant-digit rounding shared by every rendering.
+"""Twelve-significant-digit rounding shared by every rendering, and the
+JSON writer built on it.
 
 numpy registers its scalar types with `numbers`, so its floats and
 integers round like Python's without this module importing numpy.
 """
 
+import json
 import math
 from numbers import Integral, Real
 
@@ -23,3 +25,11 @@ def round12(obj):
     if isinstance(obj, (list, tuple)):
         return [round12(v) for v in obj]
     return obj
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write `payload` rounded by `round12`, indented, keys sorted, with a
+    final newline."""
+    with open(path, "w") as fh:
+        json.dump(round12(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")

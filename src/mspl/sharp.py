@@ -13,7 +13,8 @@ positions and their count.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .errors import (
     UnclampedProfile,
 )
 from .weights import WeightParams
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 # |u(1)| below this counts as clamped (returning to zero).
 CLAMP_TOL = 1e-12
@@ -306,17 +310,36 @@ class SharpOptions:
             raise InvalidConfig(f"need at least one jump, got n_jumps={self.n_jumps}")
 
 
+def sharp_options(cfg: "ExperimentConfig") -> SharpOptions:
+    """Options of every sharp solve a configuration runs: its grading,
+    its jump count if one is fixed, and its iteration budget."""
+    return SharpOptions(
+        gamma=cfg.gamma, n_jumps=cfg.n_jumps, max_iter=cfg.optimizer.max_iter
+    )
+
+
 @dataclass(frozen=True)
 class SharpMinimum:
-    """Best candidate of `optimize_sharp`.  `bracket` is the lowest and
-    the highest jump count scored, `n_candidates` the number of counts
-    scored: each count has one candidate."""
+    """Best candidate of `optimize_sharp`, and the table it was chosen from.
+
+    `candidates` has one row (n, total, profile, converged) per jump count
+    n scored, in count order: the count's one candidate, its refined
+    layout, or its start layout where the refinement collapsed.  `bracket`
+    is the lowest and the highest count scored, `n_candidates` the number
+    of counts scored."""
 
     profile: SawtoothProfile
     energy: EnergyBreakdown
     converged: bool
-    bracket: tuple[int, int]
-    n_candidates: int
+    candidates: tuple[tuple[int, float, SawtoothProfile, bool], ...]
+
+    @property
+    def bracket(self) -> tuple[int, int]:
+        return self.candidates[0][0], self.candidates[-1][0]
+
+    @property
+    def n_candidates(self) -> int:
+        return len(self.candidates)
 
 
 # each leg of optimize_sharp's walk stops after this many consecutive
@@ -342,6 +365,15 @@ LAM_MIN = 1e-8
 MAX_BACKTRACKS = 40
 
 
+@lru_cache(maxsize=8)
+def _alternating_signs(m: int) -> np.ndarray:
+    """The read-only slopes +1, -1, +1, ... of m consecutive segments."""
+    signs = np.ones(m)
+    signs[1::2] = -1.0
+    signs.setflags(write=False)
+    return signs
+
+
 def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
     """Energy and its exact gradient in the (unconstrained) gap widths y >= 0.
 
@@ -357,23 +389,28 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
         dE/dy_i = 2 eps alpha * sum_{k>=i} z_k**(alpha-1)
                   + 4 sigma_i * sum_{j>i, parity(j) != parity(i)} J_j
                   + u(1)**2
+
+    Products with a slope sigma = +-1 are exact and are regrouped freely;
+    every other operation keeps the order of the formulas above.
     """
     m = y.size
+    signs = _alternating_signs(m)
     bp = np.empty(m + 1)
     bp[0] = 0.0
-    np.cumsum(y, out=bp[1:])
+    y.cumsum(out=bp[1:])
     zs = bp[1:-1]
-    signs = np.ones(m)
-    signs[1::2] = -1.0
-    vals = np.concatenate(([0.0], np.cumsum(signs * y)))
+    vals = np.empty(m + 1)
+    vals[0] = 0.0
+    np.multiply(signs, y, out=vals[1:]).cumsum(out=vals[1:])
 
     # segments j >= 2 written about t = 0: u(t) = c + sigma_j * t
     p, q = bp[1:-1], bp[2:]
     s = signs[1:]
     c = vals[1:-1] - s * p
     p0, p1, p2 = power_primitives(p, q, (-w.beta, 1.0 - w.beta, 2.0 - w.beta))
+    sp1 = s * p1
 
-    surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
+    surface = 2.0 * eps * float((zs**w.alpha).sum()) if zs.size else 0.0
     if y[0] == 0.0:
         # segment 2 starts at t = 0 too: let the general kernel apply its
         # origin branch and divergence checks
@@ -382,43 +419,45 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
         seg = np.empty(m)
         # segment 1 has u(0) = 0 and slope 1: only its slope term survives
         seg[:1] = bp[1:2] ** (3.0 - w.beta) / (3.0 - w.beta)
-        seg[1:] = c * c * p0 + 2.0 * c * s * p1 + s * s * p2
-    energy = surface + float(np.sum(seg))
+        # sigma**2 = 1
+        np.add(c * c * p0 + 2.0 * c * sp1, p2, out=seg[1:])
+    energy = surface + float(seg.sum())
 
-    # surface suffix term (a jump at z = 0 gives inf: let it flow through)
-    grad = np.full(m, vals[-1] ** 2)
+    # surface suffix term (a jump at z = 0 gives inf: let it flow through);
+    # the last gap moves no jump
+    grad = np.empty(m)
+    grad.fill(vals[-1] ** 2)
     if w.alpha != 0.0 and zs.size:
         with np.errstate(divide="ignore"):
             zpow = zs ** (w.alpha - 1.0)
-        suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
-        grad += 2.0 * eps * w.alpha * suf
+        grad[:-1] += 2.0 * eps * w.alpha * zpow[::-1].cumsum()[::-1]
 
-    # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
-    J = np.zeros(m)
+    # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2,
+    # in a buffer whose pairs (J_{2k}, J_{2k+1}), padded with zeros to
+    # even length plus one zero pair, are the rows of a (K + 1, 2) array
+    K = (m + 1) // 2
+    buf = np.zeros(2 * K + 2)
     # a gap of exactly 0 gives 0 * inf here; the refinement never steps
     # onto one (no step more than halves a gap), so let the nan through
     # silently
     with np.errstate(invalid="ignore"):
-        J[1:] = c * p0 + s * p1
-
-    # suffix sums of J by parity, added right to left starting from 0:
-    # suf_even[k] sums J[2k::2], suf_odd[k] sums J[2k+1::2]
-    suf_even = np.cumsum(np.concatenate(([0.0], J[0::2][::-1])))[::-1]
-    suf_odd = np.cumsum(np.concatenate(([0.0], J[1::2][::-1])))[::-1]
-    opp = np.empty(m)
-    opp[0::2] = suf_odd[: (m + 1) // 2]  # even i: odd j > i
-    opp[1::2] = suf_even[1 : m // 2 + 1]  # odd i: even j > i
-    grad += 4.0 * signs * opp
+        np.add(c * p0, sp1, out=buf[1:m])
+    # suffix sums of J by parity, added bottom to top starting from the
+    # zero pair: row k then holds (sum J[2k::2], sum J[2k+1::2]), so the
+    # sum over later segments of the opposite parity of segment i is
+    # entry i + 1 of the flat buffer
+    rows = buf.reshape(K + 1, 2)[::-1]
+    rows.cumsum(axis=0, out=rows)
+    grad += 4.0 * signs * buf[1 : m + 1]
     return energy, grad
 
 
-def _closed(y: np.ndarray) -> np.ndarray:
-    """Gaps `y` with each parity rescaled to sum to 1/2, so the profile
-    ends at t = 1 with u(1) = 0."""
-    out = y.copy()
-    out[0::2] *= 0.5 / y[0::2].sum()
-    out[1::2] *= 0.5 / y[1::2].sum()
-    return out
+def _close(y: np.ndarray) -> np.ndarray:
+    """Rescale each parity of the gaps y in place to sum to 1/2, so the
+    profile ends at t = 1 with u(1) = 0; returns y."""
+    y[0::2] *= 0.5 / y[0::2].sum()
+    y[1::2] *= 0.5 / y[1::2].sum()
+    return y
 
 
 def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
@@ -426,7 +465,7 @@ def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
     each parity rescaled to sum to 1/2 so the profile closes."""
     k = np.arange(1, n + 2, dtype=float)
     y = k**gamma
-    return _closed(y / y.sum())
+    return _close(y / y.sum())
 
 
 def _jump_hessian(y: np.ndarray, eps: float, w: WeightParams):
@@ -442,16 +481,20 @@ def _jump_hessian(y: np.ndarray, eps: float, w: WeightParams):
                + 2 eps alpha (alpha - 1) z_k**(alpha - 2)
 
     Returns H and the vector P(z)."""
-    z = np.cumsum(y)[:-1]
+    z = y[:-1].cumsum()
     n = z.size
-    s = np.ones(n)
-    s[1::2] = -1.0
-    u = np.cumsum(s * y[:-1])
+    s = _alternating_signs(y.size)[:-1]
+    u = (s * y[:-1]).cumsum()
     P = power_primitive(z, 1.0, -w.beta)
     idx = np.arange(n)
-    H = 8.0 * np.outer(s, s) * P[np.maximum.outer(idx, idx)]
+    # the factors 8 and s_k s_l = +-1 scale exactly, so they are applied
+    # in any order: s_k s_l flips the odd rows and the odd columns
+    H = (8.0 * P)[np.maximum(idx[:, None], idx)]
+    H[1::2] *= -1.0
+    H[:, 1::2] *= -1.0
     surface = 2.0 * eps * w.alpha * (w.alpha - 1.0) * z ** (w.alpha - 2.0)
-    H[idx, idx] += surface - 4.0 * s * z ** (-w.beta) * u
+    # the diagonal of H, as a view
+    H.reshape(-1)[:: n + 1] += surface - 4.0 * s * z ** (-w.beta) * u
     return H, P
 
 
@@ -468,14 +511,21 @@ def _refine_jump_positions(
     8 P(z) part, plus a rank-one term along the constraint normal (the
     step only sees the Hessian on the constraint's tangent space), plus
     a Levenberg shift lam * I raised tenfold until its Cholesky
-    factorization succeeds and cut tenfold after each step.  A step
-    shrinks no gap by more than half, is backtracked to an Armijo
-    decrease, and the gaps of each parity are rescaled to sum to 1/2, so
-    rounding cannot drift u(1) away from 0.  The descent has converged
-    once the projected-gradient inf-norm falls to GTOL, or the relative
-    decrease, taken or predicted by the Newton model, to FTOL.  It stops
-    unconverged after max_iter steps, or when no backtracked step lowers
-    the energy.
+    factorization succeeds and cut tenfold after each step; a shift that
+    leaves a diagonal entry at or below 0 cannot succeed and is raised
+    without a factorization.  A step shrinks no gap by more than half, is
+    backtracked to an Armijo decrease, and the gaps of each parity are
+    rescaled to sum to 1/2, so rounding cannot drift u(1) away from 0.
+    The descent has converged once the projected-gradient inf-norm falls
+    to GTOL, or the relative decrease, taken or predicted by the Newton
+    model, to FTOL.  It stops unconverged after max_iter steps, or when
+    no backtracked step lowers the energy.
+
+    Each step reuses the count's buffers and slope signs and scales and
+    shifts the Hessian in place, so that at the walk's sizes it costs
+    little more than its arithmetic; that arithmetic, hence every
+    iterate, is the same operation for operation as with every array
+    formed afresh.
 
     Returns (gaps, energy, converged), or None once the layout collapses:
     some gap falls below COLLAPSE_TOL times its own starting width.  The
@@ -489,41 +539,54 @@ def _refine_jump_positions(
     y = _graded_start_gaps(n, gamma)
     floor = COLLAPSE_TOL * y
     f, gy = _gap_energy_and_grad(y, eps, w)
-    s = np.ones(n)
-    s[1::2] = -1.0
-    eye = np.eye(n)
+    s = _alternating_signs(n + 1)[:-1]
+    # right-hand sides of the two solves, and the gap change of a step
+    rhs = np.empty((n, 2))
+    dy = np.empty(n + 1)
     lam = 0.0
     for _ in range(max_iter):
         g = gy[:-1] - gy[1:]
-        if np.max(np.abs(g - s * (float(s @ g) / n))) <= GTOL:
+        if np.abs(g - s * (float(s @ g) / n)).max() <= GTOL:
             return y, f, True
         H, P = _jump_hessian(y, eps, w)
         d = 1.0 / np.sqrt(8.0 * P)
-        H *= np.outer(d, d)
-        dg, ds = d * g, d * s
+        H *= d[:, None] * d
+        ds = d * s
+        np.multiply(d, g, out=rhs[:, 0])
+        rhs[:, 1] = ds
         # a multiple of ds ds^T leaves the constrained step as it is; one of
         # unit curvature, like the scaled diagonal, lifts negative curvature
         # across the constraint that the step never sees
-        H += np.outer(ds, ds) / float(ds @ ds)
+        H += ds[:, None] * ds / float(ds @ ds)
+        # H becomes the shifted matrix: only its diagonal changes
+        diag = H.diagonal().copy()
+        shifted = H.reshape(-1)[:: n + 1]
         while True:
-            A = H + lam * eye
-            try:
-                np.linalg.cholesky(A)
-                break
-            except np.linalg.LinAlgError:
-                lam = max(10.0 * lam, LAM_MIN)
-        a, b = np.linalg.solve(A, np.column_stack((dg, ds))).T
+            np.add(diag, lam, out=shifted)
+            # an entry at or below 0 fails the factorization; a nan one
+            # makes the minimum nan, and the factorization judges it
+            if not shifted.min() <= 0.0:
+                try:
+                    np.linalg.cholesky(H)
+                    break
+                except np.linalg.LinAlgError:
+                    pass
+            lam = max(10.0 * lam, LAM_MIN)
+        a, b = np.linalg.solve(H, rhs).T
         p = d * (b * (float(ds @ a) / float(ds @ b)) - a)
         slope = float(g @ p)
         if -0.5 * slope <= FTOL * f:
             # the Newton model predicts no decrease above rounding
             return y, f, True
-        # p != 0 and dy sums to 0, so some gap shrinks
-        dy = np.diff(p, prepend=0.0, append=0.0)
+        # the gap changes of the jump moves p; p != 0 and dy sums to 0, so
+        # some gap shrinks
+        dy[:-1] = p
+        dy[-1] = 0.0
+        dy[1:] -= p
         shrink = dy < 0.0
-        t = min(1.0, float(np.min(0.5 * y[shrink] / -dy[shrink])))
+        t = min(1.0, float((0.5 * y[shrink] / -dy[shrink]).min()))
         for _ in range(MAX_BACKTRACKS):
-            y_new = _closed(y + t * dy)
+            y_new = _close(y + t * dy)
             f_new, gy_new = _gap_energy_and_grad(y_new, eps, w)
             if f_new <= f + 1e-4 * t * slope:
                 break
@@ -532,7 +595,7 @@ def _refine_jump_positions(
             return y, f, False
         done = f - f_new <= FTOL * f
         y, f, gy = y_new, f_new, gy_new
-        if np.any(y < floor):
+        if (y < floor).any():
             return None
         if done:
             return y, f, True
@@ -617,6 +680,9 @@ def optimize_sharp(
     TooManyJumps before it is scored: a start above it fails before any
     count is solved, and a walk that climbs past it fails rather than
     return a count the limit chose.
+
+    The result keeps every count's candidate in `SharpMinimum.candidates`:
+    the row of count n is what the same options pinned to n return.
     """
     if not eps > 0.0:
         raise InvalidConfig(f"eps must be positive, got {eps!r}")
@@ -654,15 +720,15 @@ def optimize_sharp(
                 if stale == STALE_COUNTS:
                     break
 
-    _, best_profile, ok = min(
-        candidates.values(), key=lambda cand: (cand[0], cand[1].n_jumps, cand[1].jumps)
+    table = tuple((n, *candidates[n]) for n in sorted(candidates))
+    _, _, best_profile, ok = min(
+        table, key=lambda row: (row[1], row[2].n_jumps, row[2].jumps)
     )
     return SharpMinimum(
         profile=best_profile,
         energy=evaluate_sharp(best_profile, eps, w),
         converged=ok,
-        bracket=(min(candidates), max(candidates)),
-        n_candidates=len(candidates),
+        candidates=table,
     )
 
 

@@ -398,8 +398,9 @@ def test_kernel_matches_sparse_reference(n, q, w):
 
 
 def band_to_dense(ab):
-    a = np.diag(ab[2]) + np.diag(ab[1, 1:], 1) + np.diag(ab[0, 2:], 2)
-    return a + np.triu(a, 1).T
+    """The symmetric matrix of a lower band with bandwidth 2."""
+    a = np.diag(ab[0]) + np.diag(ab[1, :-1], -1) + np.diag(ab[2, :-2], -2)
+    return a + np.tril(a, -1).T
 
 
 HESSIAN_CASES = [
@@ -576,15 +577,44 @@ def _spy_on_surrogate(monkeypatch):
     return calls
 
 
+def _spy_on_starts(monkeypatch):
+    """Record the surrogate layout of every start `minimize_with_restarts`
+    smooths, in the order it smooths them."""
+    import mspl.diffuse
+
+    layouts = []
+    smooth = mspl.diffuse._smooth_capped
+
+    def spy(profile, mu, mesh):
+        layouts.append(profile)
+        return smooth(profile, mu, mesh)
+
+    monkeypatch.setattr(mspl.diffuse, "_smooth_capped", spy)
+    return layouts
+
+
+def assert_starts_are_pinned_solves(layouts, surrogate, budget):
+    """Every start is the layout the surrogate solve pinned to its count
+    returns, with the same budget, exactly."""
+    for prof in layouts:
+        opts = SharpOptions(n_jumps=prof.n_jumps, max_iter=budget)
+        assert prof == optimize_sharp(*surrogate, opts).profile
+
+
 def test_sharp_init_restart_gets_the_budget(monkeypatch):
     calls = _spy_on_surrogate(monkeypatch)
+    layouts = _spy_on_starts(monkeypatch)
     mesh = GradedMesh(128, 1.0)
+    surrogate = diffuse_surrogate(1e-2, W00)
     for budget in (7, None, 2000):
         kw = {} if budget is None else {"max_iter": budget}
         calls.clear()
+        layouts.clear()
         minimize_with_restarts(1e-2, W00, mesh, **kw)
-        assert len(calls) >= 3
-        assert {opts.max_iter for _, _, opts in calls} == {500 if budget is None else budget}
+        want = 500 if budget is None else budget
+        assert len(layouts) >= 3
+        assert calls and {opts.max_iter for _, _, opts in calls} == {want}
+        assert_starts_are_pinned_solves(layouts, surrogate, want)
 
 
 # Per-start totals of the memory-10 L-BFGS that the convexified Newton
@@ -715,17 +745,23 @@ def test_slope_reversals_match_the_loop_on_the_period_law_minimizer(period_law_r
 
 def test_sharp_init_start_smooths_the_surrogate_minimizer(monkeypatch):
     calls = _spy_on_surrogate(monkeypatch)
+    layouts = _spy_on_starts(monkeypatch)
     w = WeightParams(0.5, 1.0)
     _, rows = minimize_with_restarts(1e-3, w, GradedMesh(256, 2.0))
     surrogate = diffuse_surrogate(1e-3, w)
     assert surrogate == (2e-3 / 3.0, WeightParams(0.25, 1.0))
     assert all((e, v) == surrogate for e, v, _ in calls)
-    # the first solve finds the surrogate's count n0; each later one pins a
-    # count of the walk, and every count descended has its row
+    assert all(opts.max_iter == 500 for _, _, opts in calls)
+    # the first solve walks to the surrogate's count n0 and starts it; a
+    # later solve pins only a count its table lacks, and every count
+    # descended has its row
     assert calls[0][2].n_jumps is None
-    n0 = optimize_sharp(*surrogate).profile.n_jumps
-    pinned = [opts.n_jumps for _, _, opts in calls[1:]]
-    assert sorted([n0] + pinned) == [r["n_jumps"] for r in rows]
+    walk = optimize_sharp(*surrogate)
+    assert layouts[0] == walk.profile
+    scored = {n for n, _, _, _ in walk.candidates}
+    assert not scored & {opts.n_jumps for _, _, opts in calls[1:]}
+    assert_starts_are_pinned_solves(layouts, surrogate, 500)
+    assert sorted(p.n_jumps for p in layouts) == [r["n_jumps"] for r in rows]
 
 
 def test_a_pinned_count_is_the_only_count_descended(monkeypatch):

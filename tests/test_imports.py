@@ -66,6 +66,18 @@ def test_light_paths_skip_heavy_scipy():
     ) == ["scipy.linalg"]
 
 
+def test_sharp_min_loads_no_diffuse_code():
+    # the sharp-min handler needs the sharp solver, its options and the
+    # numpy-free JSON writer: no report, diffuse or asymptotics module, and
+    # no scipy at all
+    assert loaded(
+        "import shutil, tempfile\nimport mspl.cli\nout = tempfile.mkdtemp()\n"
+        "mspl.cli.main(['sharp-min', '--eps', '1e-2', '--out', out])\n"
+        "shutil.rmtree(out)",
+        ("mspl.reports", "mspl.diffuse", "mspl.asymptotics", "scipy"),
+    ) == []
+
+
 def test_dir_lists_every_public_name_before_any_loads():
     listed = loaded(
         "import mspl\nnames = set(dir(mspl))\n"

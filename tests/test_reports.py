@@ -25,7 +25,7 @@ from mspl import (
     run_period_report,
     sweep_scaling,
 )
-from mspl.reports import sharp_options
+from mspl.sharp import sharp_options
 from mspl.sharp import _refine_jump_positions
 
 SHARP3 = ExperimentConfig(eps_list=(1e-2, 3e-3, 1e-3), model="sharp")

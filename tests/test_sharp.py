@@ -25,10 +25,14 @@ from mspl import (
     optimize_sharp,
     rescaled_min_energy,
 )
-from mspl.core import power_primitive, weighted_square_integrals
+from mspl.core import power_primitive, power_primitives, weighted_square_integrals
 import mspl.sharp
 from mspl.sharp import (
     COLLAPSE_TOL,
+    FTOL,
+    GTOL,
+    LAM_MIN,
+    MAX_BACKTRACKS,
     MAX_JUMPS,
     STALE_COUNTS,
     _gap_energy_and_grad,
@@ -684,20 +688,239 @@ def gap_energy_and_grad_loop(y, eps, w):
 
 
 def test_gap_kernel_matches_loop_reference_bitwise():
-    # zero gaps (first and interior), the beta = 1 pole, beta < 1 and > 1
+    # n = 1 (two gaps), zero gaps (first, which takes the y[0] == 0
+    # branch, interior and last), alpha = 0, the beta = 1 pole, beta < 1
+    # and > 1; against the loop and against the kernel's own reference
     rng = np.random.default_rng(2024)
     for alpha in (0.0, 0.5, 2.0):
         for beta in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5):
             w = WeightParams(alpha, beta)
             for m in (2, 3, 4, 7, 12, 31, 77):
-                for zero in (None, 0, m // 2):
+                for zero in (None, 0, m // 2, m - 1):
                     y = _decode_gaps(rng.normal(scale=3.0, size=m), (m + 1) // 2)
                     if zero is not None:
                         y[zero] = 0.0
                     e_new, g_new = _gap_energy_and_grad(y, 1e-4, w)
-                    e_ref, g_ref = gap_energy_and_grad_loop(y, 1e-4, w)
-                    assert np.float64(e_new).tobytes() == np.float64(e_ref).tobytes()
-                    assert g_new.tobytes() == g_ref.tobytes()
+                    for ref in (gap_energy_and_grad_loop, gap_energy_and_grad_reference):
+                        e_ref, g_ref = ref(y, 1e-4, w)
+                        assert np.float64(e_new).tobytes() == np.float64(e_ref).tobytes()
+                        assert g_new.tobytes() == g_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the refinement's hot loop against the arithmetic it must keep bit for bit
+# ---------------------------------------------------------------------------
+
+
+def gap_energy_and_grad_reference(y: np.ndarray, eps: float, w: WeightParams):
+    """Reference for `_gap_energy_and_grad`: the same arithmetic, with
+    every array formed afresh."""
+    m = y.size
+    bp = np.empty(m + 1)
+    bp[0] = 0.0
+    np.cumsum(y, out=bp[1:])
+    zs = bp[1:-1]
+    signs = np.ones(m)
+    signs[1::2] = -1.0
+    vals = np.concatenate(([0.0], np.cumsum(signs * y)))
+
+    # segments j >= 2 written about t = 0: u(t) = c + sigma_j * t
+    p, q = bp[1:-1], bp[2:]
+    s = signs[1:]
+    c = vals[1:-1] - s * p
+    p0, p1, p2 = power_primitives(p, q, (-w.beta, 1.0 - w.beta, 2.0 - w.beta))
+
+    surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
+    if y[0] == 0.0:
+        # segment 2 starts at t = 0 too: let the general kernel apply its
+        # origin branch and divergence checks
+        seg = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta)
+    else:
+        seg = np.empty(m)
+        # segment 1 has u(0) = 0 and slope 1: only its slope term survives
+        seg[:1] = bp[1:2] ** (3.0 - w.beta) / (3.0 - w.beta)
+        seg[1:] = c * c * p0 + 2.0 * c * s * p1 + s * s * p2
+    energy = surface + float(np.sum(seg))
+
+    # surface suffix term (a jump at z = 0 gives inf: let it flow through)
+    grad = np.full(m, vals[-1] ** 2)
+    if w.alpha != 0.0 and zs.size:
+        with np.errstate(divide="ignore"):
+            zpow = zs ** (w.alpha - 1.0)
+        suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
+        grad += 2.0 * eps * w.alpha * suf
+
+    # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
+    J = np.zeros(m)
+    # a gap of exactly 0 gives 0 * inf here; the refinement never steps
+    # onto one (no step more than halves a gap), so let the nan through
+    # silently
+    with np.errstate(invalid="ignore"):
+        J[1:] = c * p0 + s * p1
+
+    # suffix sums of J by parity, added right to left starting from 0:
+    # suf_even[k] sums J[2k::2], suf_odd[k] sums J[2k+1::2]
+    suf_even = np.cumsum(np.concatenate(([0.0], J[0::2][::-1])))[::-1]
+    suf_odd = np.cumsum(np.concatenate(([0.0], J[1::2][::-1])))[::-1]
+    opp = np.empty(m)
+    opp[0::2] = suf_odd[: (m + 1) // 2]  # even i: odd j > i
+    opp[1::2] = suf_even[1 : m // 2 + 1]  # odd i: even j > i
+    grad += 4.0 * signs * opp
+    return energy, grad
+
+
+def closed_reference(y: np.ndarray) -> np.ndarray:
+    """Reference for `_close`, on a copy of y."""
+    out = y.copy()
+    out[0::2] *= 0.5 / y[0::2].sum()
+    out[1::2] *= 0.5 / y[1::2].sum()
+    return out
+
+
+def jump_hessian_reference(y: np.ndarray, eps: float, w: WeightParams):
+    """Reference for `_jump_hessian`: the same arithmetic, with every
+    array formed afresh."""
+    z = np.cumsum(y)[:-1]
+    n = z.size
+    s = np.ones(n)
+    s[1::2] = -1.0
+    u = np.cumsum(s * y[:-1])
+    P = power_primitive(z, 1.0, -w.beta)
+    idx = np.arange(n)
+    H = 8.0 * np.outer(s, s) * P[np.maximum.outer(idx, idx)]
+    surface = 2.0 * eps * w.alpha * (w.alpha - 1.0) * z ** (w.alpha - 2.0)
+    H[idx, idx] += surface - 4.0 * s * z ** (-w.beta) * u
+    return H, P
+
+
+def refine_jump_positions_reference(
+    n: int, eps: float, w: WeightParams, gamma: float, max_iter: int
+):
+    """Reference for `_refine_jump_positions`: the same descent, with
+    every array of each step formed afresh and a Cholesky factorization
+    tried at every shift."""
+    if n == 1:
+        # closure pins the single jump to 1/2; nothing to optimize
+        gaps = np.array([0.5, 0.5])
+        return gaps, gap_energy_and_grad_reference(gaps, eps, w)[0], True
+
+    y = np.arange(1, n + 2, dtype=float) ** gamma
+    y = closed_reference(y / y.sum())
+    floor = COLLAPSE_TOL * y
+    f, gy = gap_energy_and_grad_reference(y, eps, w)
+    s = np.ones(n)
+    s[1::2] = -1.0
+    eye = np.eye(n)
+    lam = 0.0
+    for _ in range(max_iter):
+        g = gy[:-1] - gy[1:]
+        if np.max(np.abs(g - s * (float(s @ g) / n))) <= GTOL:
+            return y, f, True
+        H, P = jump_hessian_reference(y, eps, w)
+        d = 1.0 / np.sqrt(8.0 * P)
+        H *= np.outer(d, d)
+        dg, ds = d * g, d * s
+        # a multiple of ds ds^T leaves the constrained step as it is; one of
+        # unit curvature, like the scaled diagonal, lifts negative curvature
+        # across the constraint that the step never sees
+        H += np.outer(ds, ds) / float(ds @ ds)
+        while True:
+            A = H + lam * eye
+            try:
+                np.linalg.cholesky(A)
+                break
+            except np.linalg.LinAlgError:
+                lam = max(10.0 * lam, LAM_MIN)
+        a, b = np.linalg.solve(A, np.column_stack((dg, ds))).T
+        p = d * (b * (float(ds @ a) / float(ds @ b)) - a)
+        slope = float(g @ p)
+        if -0.5 * slope <= FTOL * f:
+            # the Newton model predicts no decrease above rounding
+            return y, f, True
+        # p != 0 and dy sums to 0, so some gap shrinks
+        dy = np.diff(p, prepend=0.0, append=0.0)
+        shrink = dy < 0.0
+        t = min(1.0, float(np.min(0.5 * y[shrink] / -dy[shrink])))
+        for _ in range(MAX_BACKTRACKS):
+            y_new = closed_reference(y + t * dy)
+            f_new, gy_new = gap_energy_and_grad_reference(y_new, eps, w)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            return y, f, False
+        done = f - f_new <= FTOL * f
+        y, f, gy = y_new, f_new, gy_new
+        if np.any(y < floor):
+            return None
+        if done:
+            return y, f, True
+        lam /= 10.0
+    return y, f, False
+
+
+ORACLE_WEIGHTS = [
+    WeightParams(0.0, 0.0),
+    WeightParams(0.0, 2.5),  # alpha = 0 drops the surface gradient
+    WeightParams(0.5, 1.0),  # beta = 1 takes the log branch of P
+    WeightParams(1.0, 1.5),
+    WeightParams(1.5, 1.4),
+    WeightParams(2.0, 0.5),
+    WeightParams(-0.5, -0.5),
+]
+
+
+def assert_same_bits(got, want):
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_jump_hessian_matches_its_reference_bitwise():
+    rng = np.random.default_rng(16)
+    for w in ORACLE_WEIGHTS:
+        for m in (2, 3, 4, 5, 8, 13, 40, 91):
+            for zero in (None, m // 2):
+                y = _decode_gaps(rng.normal(scale=3.0, size=m), (m + 1) // 2)
+                if zero is not None and m > 2:
+                    y[zero] = 0.0
+                got, want = _jump_hessian(y, 1e-3, w), jump_hessian_reference(y, 1e-3, w)
+                assert_same_bits(got[0], want[0])
+                assert_same_bits(got[1], want[1])
+
+
+def oracle_counts(eps, w):
+    n0 = jump_count_estimate(eps, w)
+    return sorted({1, max(1, n0 - 3), n0, n0 + 1, n0 + 4})
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_refinement_matches_its_reference_bitwise(eps):
+    # each count's gaps, energy and flag, or a collapse (None) on both
+    # sides; counts below, at and above the optimum, where most collapse
+    for w in ORACLE_WEIGHTS:
+        gamma = default_gamma(w.beta)
+        for n in oracle_counts(eps, w):
+            got = _refine_jump_positions(n, eps, w, gamma, 500)
+            want = refine_jump_positions_reference(n, eps, w, gamma, 500)
+            if want is None:
+                assert got is None
+                continue
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+            assert got[2] is want[2]
+
+
+def test_collapsing_refinement_matches_its_reference():
+    # count 44 at eps = 1e-5 collapses, and a small budget stops a count
+    # unconverged after the same steps
+    w = WeightParams(0.5, 1.0)
+    gamma = default_gamma(w.beta)
+    assert _refine_jump_positions(44, 1e-5, w, gamma, 500) is None
+    assert refine_jump_positions_reference(44, 1e-5, w, gamma, 500) is None
+    got = _refine_jump_positions(40, 1e-5, w, gamma, 7)
+    want = refine_jump_positions_reference(40, 1e-5, w, gamma, 7)
+    assert got[2] is want[2] is False
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
