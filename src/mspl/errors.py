@@ -84,4 +84,4 @@ class UnknownPreset(LabError):
 
 class TooManyJumps(LabError):
     """The sharp solver would have to score a jump count above
-    `sharp.MAX_JUMPS`, whose dense Newton step it does not form."""
+    `sharp.MAX_JUMPS`, which bounds the time of a solve."""

