@@ -35,7 +35,7 @@ _HOMES = {
             "period_law_constant",
         ),
         "config": ("ExperimentConfig", "MeshSpec", "OptimizerSpec", "preset"),
-        "core": ("AffineSegment", "EnergyBreakdown", "integrate_weighted_square"),
+        "core": ("EnergyBreakdown",),
         "diffuse": (
             "DiffuseField",
             "DiffuseMinimum",
@@ -82,12 +82,10 @@ _HOMES = {
         ),
         "sharp": (
             "CumulativeEnergyProfile",
-            "GradedSpacingConfig",
             "SawtoothProfile",
             "SharpMinimum",
             "SharpOptions",
             "amplitude_envelope_ratio",
-            "build_graded_profile",
             "cumulative_energy",
             "default_gamma",
             "distribution_threshold",

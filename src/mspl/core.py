@@ -12,30 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegral, InvalidSegment
+from .errors import DivergentIntegral
 
 # Exponent distance from the 1/t pole below which the logarithmic
 # antiderivative is used instead of the power rule.
 POLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AffineSegment:
-    """u(t) = u0 + slope*(t - t0) on [t0, t1] within the unit interval."""
-
-    t0: float
-    t1: float
-    u0: float
-    slope: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.t0 < self.t1 <= 1.0):
-            raise InvalidSegment(
-                f"need 0 <= t0 < t1 <= 1, got t0={self.t0!r}, t1={self.t1!r}"
-            )
-
-    def __call__(self, t):
-        return self.u0 + self.slope * (np.asarray(t) - self.t0)
 
 
 @dataclass(frozen=True)
@@ -150,9 +131,3 @@ def weighted_square_integrals(t0, t1, u0, slope, beta):
         out[inside] = c * c * p0 + 2.0 * c * s * p1 + s * s * p2
     return out
 
-
-def integrate_weighted_square(seg: AffineSegment, beta: float) -> float:
-    """Exact integral of t**(-beta) * u(t)**2 over one affine segment."""
-    return float(
-        weighted_square_integrals(seg.t0, seg.t1, seg.u0, seg.slope, beta)[0]
-    )

@@ -37,13 +37,7 @@ from .errors import (
     MuTooLarge,
     UnclampedProfile,
 )
-from .sharp import (
-    GradedSpacingConfig,
-    SawtoothProfile,
-    build_graded_profile,
-    default_gamma,
-    jump_count_estimate,
-)
+from .sharp import SawtoothProfile
 from .weights import WeightParams
 
 BOUNDARY_TOL = 1e-12
@@ -514,31 +508,20 @@ def smoothed_graded_init(
     gamma: float | None = None,
     mu: float | None = None,
 ) -> DiffuseField:
-    """Canonical starting point: corner-rounded graded sawtooth.
+    """The diffuse model's start: the minimizer of its sharp-interface
+    limit, `optimize_sharp` at `diffuse_surrogate(eps, w)` (count `n` if
+    given, walked otherwise; start layouts graded by `gamma`), with its
+    corners rounded by caps of half-width mu (default eps), capped at
+    0.45x the minimum gap so the caps never overlap.
 
-    Tooth count defaults to the cheapest count among a small family
-    around `jump_count_estimate` of the model's sharp-interface limit,
-    `diffuse_surrogate(eps, w)`; mu defaults to eps, capped at 0.45x the
-    minimum gap so the caps never overlap.
-    """
-    gamma = default_gamma(w.beta) if gamma is None else gamma
-    mu = eps if mu is None else mu
+    With the defaults this is the field the first descent of
+    `minimize_with_restarts` starts from, and with `n` the start of its
+    descent pinned to n."""
+    # resolved at call time, as in minimize_with_restarts
+    from .sharp import SharpOptions, optimize_sharp
 
-    def make(count: int) -> DiffuseField:
-        prof = build_graded_profile(GradedSpacingConfig(count, gamma))
-        return _smooth_capped(prof, mu, mesh)
-
-    if n is not None:
-        return make(n)
-    base = jump_count_estimate(*diffuse_surrogate(eps, w))
-    counts = sorted({max(1, round(base * fac)) for fac in (0.6, 0.8, 1.0, 1.25, 1.6)})
-    best = None
-    for count in counts:
-        fld = make(count)
-        total = evaluate_diffuse(fld, eps, w).total
-        if best is None or total < best[0]:
-            best = (total, fld)
-    return best[1]
+    found = optimize_sharp(*diffuse_surrogate(eps, w), SharpOptions(gamma=gamma, n_jumps=n))
+    return _smooth_capped(found.profile, eps if mu is None else mu, mesh)
 
 
 def minimize_with_restarts(

@@ -99,91 +99,10 @@ class SawtoothProfile:
         return np.interp(np.asarray(t, dtype=float), self.breakpoints, self.values)
 
 
-@dataclass(frozen=True)
-class GradedSpacingConfig:
-    """Tooth-width grading law: n interior "primary" jumps with gaps
-    proportional to k**gamma, k = 1..n+1."""
-
-    n: int
-    gamma: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidConfig(f"need at least one jump, got n={self.n}")
-        if not self.gamma > -1.0:
-            raise InvalidConfig(f"gamma must exceed -1, got {self.gamma!r}")
-
-    def spacings(self) -> np.ndarray:
-        k = np.arange(1, self.n + 2, dtype=float)
-        y = k**self.gamma
-        return y / y.sum()
-
-
 def default_gamma(beta: float) -> float:
     """Default grading exponent: the smallest nonnegative exponent that
     balances the bulk-sum scaling, plus a 0.25 safety margin."""
     return max(0.0, 2.0 / (3.0 - beta) - 1.0) + 0.25
-
-
-def close_profile(p: SawtoothProfile) -> SawtoothProfile:
-    """Make u(1) = 0 by inserting one auxiliary jump (or, degenerately,
-    deleting one).
-
-    Inserting a jump at w flips every slope after it, so the new boundary
-    value is 2*u(w) - u(1); closure therefore needs u(w) = u(1)/2, which
-    exists by the intermediate value theorem.  The last gap is preferred
-    so the graded teeth stay untouched.
-    """
-    r = p.boundary_value
-    if abs(r) <= CLAMP_TOL:
-        return p
-    bp = p.breakpoints
-    vals = p.values
-    slopes = p.slopes
-
-    # Preferred: solve inside the last gap.
-    s_last = slopes[-1]
-    zn, un = bp[-2], vals[-2]
-    w = 0.5 * (zn + 1.0 - s_last * un)
-    eps_gap = 1e-12 * (bp[-1] - bp[-2])
-    if zn + eps_gap < w < 1.0 - eps_gap:
-        return SawtoothProfile(p.jumps + (w,), p.initial_slope)
-
-    # Otherwise scan gaps from the back for a strict crossing of r/2.
-    target = 0.5 * r
-    for j in range(len(slopes) - 1, -1, -1):
-        a, b = vals[j], vals[j + 1]
-        if (target - a) * (target - b) < 0.0:
-            w = bp[j] + (target - a) / slopes[j]
-            jumps = sorted(p.jumps + (w,))
-            return SawtoothProfile(tuple(jumps), p.initial_slope)
-
-    # Degenerate: r/2 hit exactly at an existing jump -- deleting that
-    # jump flips the tail the same way.
-    for j in range(1, len(bp) - 1):
-        if vals[j] == target:
-            jumps = tuple(z for i, z in enumerate(p.jumps) if i != j - 1)
-            return SawtoothProfile(jumps, p.initial_slope)
-
-    raise InvalidProfile("could not close profile (no crossing of u(1)/2 found)")
-
-
-def build_graded_profile(
-    cfg: GradedSpacingConfig, *, clamp: bool = True
-) -> SawtoothProfile:
-    """Sawtooth with gap widths proportional to k**gamma.
-
-    With clamp=False the profile has exactly cfg.n jumps at the partial
-    sums of the graded gaps and generally does NOT return to zero at
-    t = 1.  With clamp=True (default) one auxiliary jump is added so the
-    result is admissible.
-    """
-    y = cfg.spacings()
-    jumps = np.cumsum(y)[:-1]
-    p = SawtoothProfile(tuple(float(z) for z in jumps))
-    if clamp:
-        p = close_profile(p)
-    return p
 
 
 def evaluate_sharp(
@@ -324,7 +243,8 @@ class SharpMinimum:
 
     `candidates` has one row (n, total, profile, converged) per jump count
     n scored, in count order: the count's one candidate, its refined
-    layout, or its start layout where the refinement collapsed.  `bracket`
+    layout, or its start layout where the refinement collapsed, and its
+    `evaluate_sharp` total, by which the counts are ranked.  `bracket`
     is the lowest and the highest count scored, `n_candidates` the number
     of counts scored."""
 
@@ -679,13 +599,16 @@ def jump_count_estimate(eps: float, w: WeightParams) -> int:
 def _count_candidate(n: int, eps: float, w: WeightParams, gamma: float, max_iter: int):
     """(total, profile, converged) of the one candidate of count n: its
     refined layout, or its unrefined start layout if the refinement
-    collapsed."""
+    collapsed.  The total is `evaluate_sharp`'s, the one `optimize_sharp`
+    reports, not the gap kernel's: in a flat regime the two differ at
+    rounding, and so can their order of the counts."""
     refined = _refine_jump_positions(n, eps, w, gamma, max_iter)
     if refined is None:
-        gaps = _graded_start_gaps(n, gamma)
-        refined = gaps, _gap_energy_and_grad(gaps, eps, w)[0], False
-    gaps, total, ok = refined
-    return total, _profile_from_gaps(gaps), ok
+        gaps, ok = _graded_start_gaps(n, gamma), False
+    else:
+        gaps, _, ok = refined
+    profile = _profile_from_gaps(gaps)
+    return evaluate_sharp(profile, eps, w).total, profile, ok
 
 
 def optimize_sharp(

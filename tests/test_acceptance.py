@@ -11,7 +11,6 @@ import pytest
 from scipy.integrate import quad
 
 from mspl import (
-    AffineSegment,
     CellDensityParams,
     DiffuseField,
     ExperimentConfig,
@@ -26,7 +25,6 @@ from mspl import (
     extract_period,
     fit_scaling,
     gradient_diffuse,
-    integrate_weighted_square,
     minimize_cell,
     minimize_diffuse,
     minimize_with_restarts,
@@ -35,6 +33,7 @@ from mspl import (
     run_distribution_report,
     smoothed_graded_init,
 )
+from mspl.core import weighted_square_integrals
 
 EPS_SWEEP = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 
@@ -192,7 +191,7 @@ def test_criterion_8_oracle_equivalence():
         u0 = float(rng.uniform(-1.0, 1.0))
         slope = float(rng.uniform(-2.0, 2.0))
         beta = float(rng.uniform(-1.0, 2.8))
-        got = integrate_weighted_square(AffineSegment(t0, t1, u0, slope), beta)
+        got = float(weighted_square_integrals(t0, t1, u0, slope, beta)[0])
         want, _ = quad(
             lambda t: t ** (-beta) * (u0 + slope * (t - t0)) ** 2,
             t0, t1, epsabs=1e-14, epsrel=1e-13, limit=200,

@@ -1,17 +1,41 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from mspl import (
-    AffineSegment,
     DivergentIntegral,
     EnergyBreakdown,
     InvalidSegment,
     WeightParams,
-    integrate_weighted_square,
     validate_weights,
 )
-from mspl.core import power_primitive
+from mspl.core import power_primitive, weighted_square_integrals
+
+
+@dataclass(frozen=True)
+class AffineSegment:
+    """u(t) = u0 + slope*(t - t0) on [t0, t1] within the unit interval."""
+
+    t0: float
+    t1: float
+    u0: float
+    slope: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.t0 < self.t1 <= 1.0):
+            raise InvalidSegment(
+                f"need 0 <= t0 < t1 <= 1, got t0={self.t0!r}, t1={self.t1!r}"
+            )
+
+
+def integrate_weighted_square(seg: AffineSegment, beta: float) -> float:
+    """The closed-form integral of t**(-beta) * u(t)**2 over one segment,
+    the scalar case of the vector kernel."""
+    return float(
+        weighted_square_integrals(seg.t0, seg.t1, seg.u0, seg.slope, beta)[0]
+    )
 
 
 def quad_oracle(seg, beta):

@@ -773,6 +773,23 @@ def test_a_pinned_count_is_the_only_count_descended(monkeypatch):
     assert best.energy.total == rows[0]["final_total"]
 
 
+def test_the_start_is_where_the_walk_starts(monkeypatch):
+    # the default start is, bit for bit, the field the walk's first
+    # descent starts from, and a pinned n the surrogate layout pinned to
+    # n, smoothed with caps of half-width eps (below 0.45 of its least gap)
+    eps, w, mesh = 1e-3, WeightParams(0.5, 1.0), GradedMesh(256, 2.0)
+    descents, _ = _spy_on_descents(monkeypatch)
+    minimize_with_restarts(eps, w, mesh)
+    assert np.array_equal(smoothed_graded_init(eps, w, mesh).values, descents[0][0].values)
+    descents.clear()
+    minimize_with_restarts(eps, w, mesh, n_jumps=5)
+    pinned = optimize_sharp(*diffuse_surrogate(eps, w), SharpOptions(n_jumps=5)).profile
+    mu = min(eps, 0.45 * float(np.min(np.diff(pinned.breakpoints))))
+    start = smoothed_graded_init(eps, w, mesh, n=5)
+    assert np.array_equal(start.values, build_smoothed(pinned, mu, mesh).values)
+    assert np.array_equal(start.values, descents[0][0].values)
+
+
 def test_rows_show_a_pinned_count_that_collapses():
     # pinned 8 on the surrogate descends to a layout of 7 teeth
     best, rows = minimize_with_restarts(1e-2, WeightParams(1.5, 1.4), GradedMesh(2048, 1.0))
