@@ -60,7 +60,6 @@ _HOMES = {
             "InvalidPeriod",
             "InvalidProfile",
             "InvalidSample",
-            "InvalidSegment",
             "LabError",
             "MuTooLarge",
             "NonPositiveValue",

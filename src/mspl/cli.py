@@ -32,7 +32,6 @@ def _add_common(p: argparse.ArgumentParser, eps_list=False):
     if eps_list:
         p.add_argument("--eps-list", default=None, help="comma-separated eps values")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--n-jumps", type=int, default=None)
     p.add_argument("--mesh-n", type=int, default=None)
     p.add_argument("--grading-q", type=float, default=None)
@@ -62,10 +61,8 @@ def _build_config(args, model=None) -> ExperimentConfig:
             raise InvalidConfig(f"bad --eps-list: {exc}") from None
     if args.eps is not None:
         d["eps_list"] = [args.eps]
-    for key in ("gamma", "n_jumps"):
-        v = getattr(args, key)
-        if v is not None:
-            d[key] = v
+    if args.n_jumps is not None:
+        d["n_jumps"] = args.n_jumps
     if args.mesh_n is not None or args.grading_q is not None:
         d["mesh"] = {
             "n": args.mesh_n if args.mesh_n is not None else cfg.mesh.n,

@@ -30,7 +30,6 @@ class ExperimentConfig:
     model: str = "sharp"
     mesh: MeshSpec = field(default_factory=MeshSpec)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
-    gamma: float | None = None
     n_jumps: int | None = None
     out_dir: str = "."
     formats: tuple[str, ...] = ("csv", "json")

@@ -505,14 +505,12 @@ def smoothed_graded_init(
     w: WeightParams,
     mesh: GradedMesh,
     n: int | None = None,
-    gamma: float | None = None,
-    mu: float | None = None,
 ) -> DiffuseField:
     """The diffuse model's start: the minimizer of its sharp-interface
     limit, `optimize_sharp` at `diffuse_surrogate(eps, w)` (count `n` if
-    given, walked otherwise; start layouts graded by `gamma`), with its
-    corners rounded by caps of half-width mu (default eps), capped at
-    0.45x the minimum gap so the caps never overlap.
+    given, walked otherwise), with its corners rounded by caps of
+    half-width eps, capped at 0.45x the minimum gap so the caps never
+    overlap.
 
     With the defaults this is the field the first descent of
     `minimize_with_restarts` starts from, and with `n` the start of its
@@ -520,8 +518,8 @@ def smoothed_graded_init(
     # resolved at call time, as in minimize_with_restarts
     from .sharp import SharpOptions, optimize_sharp
 
-    found = optimize_sharp(*diffuse_surrogate(eps, w), SharpOptions(gamma=gamma, n_jumps=n))
-    return _smooth_capped(found.profile, eps if mu is None else mu, mesh)
+    found = optimize_sharp(*diffuse_surrogate(eps, w), SharpOptions(n_jumps=n))
+    return _smooth_capped(found.profile, eps, mesh)
 
 
 def minimize_with_restarts(
@@ -534,7 +532,6 @@ def minimize_with_restarts(
     seed: int | None = None,
     tol: float | None = None,
     max_iter: int = 500,
-    gamma: float | None = None,
 ):
     """Walk the tooth count of the diffuse minimum.
 
@@ -556,7 +553,8 @@ def minimize_with_restarts(
     leg's count starts from its row; only a count the table lacks is
     pinned on the surrogate.
 
-    `restarts` and `seed` are ignored: the walk has no random starts.
+    `restarts` and `seed` are ignored: the walk has no random starts, and
+    each sharp solve grades its start layouts by `default_gamma`.
     Returns (best DiffuseMinimum, diagnostics rows); one row per count
     descended, in count order, with the pinned count `n_jumps`, the tooth
     count `teeth` the descent ended with (it differs where the descent
@@ -567,9 +565,7 @@ def minimize_with_restarts(
     from .sharp import SharpOptions, optimize_sharp
 
     surrogate = diffuse_surrogate(eps, w)
-    found = optimize_sharp(
-        *surrogate, SharpOptions(gamma=gamma, n_jumps=n_jumps, max_iter=max_iter)
-    )
+    found = optimize_sharp(*surrogate, SharpOptions(n_jumps=n_jumps, max_iter=max_iter))
     # count -> its layout on the surrogate
     layouts = {n: profile for n, _, profile, _ in found.candidates}
     rows = []
@@ -596,7 +592,7 @@ def minimize_with_restarts(
         for leg in (range(n0 - 1, 0, -1), range(n0 + 1, mesh.n)):
             for n in leg:
                 if n not in layouts:
-                    opts = SharpOptions(gamma=gamma, n_jumps=n, max_iter=max_iter)
+                    opts = SharpOptions(n_jumps=n, max_iter=max_iter)
                     layouts[n] = optimize_sharp(*surrogate, opts).profile
                 res = descend(layouts[n], best.energy.total)
                 if not res.energy.total < best.energy.total:

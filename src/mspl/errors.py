@@ -16,10 +16,6 @@ class DivergentIntegral(LabError):
     integrable against the given profile near t = 0)."""
 
 
-class InvalidSegment(LabError):
-    """Affine segment endpoints are out of order or leave [0, 1]."""
-
-
 class InvalidProfile(LabError):
     """Sawtooth jump list violates ordering / interior constraints."""
 

@@ -14,7 +14,7 @@ re-running a configuration reproduces byte-identical files.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,19 +56,11 @@ class ScalingFit:
     n_points: int
 
 
-def fit_scaling(pairs, ys=None) -> ScalingFit:
-    """Least-squares power-law fit on log-log data.
-
-    Accepts either a sequence of (x, y) pairs or two parallel arrays.
-    """
-    if ys is None:
-        arr = np.asarray(list(pairs), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InsufficientData("need (x, y) pairs")
-        xs, ys = arr[:, 0], arr[:, 1]
-    else:
-        xs = np.asarray(pairs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+def fit_scaling(xs, ys) -> ScalingFit:
+    """Least-squares power-law fit of ys against xs, two parallel 1-d
+    arrays, on log-log axes."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise InsufficientData("need matching 1-d arrays")
     if xs.size < 3:
@@ -103,7 +95,7 @@ class SweepReport:
 
 def diffuse_minimum(eps: float, cfg: ExperimentConfig):
     """`minimize_with_restarts` at eps on the configuration's mesh, with
-    its pinned jump count, tolerance, budget and grading.  Returns (best
+    its pinned jump count, tolerance and budget.  Returns (best
     DiffuseMinimum, diagnostics rows)."""
     return minimize_with_restarts(
         eps,
@@ -112,7 +104,6 @@ def diffuse_minimum(eps: float, cfg: ExperimentConfig):
         n_jumps=cfg.n_jumps,
         tol=cfg.optimizer.tol,
         max_iter=cfg.optimizer.max_iter,
-        gamma=cfg.gamma,
     )
 
 
@@ -316,9 +307,7 @@ def run_period_report(cfg: ExperimentConfig, s_list) -> PeriodReport:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool too, as 0/1
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12g}"
@@ -333,83 +322,47 @@ def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _public_row(r: dict, header: list[str]) -> dict:
-    return {k: r[k] for k in header}
-
-
-def _fit_dict(fit: ScalingFit | None):
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-    }
-
-
-def emit_sweep(report: SweepReport, out_dir: str) -> list[str]:
+def _emit(cfg, out_dir, stem, header, rows, payload, plot) -> list[str]:
+    """Write `stem`.csv, `stem`.json and, with cfg.plot, `stem`.svg into
+    out_dir as cfg asks; returns the paths written.  Both tables hold the
+    header's columns of `rows`; the JSON adds `params` and `payload`.
+    `plot(path)` draws the SVG, importing svgplot itself, so that no run
+    without a plot loads it."""
     os.makedirs(out_dir, exist_ok=True)
-    cfg = report.config
+    rows = [{k: r[k] for k in header} for r in rows]
     written = []
-    rows = [
-        {**_public_row(r, SWEEP_HEADER)}
-        for r in report.rows
-    ]
     if "csv" in cfg.formats:
-        path = os.path.join(out_dir, "sweep_scaling.csv")
-        write_csv(path, SWEEP_HEADER, rows)
-        written.append(path)
+        written.append(os.path.join(out_dir, f"{stem}.csv"))
+        write_csv(written[-1], header, rows)
     if "json" in cfg.formats:
-        path = os.path.join(out_dir, "sweep_scaling.json")
-        write_json(
-            path,
-            {
-                "kind": "sweep-scaling",
-                "params": cfg.to_dict(),
-                "rows": rows,
-                "fits": {m: _fit_dict(f) for m, f in report.fits.items()},
-                "flagged": report.flagged,
-            },
-        )
-        written.append(path)
+        written.append(os.path.join(out_dir, f"{stem}.json"))
+        write_json(written[-1], {**payload, "params": cfg.to_dict(), "rows": rows})
     if cfg.plot:
-        from .svgplot import loglog_sweep_plot
-
-        path = os.path.join(out_dir, "sweep_scaling.svg")
-        loglog_sweep_plot(path, report)
-        written.append(path)
+        written.append(os.path.join(out_dir, f"{stem}.svg"))
+        plot(written[-1])
     return written
 
 
+def emit_sweep(report: SweepReport, out_dir: str) -> list[str]:
+    def plot(path):
+        from .svgplot import loglog_sweep_plot
+
+        loglog_sweep_plot(path, report)
+
+    payload = {
+        "kind": "sweep-scaling",
+        "fits": {m: asdict(f) for m, f in report.fits.items()},
+        "flagged": report.flagged,
+    }
+    return _emit(
+        report.config, out_dir, "sweep_scaling", SWEEP_HEADER, report.rows, payload, plot
+    )
+
+
 def emit_distribution(report: DistributionReport, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    cfg = report.config
-    written = []
-    rows = [_public_row(r, PROFILE_HEADER) for r in report.rows]
-    if "csv" in cfg.formats:
-        path = os.path.join(out_dir, "energy_profile.csv")
-        write_csv(path, PROFILE_HEADER, rows)
-        written.append(path)
-    if "json" in cfg.formats:
-        path = os.path.join(out_dir, "energy_profile.json")
-        write_json(
-            path,
-            {
-                "kind": "energy-profile",
-                "params": cfg.to_dict(),
-                "eps": report.eps,
-                "threshold": report.threshold,
-                "spread": report.spread,
-                "rows": rows,
-                "warnings": report.warnings,
-            },
-        )
-        written.append(path)
-    if cfg.plot:
+    def plot(path):
         from .svgplot import ratio_plot
 
-        path = os.path.join(out_dir, "energy_profile.svg")
         ratio_plot(
             path,
             [r["x"] for r in report.rows],
@@ -420,39 +373,26 @@ def emit_distribution(report: DistributionReport, out_dir: str) -> list[str]:
             ylabel="phi/(x eps^2/3)",
             logx=True,
         )
-        written.append(path)
-    return written
+
+    payload = {
+        "kind": "energy-profile",
+        "eps": report.eps,
+        "threshold": report.threshold,
+        "spread": report.spread,
+        "warnings": report.warnings,
+    }
+    return _emit(
+        report.config, out_dir, "energy_profile", PROFILE_HEADER, report.rows, payload, plot
+    )
 
 
 def emit_period(report: PeriodReport, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    cfg = report.config
     written = []
     for model, rows in report.rows_by_model.items():
-        pub = [_public_row(r, PERIOD_HEADER) for r in rows]
-        if "csv" in cfg.formats:
-            path = os.path.join(out_dir, f"period_check_{model}.csv")
-            write_csv(path, PERIOD_HEADER, pub)
-            written.append(path)
-        if "json" in cfg.formats:
-            path = os.path.join(out_dir, f"period_check_{model}.json")
-            write_json(
-                path,
-                {
-                    "kind": "period-check",
-                    "model": model,
-                    "params": cfg.to_dict(),
-                    "eps": report.eps,
-                    "rows": pub,
-                    "fit": _fit_dict(report.fits.get(model)),
-                    "warnings": report.warnings,
-                },
-            )
-            written.append(path)
-        if cfg.plot:
+
+        def plot(path):
             from .svgplot import ratio_plot
 
-            path = os.path.join(out_dir, f"period_check_{model}.svg")
             finite = [r for r in rows if math.isfinite(r["ratio"])]
             ratio_plot(
                 path,
@@ -463,5 +403,16 @@ def emit_period(report: PeriodReport, out_dir: str) -> list[str]:
                 ylabel="h_emp/h_pred",
                 logx=False,
             )
-            written.append(path)
+
+        fit = report.fits.get(model)
+        payload = {
+            "kind": "period-check",
+            "model": model,
+            "eps": report.eps,
+            "fit": None if fit is None else asdict(fit),
+            "warnings": report.warnings,
+        }
+        written += _emit(
+            report.config, out_dir, f"period_check_{model}", PERIOD_HEADER, rows, payload, plot
+        )
     return written

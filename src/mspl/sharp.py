@@ -100,8 +100,9 @@ class SawtoothProfile:
 
 
 def default_gamma(beta: float) -> float:
-    """Default grading exponent: the smallest nonnegative exponent that
-    balances the bulk-sum scaling, plus a 0.25 safety margin."""
+    """Grading exponent of every start layout `optimize_sharp` refines:
+    the smallest nonnegative exponent that balances the bulk-sum scaling,
+    plus a 0.25 safety margin."""
     return max(0.0, 2.0 / (3.0 - beta) - 1.0) + 0.25
 
 
@@ -213,13 +214,11 @@ def cumulative_energy(
 
 @dataclass(frozen=True)
 class SharpOptions:
-    """Knobs for optimize_sharp: the grading exponent of the starting
-    layouts (default `default_gamma`), a jump count to solve instead of
-    walking the counts from `jump_count_estimate`, the Newton step budget
-    per count, and whether to refine at all (refine=False takes zero
-    steps)."""
+    """Knobs for optimize_sharp: a jump count to solve instead of walking
+    the counts from `jump_count_estimate`, the Newton step budget per
+    count, and whether to refine at all (refine=False takes zero steps).
+    The start layouts are always graded by `default_gamma`."""
 
-    gamma: float | None = None
     n_jumps: int | None = None
     max_iter: int = 500
     refine: bool = True
@@ -230,11 +229,9 @@ class SharpOptions:
 
 
 def sharp_options(cfg: "ExperimentConfig") -> SharpOptions:
-    """Options of every sharp solve a configuration runs: its grading,
-    its jump count if one is fixed, and its iteration budget."""
-    return SharpOptions(
-        gamma=cfg.gamma, n_jumps=cfg.n_jumps, max_iter=cfg.optimizer.max_iter
-    )
+    """Options of every sharp solve a configuration runs: its jump count
+    if one is fixed, and its iteration budget."""
+    return SharpOptions(n_jumps=cfg.n_jumps, max_iter=cfg.optimizer.max_iter)
 
 
 @dataclass(frozen=True)
@@ -619,8 +616,9 @@ def optimize_sharp(
     Each count scored has one candidate: its jump positions refined on
     the closure manifold by damped Newton steps with the exact Hessian
     (`_refine_jump_positions`, at most `max_iter` steps, none with
-    refine=False).  A refinement whose gap falls below COLLAPSE_TOL times
-    its graded starting width has collapsed into a layout of fewer teeth:
+    refine=False), from widths graded by `default_gamma(w.beta)`.  A
+    refinement whose gap falls below COLLAPSE_TOL times its starting
+    width has collapsed into a layout of fewer teeth:
     it is stopped there, and the count is scored by its unrefined start
     layout instead, marked unconverged.
 
@@ -645,7 +643,7 @@ def optimize_sharp(
     if not w.beta < 3.0:
         raise DivergentIntegral(f"beta={w.beta:g} >= 3: no finite minimizer")
     opts = options or SharpOptions()
-    gamma = opts.gamma if opts.gamma is not None else default_gamma(w.beta)
+    gamma = default_gamma(w.beta)
     max_iter = opts.max_iter if opts.refine else 0
 
     # count -> (total, profile, converged), in the order scored

@@ -161,9 +161,16 @@ def test_missing_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_threads_flag_is_rejected(capsys):
+# sweeps run in one thread, and the sharp solver grades every start by
+# default_gamma: neither has a flag
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep-scaling", "--threads", "2"], ["sharp-min", "--gamma", "0.5"]],
+    ids=["threads", "gamma"],
+)
+def test_threads_flag_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["sweep-scaling", "--threads", "2"])
+        main(argv)
     assert exc.value.code == 2
 
 

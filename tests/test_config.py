@@ -46,7 +46,6 @@ def test_json_round_trip():
         model="both",
         mesh=MeshSpec(8192, 1.0),
         optimizer=OptimizerSpec(1e-7, 900),
-        gamma=0.75,
         n_jumps=11,
         out_dir="runs/x",
         plot=True,
@@ -79,6 +78,9 @@ def test_unknown_field_rejected():
         ExperimentConfig.from_dict({"seed": 0})
     with pytest.raises(InvalidConfig):
         ExperimentConfig.from_dict({"optimizer": {"restarts": 3}})
+    # the sharp solver grades every start by default_gamma; no grading to set
+    with pytest.raises(InvalidConfig, match="gamma"):
+        ExperimentConfig.from_dict({"gamma": 0.5})
 
 
 def test_presets():

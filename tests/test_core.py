@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from mspl import (
     DivergentIntegral,
     EnergyBreakdown,
-    InvalidSegment,
     WeightParams,
     validate_weights,
 )
@@ -25,7 +24,7 @@ class AffineSegment:
 
     def __post_init__(self):
         if not (0.0 <= self.t0 < self.t1 <= 1.0):
-            raise InvalidSegment(
+            raise ValueError(
                 f"need 0 <= t0 < t1 <= 1, got t0={self.t0!r}, t1={self.t1!r}"
             )
 
@@ -132,11 +131,11 @@ def test_singular_endpoint():
 
 
 def test_segment_validation():
-    with pytest.raises(InvalidSegment):
+    with pytest.raises(ValueError):
         AffineSegment(0.5, 0.5, 0.0, 1.0)
-    with pytest.raises(InvalidSegment):
+    with pytest.raises(ValueError):
         AffineSegment(-0.1, 0.5, 0.0, 1.0)
-    with pytest.raises(InvalidSegment):
+    with pytest.raises(ValueError):
         AffineSegment(0.2, 1.5, 0.0, 1.0)
 
 

@@ -50,22 +50,15 @@ def test_fit_linear_law():
     assert fit_scaling(eps, eps).slope == pytest.approx(1.0, abs=1e-12)
 
 
-def test_fit_accepts_pairs():
-    pairs = [(1e-3, 2e-2), (1e-2, 9e-2), (1e-1, 4.3e-1)]
-    a = fit_scaling(pairs)
-    b = fit_scaling([p[0] for p in pairs], [p[1] for p in pairs])
-    assert a == b
-
-
 def test_fit_validation():
     with pytest.raises(InsufficientData):
-        fit_scaling([(1.0, 1.0), (2.0, 2.0)])
+        fit_scaling([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(InsufficientData):
         fit_scaling([1.0, 2.0, 3.0], [1.0, 2.0])
     with pytest.raises(NonPositiveValue):
         fit_scaling([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
     with pytest.raises(InsufficientData):
-        fit_scaling([((1.0, 2.0), (3.0, 4.0))])
+        fit_scaling([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +154,8 @@ def test_sharp_options_carry_the_shared_budget():
     # the shared budget defaults to 500, the sharp default too, and
     # reaches the sharp solves uncapped
     assert sharp_options(ExperimentConfig()).max_iter == SharpOptions().max_iter == 500
-    cfg = ExperimentConfig(optimizer=OptimizerSpec(max_iter=2000), gamma=0.5, n_jumps=7)
-    assert sharp_options(cfg) == SharpOptions(gamma=0.5, n_jumps=7, max_iter=2000)
+    cfg = ExperimentConfig(optimizer=OptimizerSpec(max_iter=2000), n_jumps=7)
+    assert sharp_options(cfg) == SharpOptions(n_jumps=7, max_iter=2000)
 
 
 def test_distribution_warns_outside_hypothesis():
