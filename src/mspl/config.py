@@ -2,6 +2,7 @@
 run needs, with presets for the standard weight regimes."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import InvalidConfig, UnknownPreset
@@ -40,8 +41,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"model must be one of {_MODELS}, got {self.model!r}")
         if not self.eps_list:
             raise InvalidConfig("eps_list must be nonempty")
-        if any(not e > 0.0 for e in self.eps_list):
-            raise InvalidConfig("every eps must be positive")
+        if any(not 0.0 < e < math.inf for e in self.eps_list):
+            raise InvalidConfig("every eps must be positive and finite")
         if len(set(self.eps_list)) != len(self.eps_list):
             raise InvalidConfig("eps_list has duplicates")
         for fmt in self.formats:

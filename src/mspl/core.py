@@ -60,20 +60,26 @@ def power_primitives(t0, t1, exponents):
     expm1 so each value varies continuously (to rounding) as p crosses
     the switch.
     """
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    out = []
     # optimizers probe degenerate trial segments (t0 -> 0, gap -> 0);
     # let inf/nan propagate silently so a line search can reject them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.log(t1 / t0)
-        for p in exponents:
-            q = p + 1.0
-            if abs(q) < POLE_TOL:
-                out.append(r + 0.0 * t0)
-            else:
-                # (t1**q - t0**q)/q = t0**q * expm1(q*log(t1/t0)) / q
-                out.append(t0**q * np.expm1(q * r) / q)
+        return power_primitives_unguarded(t0, t1, exponents)
+
+
+def power_primitives_unguarded(t0, t1, exponents):
+    """`power_primitives` under the caller's floating-point error state,
+    for a kernel that silences degenerate segments in a scope of its own."""
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    out = []
+    r = np.log(t1 / t0)
+    for p in exponents:
+        q = p + 1.0
+        if abs(q) < POLE_TOL:
+            out.append(r + 0.0 * t0)
+        else:
+            # (t1**q - t0**q)/q = t0**q * expm1(q*log(t1/t0)) / q
+            out.append(t0**q * np.expm1(q * r) / q)
     return tuple(out)
 
 

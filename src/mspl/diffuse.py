@@ -18,6 +18,7 @@ the smoothed minimizer of the model's sharp-interface limit
 (`diffuse_surrogate`) at the count.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -320,8 +321,8 @@ def evaluate_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> Energy
     """Discrete energy of a nodal field, split into curvature (surface),
     double-well, and singular-bulk parts.  The bulk integrates the linear
     interpolant against t**(-beta) exactly."""
-    if not eps > 0.0:
-        raise InvalidConfig(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
     if not w.beta < 3.0:
         raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
     ops = _operators(field.mesh.n, field.mesh.q, w.alpha, w.beta)
@@ -404,8 +405,8 @@ def minimize_diffuse(
     above the bound.  The trace decreases, so the projection is at most
     f_k and an abandoned descent ends above the bound.
     """
-    if not eps > 0.0:
-        raise InvalidConfig(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
     # imported here so commands that never minimize skip loading scipy.linalg
     from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 

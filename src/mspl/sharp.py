@@ -10,7 +10,6 @@ here is exact given the jump positions; optimization is over those
 positions and their count.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -21,7 +20,7 @@ import numpy as np
 from .core import (
     EnergyBreakdown,
     power_primitive,
-    power_primitives,
+    power_primitives_unguarded,
     weighted_square_integrals,
 )
 from .errors import (
@@ -119,8 +118,8 @@ def evaluate_sharp(
     curvature mass 2); bulk integrates t**(-beta) u**2 in closed form
     per segment.  The well component is identically zero in this model.
     """
-    if not eps > 0.0:
-        raise InvalidConfig(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
     if not w.beta < 3.0:
         raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
     if profile.unclamped and not allow_unclamped:
@@ -293,8 +292,16 @@ def _alternating_signs(m: int) -> np.ndarray:
     return signs
 
 
-def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
-    """Energy and its exact gradient in the (unconstrained) gap widths y >= 0.
+def _gap_kernel(y: np.ndarray, m: np.ndarray, eps: float, w: WeightParams):
+    """Energies and their exact gradients in the (unconstrained) gap
+    widths y >= 0 of a batch of layouts.
+
+    Row i of the (B, M) array y holds the m[i] gaps of one layout, padded
+    with zeros: padded gaps add zero-width segments at the right end,
+    where every segment integral and first moment is exactly 0.  The
+    elementwise work runs on whole rows, and each sum runs on its row's
+    own unpadded slice, so a row's results do not depend on the rest of
+    the batch.
 
     One pass: each power primitive of the segments after the first is
     computed once and serves both the segment integrals and the first
@@ -312,74 +319,90 @@ def _gap_energy_and_grad(y: np.ndarray, eps: float, w: WeightParams):
     Products with a slope sigma = +-1 are exact and are regrouped freely;
     every other operation keeps the order of the formulas above.
 
-    Also returns what the Newton step reuses: p0, the integrals of
-    t**-beta over the segments after the first, and vals, u at 0, at
-    each jump and at the right end.
+    Returns (energies, grad, p0, vals, zs): a list of the B energies, the
+    (B, M) gradients, and what the Newton step reuses: p0, the integrals
+    of t**-beta over the segments after the first, vals, u at 0, at each
+    jump and at the right end, and zs, the jump positions.  Entries past
+    a row's own m[i] gaps (m[i] - 1 jumps) are padding; those of p0 are 0.
     """
-    m = y.size
-    signs = _alternating_signs(m)
-    bp = np.empty(m + 1)
-    bp[0] = 0.0
-    y.cumsum(out=bp[1:])
-    zs = bp[1:-1]
-    vals = np.empty(m + 1)
-    vals[0] = 0.0
-    np.multiply(signs, y, out=vals[1:]).cumsum(out=vals[1:])
+    b, M = y.shape
+    signs = _alternating_signs(M)
+    bp = np.zeros((b, M + 1))
+    y.cumsum(axis=1, out=bp[:, 1:])
+    zs = bp[:, 1:-1]
+    vals = np.zeros((b, M + 1))
+    np.multiply(signs, y, out=vals[:, 1:]).cumsum(axis=1, out=vals[:, 1:])
+    inner = np.arange(1, M) < m[:, None]
 
     # segments j >= 2 written about t = 0: u(t) = c + sigma_j * t
-    p, q = bp[1:-1], bp[2:]
+    p, q = bp[:, 1:-1], bp[:, 2:]
     s = signs[1:]
-    c = vals[1:-1] - s * p
-    p0, p1, p2 = power_primitives(p, q, (-w.beta, 1.0 - w.beta, 2.0 - w.beta))
-    sp1 = s * p1
-
-    surface = 2.0 * eps * float((zs**w.alpha).sum()) if zs.size else 0.0
-    if y[0] == 0.0:
-        # segment 2 starts at t = 0 too: let the general kernel apply its
-        # origin branch and divergence checks
-        seg = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta)
-    else:
-        seg = np.empty(m)
-        # segment 1 has u(0) = 0 and slope 1: only its slope term survives
-        seg[:1] = bp[1:2] ** (3.0 - w.beta) / (3.0 - w.beta)
-        # sigma**2 = 1
-        np.add(c * c * p0 + 2.0 * c * sp1, p2, out=seg[1:])
-    energy = surface + float(seg.sum())
-
-    # surface suffix term (a jump at z = 0 gives inf: let it flow through);
-    # the last gap moves no jump
-    grad = np.empty(m)
-    grad.fill(vals[-1] ** 2)
-    if w.alpha != 0.0 and zs.size:
-        with np.errstate(divide="ignore"):
-            zpow = zs ** (w.alpha - 1.0)
-        grad[:-1] += 2.0 * eps * w.alpha * zpow[::-1].cumsum()[::-1]
-
+    c = vals[:, 1:-1] - s * p
     # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2,
     # in a buffer whose pairs (J_{2k}, J_{2k+1}), padded with zeros to
     # even length plus one zero pair, are the rows of a (K + 1, 2) array
-    K = (m + 1) // 2
-    buf = np.zeros(2 * K + 2)
-    # a gap of exactly 0 gives 0 * inf here; the refinement never steps
-    # onto one (no step more than halves a gap), so let the nan through
-    # silently
-    with np.errstate(invalid="ignore"):
-        np.add(c * p0, sp1, out=buf[1:m])
+    K = (M + 1) // 2
+    buf = np.zeros((b, 2 * K + 2))
+    zpow = np.zeros((b, M - 1))
+    # degenerate segments (a gap of exactly 0) give inf or nan here: 0 * inf
+    # in the first moments, 1/0 in the surface gradient of a jump at 0; the
+    # refinement never steps onto one (no step more than halves a gap), so
+    # let them through silently
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p0, p1, p2 = power_primitives_unguarded(
+            p, q, (-w.beta, 1.0 - w.beta, 2.0 - w.beta)
+        )
+        sp1 = s * p1
+        np.add(c * p0, sp1, out=buf[:, 1:M], where=inner)
+        if w.alpha != 0.0:
+            np.power(zs, w.alpha - 1.0, out=zpow, where=inner)
+
+    seg = np.empty((b, M))
+    # a layout whose first gap is 0 has segment 2 start at t = 0 too: let
+    # the general kernel apply its origin branch and divergence checks
+    lead = [] if y[:, 0].all() else np.flatnonzero(y[:, 0] == 0.0)
+    rows = np.flatnonzero(y[:, 0] != 0.0) if len(lead) else slice(None)
+    # segment 1 has u(0) = 0 and slope 1: only its slope term survives
+    seg[rows, 0] = bp[rows, 1] ** (3.0 - w.beta) / (3.0 - w.beta)
+    # sigma**2 = 1
+    seg[rows, 1:] = c[rows] * c[rows] * p0[rows] + 2.0 * c[rows] * sp1[rows] + p2[rows]
+    for i in lead:
+        k = m[i]
+        seg[i, :k] = weighted_square_integrals(
+            bp[i, :k], bp[i, 1 : k + 1], vals[i, :k], signs[:k], w.beta
+        )
+    zsa = zs**w.alpha
+    energies = [
+        2.0 * eps * float(np.add.reduce(zsa[i, : k - 1])) + float(np.add.reduce(seg[i, :k]))
+        for i, k in enumerate(m.tolist())
+    ]
+
+    # surface suffix term (a jump at z = 0 gives inf: let it flow through);
+    # the last gap moves no jump.  Padded rows read u(1) at their end too,
+    # squared by the scalar power, which rounds unlike the array square
+    grad = np.empty((b, M))
+    grad[:] = np.array([u**2 for u in vals[:, -1].tolist()])[:, None]
+    if w.alpha != 0.0:
+        grad[:, :-1] += 2.0 * eps * w.alpha * zpow[:, ::-1].cumsum(axis=1)[:, ::-1]
     # suffix sums of J by parity, added bottom to top starting from the
     # zero pair: row k then holds (sum J[2k::2], sum J[2k+1::2]), so the
     # sum over later segments of the opposite parity of segment i is
     # entry i + 1 of the flat buffer
-    rows = buf.reshape(K + 1, 2)[::-1]
-    rows.cumsum(axis=0, out=rows)
-    grad += 4.0 * signs * buf[1 : m + 1]
-    return energy, grad, p0, vals
+    pairs = buf.reshape(b, K + 1, 2)[:, ::-1]
+    pairs.cumsum(axis=1, out=pairs)
+    grad += 4.0 * signs * buf[:, 1 : M + 1]
+    return energies, grad, p0, vals, zs
 
 
-def _close(y: np.ndarray) -> np.ndarray:
-    """Rescale each parity of the gaps y in place to sum to 1/2, so the
-    profile ends at t = 1 with u(1) = 0; returns y."""
-    y[0::2] *= 0.5 / y[0::2].sum()
-    y[1::2] *= 0.5 / y[1::2].sum()
+def _close(y: np.ndarray, m) -> np.ndarray:
+    """Rescale each parity of the m[i] gaps of each row i of y in place to
+    sum to 1/2, so each profile ends at t = 1 with u(1) = 0; returns y."""
+    even, odd = [], []
+    for row, k in zip(y, m):
+        even.append(0.5 / np.add.reduce(row[0:k:2]))
+        odd.append(0.5 / np.add.reduce(row[1:k:2]))
+    y[:, 0::2] *= np.array(even)[:, None]
+    y[:, 1::2] *= np.array(odd)[:, None]
     return y
 
 
@@ -388,17 +411,17 @@ def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
     each parity rescaled to sum to 1/2 so the profile closes."""
     k = np.arange(1, n + 2, dtype=float)
     y = k**gamma
-    return _close(y / y.sum())
+    return _close((y / y.sum())[None], [n + 1])[0]
 
 
 def _tridiagonal_solve(p0: list, e: list, h: list):
-    """The solve of `_newton_step` against its tridiagonal T / 8, by the
-    LDL^T factorization of T / 8, or None at the first pivot not > 0 (nan
-    included), where T is not positive definite.
+    """The solve of `_newton_steps` against one layout's tridiagonal T / 8,
+    by the LDL^T factorization of T / 8, or None at the first pivot not
+    > 0 (nan included), where T is not positive definite.
 
     T / 8 has diagonal p0_k + e_k + e_{k+1} and off-diagonal -e_{k+1}:
     p0 holds the n segment integrals and e the n + 1 entries e_k / 8 of
-    `_newton_step`.  h holds the n entries s_k r_k / 8.  Returns vhat_k =
+    `_newton_steps`.  h holds the n entries s_k r_k / 8.  Returns vhat_k =
     s_k v_k for k = 1..n, where vhat_n = v_n = 0, and a last 0."""
     n = len(p0)
     d = p0[0] + e[0] + e[1]
@@ -425,12 +448,15 @@ def _tridiagonal_solve(p0: list, e: list, h: list):
     return vhat
 
 
-def _newton_step(y, g, p0, vals, lam: float, eps: float, w: WeightParams):
-    """Gap change of the constrained Newton step of `_refine_jump_positions`
-    at the layout with gaps y and position gradient g, and the shift it
-    took: lam, raised tenfold from LAM_MIN until the step's matrix is
-    positive definite.  p0 and vals are the segment integrals and vertex
-    values of the layout's kernel call.  O(n): no n x n array is formed.
+def _newton_steps(g, zs, p0, vals, m, lam: list, eps: float, w: WeightParams):
+    """Gap changes of the constrained Newton steps of
+    `_refine_jump_positions` at a batch of layouts, as the rows of a
+    zero-padded array like the gaps, and the shifts they took: each row's
+    lam, raised tenfold from LAM_MIN until its step's matrix is positive
+    definite.  Row i has m[i] gaps and position gradient g[i, :m[i] - 1];
+    zs, p0 and vals are the jump positions, segment integrals and vertex
+    values of the layouts' kernel call.  O(n) per layout: no n x n array
+    is formed.
 
     Moving z_k flips the slope of everything to its right, so
     du(t)/dz_k = 2 s_k [t > z_k], s_k the slope just left of z_k.  With
@@ -460,35 +486,49 @@ def _newton_step(y, g, p0, vals, lam: float, eps: float, w: WeightParams):
     the definiteness test.  The signs alternate, so r_k = s_k (g_k + g_{k+1})
     and, with vhat_k = s_k v_k (0 outside 1..n), p_k = vhat_k + vhat_{k-1}
     and the gap change p_k - p_{k-1} is vhat_k - vhat_{k-2}.  T is solved
-    as T / 8, which scales exactly."""
-    n = g.size
-    s = _alternating_signs(n + 1)[:-1]
-    z = y[:-1].cumsum()
-    P = p0[::-1].cumsum()[::-1]
+    as T / 8, which scales exactly.  Each layout keeps its own
+    factorization and its own sum in c."""
+    M = vals.shape[1] - 1
+    s = _alternating_signs(M)[:-1]
+    jumps = np.arange(M - 1) < (m - 1)[:, None]
+    P = p0[:, ::-1].cumsum(axis=1)[:, ::-1]
     # e_k / 8 at lam = 0, and e_{n+1} / 8 = c / 8, which no shift moves
     E = (
-        0.25 * eps * w.alpha * (w.alpha - 1.0) * z ** (w.alpha - 2.0)
-        - 0.5 * s * z ** (-w.beta) * vals[1:-1]
+        0.25 * eps * w.alpha * (w.alpha - 1.0) * zs ** (w.alpha - 2.0)
+        - 0.5 * s * zs ** (-w.beta) * vals[:, 1:-1]
     )
-    c = 1.0 / float((1.0 / P).sum())
+    inv_P = np.divide(1.0, P, out=np.zeros_like(P), where=jumps)
     # s_k r_k / 8
     h = g.copy()
-    h[:-1] += g[1:]
+    np.add(h[:, :-1], g[:, 1:], out=h[:, :-1], where=jumps[:, 1:])
     h *= 0.125
-    p0_list, h_list = p0.tolist(), h.tolist()
-    while (vhat := _tridiagonal_solve(p0_list, (E + lam * P).tolist() + [c], h_list)) is None:
-        lam = max(10.0 * lam, LAM_MIN)
-    dy = np.array(vhat)
-    dy[2:] -= dy[:-2]
+    p0_rows, h_rows = p0.tolist(), h.tolist()
+    e_rows = (E + np.array(lam)[:, None] * P).tolist()
+    lam = list(lam)
+    steps = []
+    for i, k in enumerate((m - 1).tolist()):
+        c = 1.0 / float(np.add.reduce(inv_P[i, :k]))
+        p0_i, h_i = p0_rows[i][:k], h_rows[i][:k]
+        e_i = e_rows[i][:k]
+        while (vhat := _tridiagonal_solve(p0_i, e_i + [c], h_i)) is None:
+            lam[i] = max(10.0 * lam[i], LAM_MIN)
+            e_i = (E[i, :k] + lam[i] * P[i, :k]).tolist()
+        steps.append(vhat + [0.0] * (M - k - 1))
+    # the gap changes vhat_k - vhat_{k-2}, which reach two columns into
+    # each row's padding
+    dy = np.array(steps)
+    dy[:, 2:] -= dy[:, :-2]
+    np.copyto(dy, 0.0, where=np.arange(M) >= m[:, None])
     return dy, lam
 
 
 def _refine_jump_positions(
-    n: int, eps: float, w: WeightParams, gamma: float, max_iter: int
-):
-    """Best n-jump profile: damped Newton descent on the interior jump
-    positions z from the parity-projected graded gaps, with the exact
-    Hessian and the gradient of the fused gap kernel.
+    counts, eps: float, w: WeightParams, gamma: float, max_iter: int
+) -> list:
+    """Best n-jump profile for each count n in `counts`: damped Newton
+    descent on the interior jump positions z from the parity-projected
+    graded gaps, with the exact Hessian and the gradient of the fused gap
+    kernel.
 
     Closure is the linear constraint sum_k s_k z_k = const (s_k the slope
     left of z_k), eliminated in each step.  The step's matrix is the
@@ -499,7 +539,7 @@ def _refine_jump_positions(
     tenfold after each step.  That matrix is congruent to a tridiagonal
     one built from the segment integrals and vertex values the accepted
     kernel call already computed, so one LDL^T factorization in O(n) both
-    tests it and gives the step (`_newton_step`); no n x n array is
+    tests it and gives the step (`_newton_steps`); no n x n array is
     formed.  A step shrinks no gap by more than half, is backtracked to an
     Armijo decrease, and the gaps of each parity are rescaled to sum to
     1/2, so rounding cannot drift u(1) away from 0.  The descent has
@@ -508,49 +548,120 @@ def _refine_jump_positions(
     It stops unconverged after max_iter steps, or when no backtracked step
     lowers the energy.
 
-    Returns (gaps, energy, converged), or None once the layout collapses:
-    some gap falls below COLLAPSE_TOL times its own starting width.  The
-    descent stops there, and the layout is not returned, because it is
-    really one of fewer teeth."""
-    if n == 1:
-        # closure pins the single jump to 1/2; nothing to optimize
-        gaps = np.array([0.5, 0.5])
-        return gaps, _gap_energy_and_grad(gaps, eps, w)[0], True
+    The counts descend together, each on its own: every round evaluates
+    the next trial layout of each count still descending in one kernel
+    call, and sets up the next steps of the counts it moved in one
+    `_newton_steps` call.  A count leaves the batch once it converges,
+    collapses or stalls, and its result is bit for bit that of a batch of
+    one.
 
-    y = _graded_start_gaps(n, gamma)
+    Returns one entry per count: (gaps, energy, converged), or None once
+    the layout collapses: some gap falls below COLLAPSE_TOL times its own
+    starting width.  The descent stops there, and the layout is not
+    returned, because it is really one of fewer teeth."""
+    counts = list(counts)
+    m = np.array(counts) + 1
+    y = np.zeros((len(counts), int(m.max())))
+    for i, n in enumerate(counts):
+        # closure pins a single jump to 1/2: nothing to optimize
+        y[i, : n + 1] = (0.5, 0.5) if n == 1 else _graded_start_gaps(n, gamma)
     floor = COLLAPSE_TOL * y
-    f, gy, p0, vals = _gap_energy_and_grad(y, eps, w)
-    s = _alternating_signs(n + 1)[:-1]
-    lam = 0.0
-    for _ in range(max_iter):
-        g = gy[:-1] - gy[1:]
-        if np.abs(g - s * (float(s @ g) / n)).max() <= GTOL:
-            return y, f, True
-        dy, lam = _newton_step(y, g, p0, vals, lam, eps, w)
-        # the slope g . p, summed by parts
-        slope = float(gy @ dy)
-        if -0.5 * slope <= FTOL * f:
-            # the Newton model predicts no decrease above rounding
-            return y, f, True
+    dy = np.zeros_like(y)
+    results: list = [None] * len(counts)
+    # per count: energy, step length, slope g . p and shift of the current
+    # step, steps taken (-1 before the start is scored), failed trials
+    f = [0.0] * len(counts)
+    t = [0.0] * len(counts)
+    slope = [0.0] * len(counts)
+    lam = [0.0] * len(counts)
+    steps = [-1] * len(counts)
+    tries = [0] * len(counts)
+
+    def finish(i, ok):
+        results[i] = y[i, : m[i]].copy(), f[i], ok
+
+    def advance(rows, gy, p0, vals, zs) -> list:
+        """Test the counts in `rows`, which have just moved to layouts with
+        the kernel results gy, p0, vals and zs, for convergence, and set up
+        the next step of the others; returns those that search along it."""
+        mm = m[rows]
+        g = gy[:, :-1] - gy[:, 1:]
+        # the projected-gradient inf-norm of each layout
+        s = _alternating_signs(y.shape[1])[:-1]
+        mean = [float(s[:n] @ g[r, :n]) / n for r, n in enumerate((mm - 1).tolist())]
+        jumps = np.arange(g.shape[1]) < (mm - 1)[:, None]
+        dev = np.abs(g - s * np.array(mean)[:, None]).max(axis=1, where=jumps, initial=0.0)
+        going = []
+        for r, i in enumerate(rows):
+            if dev[r] <= GTOL:
+                finish(i, True)
+            else:
+                going.append(r)
+        if not going:
+            return []
+        if len(going) < len(rows):
+            rows, mm = [rows[r] for r in going], mm[going]
+            g, gy, p0, vals, zs = g[going], gy[going], p0[going], vals[going], zs[going]
+        step, lam_taken = _newton_steps(g, zs, p0, vals, mm, [lam[i] for i in rows], eps, w)
+        gaps = y[rows]
         # p != 0 and dy sums to 0, so some gap shrinks: dy / y has a
         # negative minimum, and t caps the fastest shrink at half its gap
-        t = min(1.0, -0.5 / float((dy / y).min()))
-        for _ in range(MAX_BACKTRACKS):
-            y_new = _close(y + t * dy)
-            f_new, gy_new, p0_new, vals_new = _gap_energy_and_grad(y_new, eps, w)
-            if f_new <= f + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            return y, f, False
-        done = f - f_new <= FTOL * f
-        y, f, gy, p0, vals = y_new, f_new, gy_new, p0_new, vals_new
-        if (y < floor).any():
-            return None
-        if done:
-            return y, f, True
-        lam /= 10.0
-    return y, f, False
+        shrink = np.divide(step, gaps, out=np.full_like(gaps, np.inf), where=gaps > 0.0)
+        shrink = shrink.min(axis=1).tolist()
+        searching = []
+        for r, i in enumerate(rows):
+            lam[i] = lam_taken[r]
+            # the slope g . p, summed by parts
+            slope[i] = float(gy[r, : mm[r]] @ step[r, : mm[r]])
+            if -0.5 * slope[i] <= FTOL * f[i]:
+                # the Newton model predicts no decrease above rounding
+                finish(i, True)
+                continue
+            dy[i], t[i], tries[i] = step[r], min(1.0, -0.5 / shrink[r]), 0
+            searching.append(i)
+        return searching
+
+    active = list(range(len(counts)))
+    trial = y.copy()
+    while active:
+        f_new, gy, p0, vals, zs = _gap_kernel(trial, m[active], eps, w)
+        collapsed = (trial < floor[active]).any(axis=1).tolist()
+        moved, searching = [], []
+        for j, i in enumerate(active):
+            if steps[i] < 0:
+                steps[i], f[i] = 0, f_new[j]
+                if counts[i] == 1:
+                    finish(i, True)
+                    continue
+            elif f_new[j] <= f[i] + 1e-4 * t[i] * slope[i]:
+                done = f[i] - f_new[j] <= FTOL * f[i]
+                y[i], f[i] = trial[j], f_new[j]
+                if collapsed[j]:
+                    continue
+                if done:
+                    finish(i, True)
+                    continue
+                lam[i] /= 10.0
+                steps[i] += 1
+            else:
+                t[i] *= 0.5
+                tries[i] += 1
+                if tries[i] == MAX_BACKTRACKS:
+                    finish(i, False)
+                else:
+                    searching.append(i)
+                continue
+            if steps[i] == max_iter:
+                finish(i, False)
+            else:
+                moved.append(j)
+        if moved:
+            if len(moved) < len(active):
+                gy, p0, vals, zs = gy[moved], p0[moved], vals[moved], zs[moved]
+            searching += advance([active[j] for j in moved], gy, p0, vals, zs)
+        active = sorted(searching)
+        trial = _close(y[active] + np.array(t)[active, None] * dy[active], m[active].tolist())
+    return results
 
 
 def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
@@ -593,19 +704,22 @@ def jump_count_estimate(eps: float, w: WeightParams) -> int:
     return max(1, round(float((12.0 * eps) ** (-1.0 / 3.0) * density)))
 
 
-def _count_candidate(n: int, eps: float, w: WeightParams, gamma: float, max_iter: int):
-    """(total, profile, converged) of the one candidate of count n: its
-    refined layout, or its unrefined start layout if the refinement
-    collapsed.  The total is `evaluate_sharp`'s, the one `optimize_sharp`
-    reports, not the gap kernel's: in a flat regime the two differ at
-    rounding, and so can their order of the counts."""
-    refined = _refine_jump_positions(n, eps, w, gamma, max_iter)
-    if refined is None:
-        gaps, ok = _graded_start_gaps(n, gamma), False
-    else:
-        gaps, _, ok = refined
-    profile = _profile_from_gaps(gaps)
-    return evaluate_sharp(profile, eps, w).total, profile, ok
+def _count_candidates(counts, eps: float, w: WeightParams, gamma: float, max_iter: int):
+    """{n: (total, profile, converged)} of the one candidate of each count
+    n in `counts`, refined together: its refined layout, or its unrefined
+    start layout if the refinement collapsed.  The total is
+    `evaluate_sharp`'s, the one `optimize_sharp` reports, not the gap
+    kernel's: in a flat regime the two differ at rounding, and so can
+    their order of the counts."""
+    out = {}
+    for n, refined in zip(counts, _refine_jump_positions(counts, eps, w, gamma, max_iter)):
+        if refined is None:
+            gaps, ok = _graded_start_gaps(n, gamma), False
+        else:
+            gaps, _, ok = refined
+        profile = _profile_from_gaps(gaps)
+        out[n] = evaluate_sharp(profile, eps, w).total, profile, ok
+    return out
 
 
 def optimize_sharp(
@@ -630,6 +744,12 @@ def optimize_sharp(
     the counts above it (at (0.5, 0.5), eps = 1e-7, count 137 collapses
     and 139 and 141 are lower still), so it does not end a leg by itself.
 
+    The walk scores its counts in rounds, each refining together the
+    counts the walk is certain to reach: first n0 - STALE_COUNTS to
+    n0 + STALE_COUNTS, then the STALE_COUNTS counts past any count that
+    lowers the best.  It scores the counts a one-at-a-time walk scores,
+    and each count's row is the one its own solve gives, bit for bit.
+
     A count above MAX_JUMPS, pinned or reached by the walk, raises
     TooManyJumps before it is scored: a start above it fails before any
     count is solved, and a walk that climbs past it fails rather than
@@ -638,41 +758,47 @@ def optimize_sharp(
     The result keeps every count's candidate in `SharpMinimum.candidates`:
     the row of count n is what the same options pinned to n return.
     """
-    if not eps > 0.0:
-        raise InvalidConfig(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
     if not w.beta < 3.0:
         raise DivergentIntegral(f"beta={w.beta:g} >= 3: no finite minimizer")
     opts = options or SharpOptions()
     gamma = default_gamma(w.beta)
     max_iter = opts.max_iter if opts.refine else 0
 
-    # count -> (total, profile, converged), in the order scored
+    # count -> (total, profile, converged)
     candidates: dict[int, tuple[float, SawtoothProfile, bool]] = {}
 
-    def score(n: int) -> float:
-        if n > MAX_JUMPS:
-            raise TooManyJumps(
-                f"jump count {n} at eps={eps:g}, weights ({w.alpha:g}, {w.beta:g}) "
-                f"is above MAX_JUMPS = {MAX_JUMPS}"
-            )
-        candidates[n] = _count_candidate(n, eps, w, gamma, max_iter)
-        return candidates[n][0]
+    def score(counts: list[int]) -> None:
+        """Score counts the walk is certain to reach, in walk order."""
+        for n in counts:
+            if n > MAX_JUMPS:
+                raise TooManyJumps(
+                    f"jump count {n} at eps={eps:g}, weights ({w.alpha:g}, {w.beta:g}) "
+                    f"is above MAX_JUMPS = {MAX_JUMPS}"
+                )
+        candidates.update(_count_candidates(counts, eps, w, gamma, max_iter))
 
     if opts.n_jumps is not None:
-        score(opts.n_jumps)
+        score([opts.n_jumps])
     else:
         n0 = jump_count_estimate(eps, w)
+        # n0 lowers the infinite best, so each leg scores at least its
+        # first STALE_COUNTS counts after n0's
+        score([*range(n0, max(0, n0 - STALE_COUNTS - 1), -1), *range(n0 + 1, n0 + STALE_COUNTS + 1)])
         best = math.inf
-        for leg in (range(n0, 0, -1), itertools.count(n0 + 1)):
+        for n, step in ((n0, -1), (n0 + 1, 1)):
             stale = 0
-            for n in leg:
-                total = score(n)
+            while n >= 1 and stale < STALE_COUNTS:
+                if n not in candidates:
+                    # the leg goes on for at least its remaining stale counts
+                    score([k for k in range(n, n + step * (STALE_COUNTS - stale), step) if k >= 1])
+                total = candidates[n][0]
                 if total < best:
                     best, stale = total, 0
-                    continue
-                stale += 1
-                if stale == STALE_COUNTS:
-                    break
+                else:
+                    stale += 1
+                n += step
 
     table = tuple((n, *candidates[n]) for n in sorted(candidates))
     _, _, best_profile, ok = min(

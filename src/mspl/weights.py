@@ -4,7 +4,10 @@ Pure Python, so the commands that only describe a regime (`cell`,
 `preset`) load no numerical library.
 """
 
+import math
 from dataclasses import dataclass
+
+from .errors import InvalidConfig
 
 
 @dataclass(frozen=True)
@@ -14,6 +17,12 @@ class WeightParams:
 
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise InvalidConfig(
+                f"weight exponents must be finite, got ({self.alpha!r}, {self.beta!r})"
+            )
 
     @property
     def beta_ok(self) -> bool:

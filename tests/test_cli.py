@@ -155,6 +155,26 @@ def test_sharp_count_above_the_limit_is_an_error(tmp_path, capsys):
     assert "MAX_JUMPS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sharp-min", "--eps", "inf"),
+        ("sharp-min", "--alpha", "nan", "--eps", "1e-2"),
+        ("diffuse-min", "--eps", "inf"),
+    ],
+    ids=("sharp-eps-inf", "sharp-alpha-nan", "diffuse-eps-inf"),
+)
+def test_non_finite_input_is_config_error(tmp_path, capsys, argv):
+    # refused with one line before any solve, like --eps 0; a RuntimeWarning
+    # would fail the test (pytest turns them into errors)
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

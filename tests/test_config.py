@@ -1,6 +1,7 @@
 """Experiment configuration: defaults, validation, serialization, presets."""
 
 import json
+import math
 
 import pytest
 
@@ -37,6 +38,18 @@ def test_validation_rejects_nonsense():
         ExperimentConfig(eps_list=(1e-2, 1e-2))
     with pytest.raises(InvalidConfig):
         ExperimentConfig(formats=("csv", "xml"))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_eps_and_weights_rejected(bad):
+    with pytest.raises(InvalidConfig, match="finite"):
+        ExperimentConfig(eps_list=(1e-2, bad))
+    with pytest.raises(InvalidConfig, match="finite"):
+        WeightParams(bad, 1.0)
+    with pytest.raises(InvalidConfig, match="finite"):
+        WeightParams(0.5, bad)
+    with pytest.raises(InvalidConfig, match="finite"):
+        ExperimentConfig.from_dict({"weights": {"alpha": bad, "beta": 1.0}})
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 """Sawtooth construction, exact evaluation, and the jump-count optimizer."""
 
+import math
 import os
 import subprocess
 import sys
@@ -37,15 +38,31 @@ from mspl.sharp import (
     MAX_BACKTRACKS,
     MAX_JUMPS,
     STALE_COUNTS,
-    _gap_energy_and_grad,
-    _graded_start_gaps,
-    _profile_from_gaps,
-    _newton_step,
-    _refine_jump_positions,
     _close,
+    _gap_kernel,
+    _graded_start_gaps,
+    _newton_steps,
+    _profile_from_gaps,
+    _refine_jump_positions,
     default_gamma,
     jump_count_estimate,
 )
+
+
+def close(y):
+    """`_close` on one layout."""
+    return _close(y[None], [y.size])[0]
+
+
+def gap_energy_and_grad(y, eps, w):
+    """The gap kernel on one layout: its energy and gradient."""
+    energies, grad = _gap_kernel(y[None], np.array([y.size]), eps, w)[:2]
+    return energies[0], grad[0]
+
+
+def refine(n, eps, w, gamma, max_iter):
+    """`_refine_jump_positions` on the single count n."""
+    return _refine_jump_positions([n], eps, w, gamma, max_iter)[0]
 
 
 def _decode_gaps(x, k_odd):
@@ -77,7 +94,7 @@ def random_clamped_profile(rng, n_lo=1, n_hi=12):
     zs = np.sort(rng.uniform(0.02, 0.98, size=n))
     zs = zs[np.concatenate(([True], np.diff(zs) > 1e-3))]
     # rescale each parity of the gaps to sum to 1/2, so the profile closes
-    return _profile_from_gaps(_close(np.diff(zs, prepend=0.0, append=1.0)))
+    return _profile_from_gaps(close(np.diff(zs, prepend=0.0, append=1.0)))
 
 
 def test_profile_validation():
@@ -465,7 +482,7 @@ def test_a_collapse_does_not_end_the_upward_leg(monkeypatch):
     # The estimate starts the walk at 141 itself, so start it below 137
     eps, w = 1e-7, WeightParams(0.5, 0.5)
     gamma = default_gamma(w.beta)
-    assert _refine_jump_positions(137, eps, w, gamma, 500) is None
+    assert refine(137, eps, w, gamma, 500) is None
     start_walk_at(monkeypatch, 129)
     res = optimize_sharp(eps, w)
     assert res.converged
@@ -517,7 +534,7 @@ def test_a_start_above_max_jumps_raises_before_any_solve(monkeypatch):
     def never(*args):
         raise AssertionError("a count was solved")
 
-    monkeypatch.setattr(mspl.sharp, "_count_candidate", never)
+    monkeypatch.setattr(mspl.sharp, "_count_candidates", never)
     with pytest.raises(TooManyJumps):
         optimize_sharp(eps, w)
     with pytest.raises(TooManyJumps):
@@ -612,15 +629,15 @@ def test_a_surface_dominated_count_stops_where_a_bulk_tolerance_would(monkeypatc
     # stops at the same step
     eps, w = 1e-2, WeightParams(0.0, 0.0)
     gamma = default_gamma(w.beta)
-    y, f, ok = _refine_jump_positions(20, eps, w, gamma, 500)
+    y, f, ok = refine(20, eps, w, gamma, 500)
     assert ok
     exact = evaluate_sharp(SawtoothProfile(tuple((2 * k - 1) / 40 for k in range(1, 21))), eps, w)
     assert f == pytest.approx(exact.total, rel=1e-15)
-    gy = _gap_energy_and_grad(y, eps, w)[1]
+    gy = gap_energy_and_grad(y, eps, w)[1]
     g = gy[:-1] - gy[1:]
     assert -0.5 * float(g @ dense_step(dense_step_matrix(y, eps, w), g, 0.0)) <= FTOL * exact.bulk
     monkeypatch.setattr(mspl.sharp, "FTOL", FTOL * exact.bulk / exact.total)
-    y_bulk, f_bulk, ok_bulk = _refine_jump_positions(20, eps, w, gamma, 500)
+    y_bulk, f_bulk, ok_bulk = refine(20, eps, w, gamma, 500)
     assert ok_bulk and f_bulk == f
     assert_same_bits(y_bulk, y)
 
@@ -637,15 +654,16 @@ def test_tiny_first_gaps_are_not_a_collapse():
 
 
 def count_kernel_calls(monkeypatch) -> list:
-    """Spy on the gap kernel: one entry per call lands in the list."""
+    """Spy on the gap kernel: one entry per call lands in the list, the
+    number of layouts the call evaluated."""
     calls = []
-    kernel = mspl.sharp._gap_energy_and_grad
+    kernel = mspl.sharp._gap_kernel
 
-    def counting(*args):
-        calls.append(None)
-        return kernel(*args)
+    def counting(y, *args):
+        calls.append(y.shape[0])
+        return kernel(y, *args)
 
-    monkeypatch.setattr(mspl.sharp, "_gap_energy_and_grad", counting)
+    monkeypatch.setattr(mspl.sharp, "_gap_kernel", counting)
     return calls
 
 
@@ -670,12 +688,13 @@ def test_walk_at_smallest_sweep_eps_converges_every_refinement(monkeypatch):
     # at the iteration cap
     eps, w = 1e-5, WeightParams(0.5, 1.0)
     calls = count_kernel_calls(monkeypatch)
-    refine = mspl.sharp._refine_jump_positions
+    refine_counts = mspl.sharp._refine_jump_positions
     refined = {}
 
-    def recording(n, *args):
-        refined[n] = refine(n, *args)
-        return refined[n]
+    def recording(counts, *args):
+        results = refine_counts(counts, *args)
+        refined.update(zip(counts, results))
+        return results
 
     monkeypatch.setattr(mspl.sharp, "_refine_jump_positions", recording)
     res = optimize_sharp(eps, w)
@@ -685,6 +704,60 @@ def test_walk_at_smallest_sweep_eps_converges_every_refinement(monkeypatch):
     assert all(r is None or r[2] for r in refined.values())
 
 
+@pytest.mark.parametrize(
+    "eps,w",
+    [(1e-4, WeightParams(0.5, 1.0)), (1e-5, WeightParams(0.5, 1.0)), (1e-2, WeightParams(1.5, 1.4))],
+    ids=("0.5-1-1e-4", "0.5-1-1e-5", "1.5-1.4-1e-2"),
+)
+def test_walk_rows_are_the_pinned_solves(eps, w):
+    # the walk refines its counts together, yet each row is bit for bit
+    # the solve pinned to its count; at eps = 1e-5 counts 42-45 collapse
+    res = optimize_sharp(eps, w)
+    for n, total, profile, ok in res.candidates:
+        ((n_pinned, total_pinned, profile_pinned, ok_pinned),) = optimize_sharp(
+            eps, w, SharpOptions(n_jumps=n)
+        ).candidates
+        assert n_pinned == n
+        assert repr(total_pinned) == repr(total)
+        assert profile_pinned == profile
+        assert ok_pinned is ok
+
+
+def test_walk_shares_its_kernel_calls_between_counts(monkeypatch):
+    # the walk at eps = 1e-5 scores counts 36..45: each count's 145 Newton
+    # steps in all, 296 tridiagonal solves and 162 layout evaluations are
+    # those of one-at-a-time solves, which made one kernel call per
+    # evaluation; refined together the counts share 35 calls
+    eps, w = 1e-5, WeightParams(0.5, 1.0)
+    calls = count_kernel_calls(monkeypatch)
+    steps, solves = [], []
+    newton_steps, solve = mspl.sharp._newton_steps, mspl.sharp._tridiagonal_solve
+
+    def stepping(g, *args):
+        steps.append(g.shape[0])
+        return newton_steps(g, *args)
+
+    def solving(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(mspl.sharp, "_newton_steps", stepping)
+    monkeypatch.setattr(mspl.sharp, "_tridiagonal_solve", solving)
+    t0 = time.perf_counter()
+    res = optimize_sharp(eps, w)
+    seconds = time.perf_counter() - t0
+    print(
+        f"walk at ({w.alpha:g}, {w.beta:g}), eps = {eps:g}: {res.n_candidates} counts, "
+        f"{len(calls)} kernel calls for {sum(calls)} layouts, {sum(steps)} Newton steps, "
+        f"{len(solves)} tridiagonal solves, {seconds:.3f} s"
+    )
+    assert res.bracket == (36, 45) and res.n_candidates == 10
+    assert sum(calls) == 162
+    assert sum(steps) == 145
+    assert len(solves) == 296
+    assert len(calls) <= 60
+
+
 def test_curvature_across_the_closure_is_not_damped(monkeypatch):
     # near the 48-jump optimum at (1, 2.5), eps = 1e-2, the scaled Hessian
     # has a negative eigenvalue across the closure constraint while its
@@ -692,9 +765,18 @@ def test_curvature_across_the_closure_is_not_damped(monkeypatch):
     # former crawls to the iteration cap, the constrained step converges
     eps, w = 1e-2, WeightParams(1.0, 2.5)
     calls = count_kernel_calls(monkeypatch)
-    refined = _refine_jump_positions(48, eps, w, default_gamma(w.beta), 500)
+    refined = refine(48, eps, w, default_gamma(w.beta), 500)
     assert refined is not None and refined[2]
     assert len(calls) < 100
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1e-3])
+def test_eps_that_is_not_positive_and_finite_rejected(eps):
+    w = WeightParams(0.5, 1.0)
+    with pytest.raises(InvalidConfig, match="finite"):
+        optimize_sharp(eps, w)
+    with pytest.raises(InvalidConfig, match="finite"):
+        evaluate_sharp(SawtoothProfile((0.5,)), eps, w)
 
 
 def test_nonpositive_jump_count_rejected():
@@ -707,7 +789,7 @@ def test_collapsed_gap_gradient_is_silent():
     # resulting 0 * inf in the first moments must not leak a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grad = _gap_energy_and_grad(
+        grad = gap_energy_and_grad(
             np.array([0.0, 0.25, 0.5, 0.25]), 1e-5, WeightParams(0.5, 1.0)
         )[1]
     assert grad.shape == (4,)
@@ -754,21 +836,31 @@ def gap_energy_and_grad_loop(y, eps, w):
 def test_gap_kernel_matches_loop_reference_bitwise():
     # n = 1 (two gaps), zero gaps (first, which takes the y[0] == 0
     # branch, interior and last), alpha = 0, the beta = 1 pole, beta < 1
-    # and > 1; against the loop and against the kernel's own reference
+    # and > 1; against the loop and against the kernel's own reference,
+    # each layout alone and in one zero-padded batch of all 28 layouts
     rng = np.random.default_rng(2024)
     for alpha in (0.0, 0.5, 2.0):
         for beta in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5):
             w = WeightParams(alpha, beta)
+            layouts = []
             for m in (2, 3, 4, 7, 12, 31, 77):
                 for zero in (None, 0, m // 2, m - 1):
                     y = _decode_gaps(rng.normal(scale=3.0, size=m), (m + 1) // 2)
                     if zero is not None:
                         y[zero] = 0.0
-                    e_new, g_new = _gap_energy_and_grad(y, 1e-4, w)[:2]
-                    for ref in (gap_energy_and_grad_loop, gap_energy_and_grad_reference):
-                        e_ref, g_ref = ref(y, 1e-4, w)
-                        assert np.float64(e_new).tobytes() == np.float64(e_ref).tobytes()
-                        assert g_new.tobytes() == g_ref.tobytes()
+                    layouts.append(y)
+            batch = np.zeros((len(layouts), 77))
+            for row, y in zip(batch, layouts):
+                row[: y.size] = y
+            sizes = np.array([y.size for y in layouts])
+            energies, grads = _gap_kernel(batch, sizes, 1e-4, w)[:2]
+            for y, e_batch, g_batch in zip(layouts, energies, grads):
+                e_new, g_new = gap_energy_and_grad(y, 1e-4, w)
+                for ref in (gap_energy_and_grad_loop, gap_energy_and_grad_reference):
+                    e_ref, g_ref = ref(y, 1e-4, w)
+                    for e, g in ((e_new, g_new), (e_batch, g_batch[: y.size])):
+                        assert np.float64(e).tobytes() == np.float64(e_ref).tobytes()
+                        assert g.tobytes() == g_ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +871,8 @@ def test_gap_kernel_matches_loop_reference_bitwise():
 
 
 def gap_energy_and_grad_reference(y: np.ndarray, eps: float, w: WeightParams):
-    """Reference for `_gap_energy_and_grad`: the same arithmetic, with
-    every array formed afresh."""
+    """Reference for `_gap_kernel` on one layout: the same arithmetic,
+    with every array formed afresh."""
     m = y.size
     bp = np.empty(m + 1)
     bp[0] = 0.0
@@ -882,7 +974,7 @@ def dense_step_matrix(y: np.ndarray, eps: float, w: WeightParams):
 
 
 def dense_step(matrix, g: np.ndarray, lam: float):
-    """Reference for `_newton_step`: the constrained Newton step for the
+    """Reference for `_newton_steps`: the constrained Newton step for the
     position gradient g by two dense solves against the step's matrix
     (from `dense_step_matrix`) shifted by lam, or None where its Cholesky
     factorization fails."""
@@ -986,7 +1078,7 @@ def test_refinement_matches_its_reference(eps):
         gamma = default_gamma(w.beta)
         for n in oracle_counts(eps, w):
             assert_same_refinement(
-                _refine_jump_positions(n, eps, w, gamma, 500),
+                refine(n, eps, w, gamma, 500),
                 refine_jump_positions_reference(n, eps, w, gamma, 500),
             )
 
@@ -996,9 +1088,9 @@ def test_collapsing_refinement_matches_its_reference():
     # unconverged after the same steps
     w = WeightParams(0.5, 1.0)
     gamma = default_gamma(w.beta)
-    assert _refine_jump_positions(44, 1e-5, w, gamma, 500) is None
+    assert refine(44, 1e-5, w, gamma, 500) is None
     assert refine_jump_positions_reference(44, 1e-5, w, gamma, 500) is None
-    got = _refine_jump_positions(40, 1e-5, w, gamma, 7)
+    got = refine(40, 1e-5, w, gamma, 7)
     want = refine_jump_positions_reference(40, 1e-5, w, gamma, 7)
     assert got[2] is want[2] is False
     assert_same_refinement(got, want)
@@ -1016,15 +1108,17 @@ def test_newton_step_matches_the_dense_step():
         w = WeightParams(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 2.9))
         eps = 10.0 ** rng.uniform(-8.0, -2.0)
         y = _decode_gaps(rng.normal(size=n + 1), (n + 2) // 2)
-        _, gy, p0, vals = _gap_energy_and_grad(y, eps, w)
-        g = gy[:-1] - gy[1:]
+        m = np.array([n + 1])
+        _, gy, p0, vals, zs = _gap_kernel(y[None], m, eps, w)
+        gs = gy[:, :-1] - gy[:, 1:]
+        g = gs[0]
         matrix = dense_step_matrix(y, eps, w)
         eig = np.linalg.eigvalsh(matrix[0])
         for lam0 in (0.0, 1e-3, 1.0):
             lam = lam0
             while (want := dense_step(matrix, g, lam)) is None:
                 lam = max(10.0 * lam, LAM_MIN)
-            dy, lam_taken = _newton_step(y, g, p0, vals, lam0, eps, w)
+            (dy,), (lam_taken,) = _newton_steps(gs, zs, p0, vals, m, [lam0], eps, w)
             assert lam_taken == lam
             raised += lam != lam0
             if eig[-1] + lam < 1e8 * (eig[0] + lam):
@@ -1046,7 +1140,7 @@ def test_gap_gradient_matches_finite_differences(alpha, beta):
     eps = 1e-3
     for m in (4, 9):
         y = _decode_gaps(rng.normal(scale=0.5, size=m), (m + 1) // 2)
-        energy, grad = _gap_energy_and_grad(y, eps, w)[:2]
+        energy, grad = gap_energy_and_grad(y, eps, w)
         # the gaps close the profile, so the kernel scores a real profile
         ref = evaluate_sharp(_profile_from_gaps(y), eps, w).total
         assert energy == pytest.approx(ref, rel=1e-13)
@@ -1057,8 +1151,8 @@ def test_gap_gradient_matches_finite_differences(alpha, beta):
             up[i] += h
             dn[i] -= h
             fd[i] = (
-                _gap_energy_and_grad(up, eps, w)[0]
-                - _gap_energy_and_grad(dn, eps, w)[0]
+                gap_energy_and_grad(up, eps, w)[0]
+                - gap_energy_and_grad(dn, eps, w)[0]
             ) / (2.0 * h)
         assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
@@ -1073,7 +1167,7 @@ def test_jump_hessian_matches_finite_differences(alpha, beta):
     eps = 1e-3
 
     def grad_z(z):
-        gy = _gap_energy_and_grad(np.diff(z, prepend=0.0, append=1.0), eps, w)[1]
+        gy = gap_energy_and_grad(np.diff(z, prepend=0.0, append=1.0), eps, w)[1]
         return gy[:-1] - gy[1:]
 
     for m in (3, 6, 11):
