@@ -90,6 +90,7 @@ _HOMES = {
             "distribution_threshold",
             "evaluate_sharp",
             "optimize_sharp",
+            "optimize_sharp_sweep",
             "rescaled_min_energy",
         ),
         "weights": ("WeightParams", "WeightValidity", "validate_weights"),

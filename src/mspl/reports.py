@@ -29,7 +29,14 @@ from .errors import (
     TooFewOscillations,
 )
 from .rounding import write_json
-from .sharp import cumulative_energy, distribution_threshold, optimize_sharp, sharp_options
+from .sharp import (
+    SharpMinimum,
+    cumulative_energy,
+    distribution_threshold,
+    optimize_sharp,
+    optimize_sharp_sweep,
+    sharp_options,
+)
 from .weights import validate_weights
 
 SWEEP_HEADER = [
@@ -107,8 +114,7 @@ def diffuse_minimum(eps: float, cfg: ExperimentConfig):
     )
 
 
-def _sharp_point(eps: float, cfg: ExperimentConfig):
-    res = optimize_sharp(eps, cfg.weights, sharp_options(cfg))
+def _sharp_point(eps: float, res: SharpMinimum):
     return {
         "eps": eps,
         "model": "sharp",
@@ -142,16 +148,26 @@ def _models(cfg: ExperimentConfig) -> list[str]:
 
 def sweep_scaling(cfg: ExperimentConfig) -> SweepReport:
     """Minimize at every eps (per model), fit the energy scaling, and
-    attach a running slope column (fit over the rows so far, per model)."""
+    attach a running slope column (fit over the rows so far, per model).
+
+    The sharp rows come from one `optimize_sharp_sweep` call over the
+    whole eps list, whose walks share their gap-kernel calls; each is
+    the row `optimize_sharp` gives at its eps alone."""
+    models = _models(cfg)
+    sharp = (
+        optimize_sharp_sweep(cfg.eps_list, cfg.weights, sharp_options(cfg))
+        if "sharp" in models
+        else ()
+    )
     rows = [
-        _sharp_point(eps, cfg) if model == "sharp" else _diffuse_point(eps, cfg)
-        for eps in cfg.eps_list
-        for model in _models(cfg)
+        _sharp_point(eps, sharp[i]) if model == "sharp" else _diffuse_point(eps, cfg)
+        for i, eps in enumerate(cfg.eps_list)
+        for model in models
     ]
     rows.sort(key=lambda r: (r["eps"], r["model"]))
 
     fits: dict[str, ScalingFit] = {}
-    for model in _models(cfg):
+    for model in models:
         sub = [r for r in rows if r["model"] == model]
         seen_e, seen_t = [], []
         for r in sub:

@@ -292,16 +292,16 @@ def _alternating_signs(m: int) -> np.ndarray:
     return signs
 
 
-def _gap_kernel(y: np.ndarray, m: np.ndarray, eps: float, w: WeightParams):
+def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     """Energies and their exact gradients in the (unconstrained) gap
     widths y >= 0 of a batch of layouts.
 
     Row i of the (B, M) array y holds the m[i] gaps of one layout, padded
     with zeros: padded gaps add zero-width segments at the right end,
-    where every segment integral and first moment is exactly 0.  The
-    elementwise work runs on whole rows, and each sum runs on its row's
-    own unpadded slice, so a row's results do not depend on the rest of
-    the batch.
+    where every segment integral and first moment is exactly 0.  eps is
+    the eps of each row, or one eps for all of them.  The elementwise
+    work runs on whole rows, and each sum runs on its row's own unpadded
+    slice, so a row's results do not depend on the rest of the batch.
 
     One pass: each power primitive of the segments after the first is
     computed once and serves both the segment integrals and the first
@@ -326,6 +326,7 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps: float, w: WeightParams):
     a row's own m[i] gaps (m[i] - 1 jumps) are padding; those of p0 are 0.
     """
     b, M = y.shape
+    eps = np.broadcast_to(eps, (b,))
     signs = _alternating_signs(M)
     bp = np.zeros((b, M + 1))
     y.cumsum(axis=1, out=bp[:, 1:])
@@ -373,8 +374,8 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps: float, w: WeightParams):
         )
     zsa = zs**w.alpha
     energies = [
-        2.0 * eps * float(np.add.reduce(zsa[i, : k - 1])) + float(np.add.reduce(seg[i, :k]))
-        for i, k in enumerate(m.tolist())
+        2.0 * e * float(np.add.reduce(zsa[i, : k - 1])) + float(np.add.reduce(seg[i, :k]))
+        for i, (k, e) in enumerate(zip(m.tolist(), eps.tolist()))
     ]
 
     # surface suffix term (a jump at z = 0 gives inf: let it flow through);
@@ -383,7 +384,7 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps: float, w: WeightParams):
     grad = np.empty((b, M))
     grad[:] = np.array([u**2 for u in vals[:, -1].tolist()])[:, None]
     if w.alpha != 0.0:
-        grad[:, :-1] += 2.0 * eps * w.alpha * zpow[:, ::-1].cumsum(axis=1)[:, ::-1]
+        grad[:, :-1] += (2.0 * eps * w.alpha)[:, None] * zpow[:, ::-1].cumsum(axis=1)[:, ::-1]
     # suffix sums of J by parity, added bottom to top starting from the
     # zero pair: row k then holds (sum J[2k::2], sum J[2k+1::2]), so the
     # sum over later segments of the opposite parity of segment i is
@@ -448,15 +449,15 @@ def _tridiagonal_solve(p0: list, e: list, h: list):
     return vhat
 
 
-def _newton_steps(g, zs, p0, vals, m, lam: list, eps: float, w: WeightParams):
+def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
     """Gap changes of the constrained Newton steps of
     `_refine_jump_positions` at a batch of layouts, as the rows of a
     zero-padded array like the gaps, and the shifts they took: each row's
     lam, raised tenfold from LAM_MIN until its step's matrix is positive
     definite.  Row i has m[i] gaps and position gradient g[i, :m[i] - 1];
     zs, p0 and vals are the jump positions, segment integrals and vertex
-    values of the layouts' kernel call.  O(n) per layout: no n x n array
-    is formed.
+    values of the layouts' kernel call, and eps is each row's eps or one
+    for all.  O(n) per layout: no n x n array is formed.
 
     Moving z_k flips the slope of everything to its right, so
     du(t)/dz_k = 2 s_k [t > z_k], s_k the slope just left of z_k.  With
@@ -489,12 +490,13 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps: float, w: WeightParams):
     as T / 8, which scales exactly.  Each layout keeps its own
     factorization and its own sum in c."""
     M = vals.shape[1] - 1
+    eps = np.broadcast_to(eps, m.shape)
     s = _alternating_signs(M)[:-1]
     jumps = np.arange(M - 1) < (m - 1)[:, None]
     P = p0[:, ::-1].cumsum(axis=1)[:, ::-1]
     # e_k / 8 at lam = 0, and e_{n+1} / 8 = c / 8, which no shift moves
     E = (
-        0.25 * eps * w.alpha * (w.alpha - 1.0) * zs ** (w.alpha - 2.0)
+        (0.25 * eps * w.alpha * (w.alpha - 1.0))[:, None] * zs ** (w.alpha - 2.0)
         - 0.5 * s * zs ** (-w.beta) * vals[:, 1:-1]
     )
     inv_P = np.divide(1.0, P, out=np.zeros_like(P), where=jumps)
@@ -502,17 +504,13 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps: float, w: WeightParams):
     h = g.copy()
     np.add(h[:, :-1], g[:, 1:], out=h[:, :-1], where=jumps[:, 1:])
     h *= 0.125
-    p0_rows, h_rows = p0.tolist(), h.tolist()
-    e_rows = (E + np.array(lam)[:, None] * P).tolist()
     lam = list(lam)
     steps = []
     for i, k in enumerate((m - 1).tolist()):
         c = 1.0 / float(np.add.reduce(inv_P[i, :k]))
-        p0_i, h_i = p0_rows[i][:k], h_rows[i][:k]
-        e_i = e_rows[i][:k]
-        while (vhat := _tridiagonal_solve(p0_i, e_i + [c], h_i)) is None:
+        p0_i, h_i, E_i, P_i = p0[i, :k].tolist(), h[i, :k].tolist(), E[i, :k], P[i, :k]
+        while (vhat := _tridiagonal_solve(p0_i, (E_i + lam[i] * P_i).tolist() + [c], h_i)) is None:
             lam[i] = max(10.0 * lam[i], LAM_MIN)
-            e_i = (E[i, :k] + lam[i] * P[i, :k]).tolist()
         steps.append(vhat + [0.0] * (M - k - 1))
     # the gap changes vhat_k - vhat_{k-2}, which reach two columns into
     # each row's padding
@@ -522,10 +520,9 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps: float, w: WeightParams):
     return dy, lam
 
 
-def _refine_jump_positions(
-    counts, eps: float, w: WeightParams, gamma: float, max_iter: int
-) -> list:
-    """Best n-jump profile for each count n in `counts`: damped Newton
+def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter: int) -> list:
+    """Best n-jump profile for each count n in `counts`, at its own eps
+    (eps holds one per count, or one for all): damped Newton
     descent on the interior jump positions z from the parity-projected
     graded gaps, with the exact Hessian and the gradient of the fused gap
     kernel.
@@ -548,12 +545,12 @@ def _refine_jump_positions(
     It stops unconverged after max_iter steps, or when no backtracked step
     lowers the energy.
 
-    The counts descend together, each on its own: every round evaluates
-    the next trial layout of each count still descending in one kernel
-    call, and sets up the next steps of the counts it moved in one
-    `_newton_steps` call.  A count leaves the batch once it converges,
-    collapses or stalls, and its result is bit for bit that of a batch of
-    one.
+    The counts descend together, each on its own, whatever their eps:
+    every round evaluates the next trial layout of each count still
+    descending in one kernel call, and sets up the next steps of the
+    counts it moved in one `_newton_steps` call.  A count leaves the
+    batch once it converges, collapses or stalls, and its result is bit
+    for bit that of a batch of one.
 
     Returns one entry per count: (gaps, energy, converged), or None once
     the layout collapses: some gap falls below COLLAPSE_TOL times its own
@@ -561,6 +558,7 @@ def _refine_jump_positions(
     returned, because it is really one of fewer teeth."""
     counts = list(counts)
     m = np.array(counts) + 1
+    eps = np.broadcast_to(eps, m.shape)
     y = np.zeros((len(counts), int(m.max())))
     for i, n in enumerate(counts):
         # closure pins a single jump to 1/2: nothing to optimize
@@ -602,7 +600,9 @@ def _refine_jump_positions(
         if len(going) < len(rows):
             rows, mm = [rows[r] for r in going], mm[going]
             g, gy, p0, vals, zs = g[going], gy[going], p0[going], vals[going], zs[going]
-        step, lam_taken = _newton_steps(g, zs, p0, vals, mm, [lam[i] for i in rows], eps, w)
+        step, lam_taken = _newton_steps(
+            g, zs, p0, vals, mm, [lam[i] for i in rows], eps[rows], w
+        )
         gaps = y[rows]
         # p != 0 and dy sums to 0, so some gap shrinks: dy / y has a
         # negative minimum, and t caps the fastest shrink at half its gap
@@ -624,7 +624,7 @@ def _refine_jump_positions(
     active = list(range(len(counts)))
     trial = y.copy()
     while active:
-        f_new, gy, p0, vals, zs = _gap_kernel(trial, m[active], eps, w)
+        f_new, gy, p0, vals, zs = _gap_kernel(trial, m[active], eps[active], w)
         collapsed = (trial < floor[active]).any(axis=1).tolist()
         moved, searching = [], []
         for j, i in enumerate(active):
@@ -704,28 +704,53 @@ def jump_count_estimate(eps: float, w: WeightParams) -> int:
     return max(1, round(float((12.0 * eps) ** (-1.0 / 3.0) * density)))
 
 
-def _count_candidates(counts, eps: float, w: WeightParams, gamma: float, max_iter: int):
-    """{n: (total, profile, converged)} of the one candidate of each count
-    n in `counts`, refined together: its refined layout, or its unrefined
-    start layout if the refinement collapsed.  The total is
-    `evaluate_sharp`'s, the one `optimize_sharp` reports, not the gap
-    kernel's: in a flat regime the two differ at rounding, and so can
-    their order of the counts."""
-    out = {}
-    for n, refined in zip(counts, _refine_jump_positions(counts, eps, w, gamma, max_iter)):
-        if refined is None:
+def _count_candidates(counts, eps, w: WeightParams, gamma: float, max_iter: int) -> list:
+    """(energy, profile, converged) of the one candidate of each count n
+    in `counts`, at its own eps (one per count, or one for all), refined
+    together: its refined layout, or its unrefined start layout if the
+    refinement collapsed.  The energy is `evaluate_sharp`'s, whose total
+    `optimize_sharp` reports, not the gap kernel's: in a flat regime the
+    two differ at rounding, and so can their order of the counts."""
+    eps = np.broadcast_to(eps, (len(counts),)).tolist()
+    out = []
+    refined = _refine_jump_positions(counts, eps, w, gamma, max_iter)
+    for n, e, row in zip(counts, eps, refined):
+        if row is None:
             gaps, ok = _graded_start_gaps(n, gamma), False
         else:
-            gaps, _, ok = refined
+            gaps, _, ok = row
         profile = _profile_from_gaps(gaps)
-        out[n] = evaluate_sharp(profile, eps, w).total, profile, ok
+        out.append((evaluate_sharp(profile, e, w), profile, ok))
     return out
+
+
+def _count_walk(n0: int, scored: dict):
+    """The rounds of `optimize_sharp`'s walk over counts from n0: yields
+    the counts of each round, in walk order, which the caller scores into
+    `scored` (count -> (energy, profile, converged)) before resuming it."""
+    # n0 lowers the infinite best, so each leg scores at least its
+    # first STALE_COUNTS counts after n0's
+    yield [*range(n0, max(0, n0 - STALE_COUNTS - 1), -1), *range(n0 + 1, n0 + STALE_COUNTS + 1)]
+    best = math.inf
+    for n, step in ((n0, -1), (n0 + 1, 1)):
+        stale = 0
+        while n >= 1 and stale < STALE_COUNTS:
+            if n not in scored:
+                # the leg goes on for at least its remaining stale counts
+                yield [k for k in range(n, n + step * (STALE_COUNTS - stale), step) if k >= 1]
+            total = scored[n][0].total
+            if total < best:
+                best, stale = total, 0
+            else:
+                stale += 1
+            n += step
 
 
 def optimize_sharp(
     eps: float, w: WeightParams, options: SharpOptions | None = None
 ) -> SharpMinimum:
-    """Minimize the sharp energy over admissible sawtooth profiles.
+    """Minimize the sharp energy over admissible sawtooth profiles:
+    `optimize_sharp_sweep((eps,), w, options)[0]`.
 
     Each count scored has one candidate: its jump positions refined on
     the closure manifold by damped Newton steps with the exact Hessian
@@ -758,58 +783,72 @@ def optimize_sharp(
     The result keeps every count's candidate in `SharpMinimum.candidates`:
     the row of count n is what the same options pinned to n return.
     """
-    if not 0.0 < eps < math.inf:
-        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
+    return optimize_sharp_sweep((eps,), w, options)[0]
+
+
+def optimize_sharp_sweep(
+    eps_list, w: WeightParams, options: SharpOptions | None = None
+) -> tuple[SharpMinimum, ...]:
+    """`optimize_sharp` at each eps of `eps_list`, with one weight pair
+    and one set of options; one result per eps, in list order.
+
+    Every eps runs its own walk over counts, and the walks advance
+    together: each scoring round refines the pending round of every walk
+    still going in one batch, so each Newton round makes one gap-kernel
+    call for the whole sweep.  Each result is bit for bit what
+    `optimize_sharp` alone returns at its eps.
+
+    Every eps is checked before any count is scored: one that is not
+    positive and finite raises InvalidConfig.  A round holding a count
+    above MAX_JUMPS raises TooManyJumps before any of it is scored, for
+    the first such count in eps-list order, then in walk order; the
+    message names that count and its eps.
+    """
+    eps_list = tuple(eps_list)
+    for eps in eps_list:
+        if not 0.0 < eps < math.inf:
+            raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
     if not w.beta < 3.0:
         raise DivergentIntegral(f"beta={w.beta:g} >= 3: no finite minimizer")
     opts = options or SharpOptions()
     gamma = default_gamma(w.beta)
     max_iter = opts.max_iter if opts.refine else 0
 
-    # count -> (total, profile, converged)
-    candidates: dict[int, tuple[float, SawtoothProfile, bool]] = {}
-
-    def score(counts: list[int]) -> None:
-        """Score counts the walk is certain to reach, in walk order."""
-        for n in counts:
+    # per eps: count -> (energy, profile, converged)
+    scored: list[dict[int, tuple[EnergyBreakdown, SawtoothProfile, bool]]] = [
+        {} for _ in eps_list
+    ]
+    walks = [
+        iter([[opts.n_jumps]])
+        if opts.n_jumps is not None
+        else _count_walk(jump_count_estimate(eps, w), done)
+        for eps, done in zip(eps_list, scored)
+    ]
+    rounds = [next(walk) for walk in walks]
+    while any(rounds):
+        batch = [(i, n) for i, counts in enumerate(rounds) for n in counts]
+        for i, n in batch:
             if n > MAX_JUMPS:
                 raise TooManyJumps(
-                    f"jump count {n} at eps={eps:g}, weights ({w.alpha:g}, {w.beta:g}) "
+                    f"jump count {n} at eps={eps_list[i]:g}, weights ({w.alpha:g}, {w.beta:g}) "
                     f"is above MAX_JUMPS = {MAX_JUMPS}"
                 )
-        candidates.update(_count_candidates(counts, eps, w, gamma, max_iter))
+        rows = _count_candidates(
+            [n for _, n in batch], [eps_list[i] for i, _ in batch], w, gamma, max_iter
+        )
+        for (i, n), row in zip(batch, rows):
+            scored[i][n] = row
+        rounds = [next(walk, []) if counts else [] for walk, counts in zip(walks, rounds)]
 
-    if opts.n_jumps is not None:
-        score([opts.n_jumps])
-    else:
-        n0 = jump_count_estimate(eps, w)
-        # n0 lowers the infinite best, so each leg scores at least its
-        # first STALE_COUNTS counts after n0's
-        score([*range(n0, max(0, n0 - STALE_COUNTS - 1), -1), *range(n0 + 1, n0 + STALE_COUNTS + 1)])
-        best = math.inf
-        for n, step in ((n0, -1), (n0 + 1, 1)):
-            stale = 0
-            while n >= 1 and stale < STALE_COUNTS:
-                if n not in candidates:
-                    # the leg goes on for at least its remaining stale counts
-                    score([k for k in range(n, n + step * (STALE_COUNTS - stale), step) if k >= 1])
-                total = candidates[n][0]
-                if total < best:
-                    best, stale = total, 0
-                else:
-                    stale += 1
-                n += step
-
-    table = tuple((n, *candidates[n]) for n in sorted(candidates))
-    _, _, best_profile, ok = min(
-        table, key=lambda row: (row[1], row[2].n_jumps, row[2].jumps)
-    )
-    return SharpMinimum(
-        profile=best_profile,
-        energy=evaluate_sharp(best_profile, eps, w),
-        converged=ok,
-        candidates=table,
-    )
+    results = []
+    for done in scored:
+        table = tuple((n, done[n][0].total, *done[n][1:]) for n in sorted(done))
+        n_best = min(table, key=lambda row: (row[1], row[2].n_jumps, row[2].jumps))[0]
+        energy, profile, ok = done[n_best]
+        results.append(
+            SharpMinimum(profile=profile, energy=energy, converged=ok, candidates=table)
+        )
+    return tuple(results)
 
 
 def rescaled_min_energy(

@@ -26,6 +26,7 @@ from mspl import (
     diffuse_surrogate,
     evaluate_sharp,
     optimize_sharp,
+    optimize_sharp_sweep,
     rescaled_min_energy,
 )
 from mspl.core import power_primitive, power_primitives, weighted_square_integrals
@@ -756,6 +757,141 @@ def test_walk_shares_its_kernel_calls_between_counts(monkeypatch):
     assert sum(steps) == 145
     assert len(solves) == 296
     assert len(calls) <= 60
+
+
+SWEEP_EPS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.5, 1.0), (0.0, 0.0), (1.0, 1.0), (1.5, 1.4), (2.0, -0.5)]
+)
+def test_sweep_rows_are_the_single_solves(alpha, beta):
+    # the sweep's walks share their rounds across eps, yet each result is
+    # bit for bit the solve at its eps alone, candidate table included
+    w = WeightParams(alpha, beta)
+    results = optimize_sharp_sweep(SWEEP_EPS, w)
+    assert len(results) == len(SWEEP_EPS)
+    for eps, res in zip(SWEEP_EPS, results):
+        alone = optimize_sharp(eps, w)
+        assert repr(res.energy.total) == repr(alone.energy.total)
+        assert repr(res.profile.jumps) == repr(alone.profile.jumps)
+        assert res.converged is alone.converged
+        assert len(res.candidates) == len(alone.candidates)
+        for (n, total, profile, ok), (n_alone, total_alone, profile_alone, ok_alone) in zip(
+            res.candidates, alone.candidates
+        ):
+            assert n == n_alone
+            assert repr(total) == repr(total_alone)
+            assert repr(profile) == repr(profile_alone)
+            assert ok is ok_alone
+
+
+def test_sweep_shares_its_kernel_calls_across_eps(monkeypatch):
+    # the sweep at (0.5, 1) scores 64 counts over its 7 eps: 971 layout
+    # evaluations, 911 Newton steps and 1979 tridiagonal solves, as eps by
+    # eps, where the walks made 203 kernel calls in 9 scoring rounds; in
+    # one sweep they share 37 calls in 2 rounds
+    w = WeightParams(0.5, 1.0)
+    calls = count_kernel_calls(monkeypatch)
+    steps, solves, rounds = [], [], []
+    newton_steps, solve = mspl.sharp._newton_steps, mspl.sharp._tridiagonal_solve
+    count_candidates = mspl.sharp._count_candidates
+
+    def stepping(g, *args):
+        steps.append(g.shape[0])
+        return newton_steps(g, *args)
+
+    def solving(*args):
+        solves.append(None)
+        return solve(*args)
+
+    def scoring(counts, *args):
+        rounds.append(len(counts))
+        return count_candidates(counts, *args)
+
+    monkeypatch.setattr(mspl.sharp, "_newton_steps", stepping)
+    monkeypatch.setattr(mspl.sharp, "_tridiagonal_solve", solving)
+    monkeypatch.setattr(mspl.sharp, "_count_candidates", scoring)
+    t0 = time.perf_counter()
+    results = optimize_sharp_sweep(SWEEP_EPS, w)
+    seconds = time.perf_counter() - t0
+    print(
+        f"sweep at ({w.alpha:g}, {w.beta:g}) over {len(SWEEP_EPS)} eps: "
+        f"{sum(r.n_candidates for r in results)} counts in {len(rounds)} rounds, "
+        f"{len(calls)} kernel calls for {sum(calls)} layouts, {sum(steps)} Newton steps, "
+        f"{len(solves)} tridiagonal solves, {seconds:.3f} s"
+    )
+    assert sum(r.n_candidates for r in results) == sum(rounds) == 64
+    assert sum(calls) == 971
+    assert sum(steps) == 911
+    assert len(solves) == 1979
+    assert len(calls) <= 45
+
+
+@pytest.mark.parametrize(
+    "eps_list",
+    [(1e-2, 1e-3, math.nan), (0.0, 1e-2), (1e-2, -1e-3, 1e-4), (1e-3, math.inf)],
+    ids=("nan-last", "zero-first", "negative-middle", "inf-last"),
+)
+def test_an_invalid_eps_anywhere_fails_the_sweep_before_any_solve(monkeypatch, eps_list):
+    def never(*args):
+        raise AssertionError("a count was solved")
+
+    monkeypatch.setattr(mspl.sharp, "_count_candidates", never)
+    with pytest.raises(InvalidConfig, match="finite"):
+        optimize_sharp_sweep(eps_list, WeightParams(0.5, 1.0))
+
+
+def test_a_sweep_walk_past_max_jumps_names_its_eps(monkeypatch):
+    # at (1.5, 1.4) the walks at eps = 3e-2 and 2e-2 stay at or below 25
+    # jumps, and the one at 1e-2 climbs to 31: with the limit at 29 the
+    # sweep fails on count 30 of that walk, and the round holding it is
+    # never scored
+    monkeypatch.setattr(mspl.sharp, "MAX_JUMPS", 29)
+    count_candidates = mspl.sharp._count_candidates
+    scored = []
+
+    def scoring(counts, *args):
+        assert max(counts) <= 29
+        scored.extend(counts)
+        return count_candidates(counts, *args)
+
+    monkeypatch.setattr(mspl.sharp, "_count_candidates", scoring)
+    with pytest.raises(TooManyJumps, match=r"jump count 30 at eps=0\.01,"):
+        optimize_sharp_sweep((3e-2, 1e-2, 2e-2), WeightParams(1.5, 1.4))
+    assert scored
+
+
+def test_mixed_eps_batches_are_their_single_rows_bitwise():
+    # one padded batch of layouts of different sizes, each at its own eps:
+    # every row of the gap kernel and of the Newton step is bit for bit
+    # that row's call alone at its scalar eps
+    rng = np.random.default_rng(77)
+    for alpha, beta in ((0.0, 0.0), (0.5, 1.0), (2.0, -0.5), (1.5, 2.5)):
+        w = WeightParams(alpha, beta)
+        layouts = [
+            _decode_gaps(rng.normal(size=m), (m + 1) // 2) for m in (3, 9, 2, 31, 17, 5)
+        ]
+        eps = 10.0 ** rng.uniform(-8.0, -1.0, size=len(layouts))
+        sizes = np.array([y.size for y in layouts])
+        batch = np.zeros((len(layouts), sizes.max()))
+        for row, y in zip(batch, layouts):
+            row[: y.size] = y
+        lams = [0.0, 1e-3, 1.0, 0.0, 1e-8, 0.1]
+        energies, gy, p0, vals, zs = _gap_kernel(batch, sizes, eps, w)
+        dy, lam_taken = _newton_steps(
+            gy[:, :-1] - gy[:, 1:], zs, p0, vals, sizes, lams, eps, w
+        )
+        for i, y in enumerate(layouts):
+            m = np.array([y.size])
+            (e1,), gy1, p01, vals1, zs1 = _gap_kernel(y[None], m, float(eps[i]), w)
+            (dy1,), (lam1,) = _newton_steps(
+                gy1[:, :-1] - gy1[:, 1:], zs1, p01, vals1, m, [lams[i]], float(eps[i]), w
+            )
+            assert np.float64(energies[i]).tobytes() == np.float64(e1).tobytes()
+            assert gy[i, : y.size].tobytes() == gy1[0].tobytes()
+            assert dy[i, : y.size].tobytes() == dy1.tobytes()
+            assert lam_taken[i] == lam1
 
 
 def test_curvature_across_the_closure_is_not_damped(monkeypatch):
