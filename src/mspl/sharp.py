@@ -17,12 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (
-    EnergyBreakdown,
-    power_primitive,
-    power_primitives_unguarded,
-    weighted_square_integrals,
-)
+from .core import EnergyBreakdown, power_primitive, segment_moments, weighted_square_integrals
 from .errors import (
     DivergentIntegral,
     InvalidConfig,
@@ -115,8 +110,9 @@ def evaluate_sharp(
     """Exact energy of a sawtooth profile.
 
     surface = 2*eps * sum z_k**alpha (each slope reversal carries
-    curvature mass 2); bulk integrates t**(-beta) u**2 in closed form
-    per segment.  The well component is identically zero in this model.
+    curvature mass 2); bulk integrates t**(-beta) u**2 on each segment
+    through its moments (`segment_moments`).  The well component is
+    identically zero in this model.
     """
     if not 0.0 < eps < math.inf:
         raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
@@ -127,17 +123,21 @@ def evaluate_sharp(
             f"u(1) = {profile.boundary_value:.3e}; pass allow_unclamped=True "
             "to evaluate anyway"
         )
-    zs = np.asarray(profile.jumps, dtype=float)
-    surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
-    bp = profile.breakpoints
-    bulk = float(
-        np.sum(
-            weighted_square_integrals(
-                bp[:-1], bp[1:], profile.values[:-1], profile.slopes, w.beta
-            )
-        )
-    )
-    return EnergyBreakdown(surface=surface, well=0.0, bulk=bulk)
+    return _sharp_energies([profile], [eps], w)[0]
+
+
+def _sharp_energies(profiles, eps, w: WeightParams) -> list[EnergyBreakdown]:
+    """`evaluate_sharp` of each profile at its eps, unchecked, with one
+    call of the segment kernel for all their segments."""
+    columns = [(p.breakpoints[:-1], p.breakpoints[1:], p.values[:-1], p.slopes) for p in profiles]
+    seg = weighted_square_integrals(*map(np.concatenate, zip(*columns)), w.beta)
+    bulks = np.split(seg, np.cumsum([p.n_jumps + 1 for p in profiles]))
+    out = []
+    for p, e, bulk in zip(profiles, eps, bulks):
+        zs = np.asarray(p.jumps, dtype=float)
+        surface = 2.0 * e * float(np.sum(zs**w.alpha)) if zs.size else 0.0
+        out.append(EnergyBreakdown(surface=surface, well=0.0, bulk=float(np.sum(bulk))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -298,19 +298,21 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
 
     Row i of the (B, M) array y holds the m[i] gaps of one layout, padded
     with zeros: padded gaps add zero-width segments at the right end,
-    where every segment integral and first moment is exactly 0.  eps is
-    the eps of each row, or one eps for all of them.  The elementwise
-    work runs on whole rows, and each sum runs on its row's own unpadded
-    slice, so a row's results do not depend on the rest of the batch.
+    whose moments, segment integrals and first moments are exactly 0.
+    eps is the eps of each row, or one eps for all of them.  The
+    elementwise work runs on whole rows, and each sum runs on its row's
+    own unpadded slice, so a row's results do not depend on the rest of
+    the batch.
 
-    One pass: each power primitive of the segments after the first is
-    computed once and serves both the segment integrals and the first
-    moments.  Moving gap i shifts every breakpoint and vertex to its
-    right, so the derivative collects a surface suffix sum plus the first
-    moments J_j of the weighted interpolant over later segments; the
-    boundary evaluation terms of adjacent segments cancel, and only
-    segments of opposite parity survive (same-parity vertices move in
-    lockstep):
+    One pass: the moments p0, p1, p2 of t**-beta on each segment
+    [z_j, z_j + y_j], written about its left end (`segment_moments`),
+    give both its integral u_j**2 p0 + 2 sigma_j u_j p1 + p2 and its first
+    moment J_j = u_j p0 + sigma_j p1, u_j the value at z_j.  Moving gap i
+    shifts every breakpoint and vertex to its right, so the derivative
+    collects a surface suffix sum plus the first moments J_j of the
+    weighted interpolant over later segments; the boundary evaluation
+    terms of adjacent segments cancel, and only segments of opposite
+    parity survive (same-parity vertices move in lockstep):
 
         dE/dy_i = 2 eps alpha * sum_{k>=i} z_k**(alpha-1)
                   + 4 sigma_i * sum_{j>i, parity(j) != parity(i)} J_j
@@ -333,45 +335,29 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     zs = bp[:, 1:-1]
     vals = np.zeros((b, M + 1))
     np.multiply(signs, y, out=vals[:, 1:]).cumsum(axis=1, out=vals[:, 1:])
-    inner = np.arange(1, M) < m[:, None]
-
-    # segments j >= 2 written about t = 0: u(t) = c + sigma_j * t
-    p, q = bp[:, 1:-1], bp[:, 2:]
-    s = signs[1:]
-    c = vals[:, 1:-1] - s * p
-    # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2,
-    # in a buffer whose pairs (J_{2k}, J_{2k+1}), padded with zeros to
-    # even length plus one zero pair, are the rows of a (K + 1, 2) array
+    u = vals[:, :-1]
+    # the first moments J_j of the segments j >= 2, in a buffer whose pairs
+    # (J_{2k}, J_{2k+1}), padded with zeros to even length plus one zero
+    # pair, are the rows of a (K + 1, 2) array
     K = (M + 1) // 2
     buf = np.zeros((b, 2 * K + 2))
     zpow = np.zeros((b, M - 1))
-    # degenerate segments (a gap of exactly 0) give inf or nan here: 0 * inf
-    # in the first moments, 1/0 in the surface gradient of a jump at 0; the
-    # refinement never steps onto one (no step more than halves a gap), so
-    # let them through silently
+    # degenerate segments (a gap of exactly 0) give inf or nan here: a
+    # segment after a first gap of 0 starts at t = 0, where p0 and p1 may
+    # diverge, 0 * inf in its first moment, 1/0 in the surface gradient of
+    # a jump at 0; the refinement never steps onto one (no step more than
+    # halves a gap), so let them through silently
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p0, p1, p2 = power_primitives_unguarded(
-            p, q, (-w.beta, 1.0 - w.beta, 2.0 - w.beta)
-        )
-        sp1 = s * p1
-        np.add(c * p0, sp1, out=buf[:, 1:M], where=inner)
+        p0, p1, p2 = segment_moments(bp[:, :-1], y, w.beta)
+        up0 = u * p0
+        sp1 = signs * p1
+        np.add(up0[:, 1:], sp1[:, 1:], out=buf[:, 1:M])
+        # sigma**2 = 1; where u = 0 (segment 1, and a segment starting at
+        # t = 0) only p2 survives, also against a diverging p0 or p1
+        seg = p2 + np.where(u != 0.0, u * (up0 + 2.0 * sp1), 0.0)
         if w.alpha != 0.0:
-            np.power(zs, w.alpha - 1.0, out=zpow, where=inner)
+            np.power(zs, w.alpha - 1.0, out=zpow, where=np.arange(1, M) < m[:, None])
 
-    seg = np.empty((b, M))
-    # a layout whose first gap is 0 has segment 2 start at t = 0 too: let
-    # the general kernel apply its origin branch and divergence checks
-    lead = [] if y[:, 0].all() else np.flatnonzero(y[:, 0] == 0.0)
-    rows = np.flatnonzero(y[:, 0] != 0.0) if len(lead) else slice(None)
-    # segment 1 has u(0) = 0 and slope 1: only its slope term survives
-    seg[rows, 0] = bp[rows, 1] ** (3.0 - w.beta) / (3.0 - w.beta)
-    # sigma**2 = 1
-    seg[rows, 1:] = c[rows] * c[rows] * p0[rows] + 2.0 * c[rows] * sp1[rows] + p2[rows]
-    for i in lead:
-        k = m[i]
-        seg[i, :k] = weighted_square_integrals(
-            bp[i, :k], bp[i, 1 : k + 1], vals[i, :k], signs[:k], w.beta
-        )
     zsa = zs**w.alpha
     energies = [
         2.0 * e * float(np.add.reduce(zsa[i, : k - 1])) + float(np.add.reduce(seg[i, :k]))
@@ -382,7 +368,7 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     # the last gap moves no jump.  Padded rows read u(1) at their end too,
     # squared by the scalar power, which rounds unlike the array square
     grad = np.empty((b, M))
-    grad[:] = np.array([u**2 for u in vals[:, -1].tolist()])[:, None]
+    grad[:] = np.array([v**2 for v in vals[:, -1].tolist()])[:, None]
     if w.alpha != 0.0:
         grad[:, :-1] += (2.0 * eps * w.alpha)[:, None] * zpow[:, ::-1].cumsum(axis=1)[:, ::-1]
     # suffix sums of J by parity, added bottom to top starting from the
@@ -392,7 +378,7 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     pairs = buf.reshape(b, K + 1, 2)[:, ::-1]
     pairs.cumsum(axis=1, out=pairs)
     grad += 4.0 * signs * buf[:, 1 : M + 1]
-    return energies, grad, p0, vals, zs
+    return energies, grad, p0[:, 1:], vals, zs
 
 
 def _close(y: np.ndarray, m) -> np.ndarray:
@@ -709,19 +695,19 @@ def _count_candidates(counts, eps, w: WeightParams, gamma: float, max_iter: int)
     in `counts`, at its own eps (one per count, or one for all), refined
     together: its refined layout, or its unrefined start layout if the
     refinement collapsed.  The energy is `evaluate_sharp`'s, whose total
-    `optimize_sharp` reports, not the gap kernel's: in a flat regime the
-    two differ at rounding, and so can their order of the counts."""
+    `optimize_sharp` reports, for all the candidates in one kernel call;
+    the gap kernel's total differs from it at rounding, and so could its
+    order of the counts in a flat regime."""
     eps = np.broadcast_to(eps, (len(counts),)).tolist()
-    out = []
-    refined = _refine_jump_positions(counts, eps, w, gamma, max_iter)
-    for n, e, row in zip(counts, eps, refined):
+    profiles, oks = [], []
+    for n, row in zip(counts, _refine_jump_positions(counts, eps, w, gamma, max_iter)):
         if row is None:
             gaps, ok = _graded_start_gaps(n, gamma), False
         else:
             gaps, _, ok = row
-        profile = _profile_from_gaps(gaps)
-        out.append((evaluate_sharp(profile, e, w), profile, ok))
-    return out
+        profiles.append(_profile_from_gaps(gaps))
+        oks.append(ok)
+    return list(zip(_sharp_energies(profiles, eps, w), profiles, oks))
 
 
 def _count_walk(n0: int, scored: dict):

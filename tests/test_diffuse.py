@@ -23,7 +23,7 @@ from mspl import (
     smoothed_graded_init,
     transition_profile,
 )
-from mspl.core import power_primitive, power_primitives
+from mspl.core import power_primitive, segment_moments
 from mspl.diffuse import _operators, _smooth_capped, double_well, double_well_prime
 
 W00 = WeightParams(0.0, 0.0)
@@ -315,8 +315,9 @@ def test_gradient_matches_finite_differences():
 
 def sparse_reference(mesh, w):
     """Second-difference matrix D (interior rows, all n + 1 columns), its
-    dual-cell weights and the mass matrix Q of t**(-beta), assembled as
-    scipy.sparse matrices straight from the discretization's formulas."""
+    dual-cell weights and the mass matrix Q of t**(-beta) on the interior
+    nodes, assembled as scipy.sparse matrices straight from the
+    discretization's formulas."""
     import scipy.sparse as sp
 
     n = mesh.n
@@ -332,25 +333,28 @@ def sparse_reference(mesh, w):
     D = sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n + 1))
     mids = 0.5 * (t[:-1] + t[1:])
     dual_w = power_primitive(mids[:-1], mids[1:], w.alpha)
-    ta, tb = t[:-1], t[1:]
-    beta = w.beta
-    m2 = np.empty(n)
-    m2[0] = tb[0] ** (3.0 - beta) / (3.0 - beta)
-    m0 = np.zeros(n)
-    m1 = np.zeros(n)
-    m0[1:], m1[1:], m2[1:] = power_primitives(
-        ta[1:], tb[1:], (-beta, 1.0 - beta, 2.0 - beta)
-    )
-    q_aa = (tb * tb * m0 - 2.0 * tb * m1 + m2) / (h * h)
-    q_ab = (-ta * tb * m0 + (ta + tb) * m1 - m2) / (h * h)
-    q_bb = (ta * ta * m0 - 2.0 * ta * m1 + m2) / (h * h)
-    q_aa[0] = 0.0
-    q_ab[0] = 0.0
-    diag = np.zeros(n + 1)
-    diag[:-1] += q_aa
-    diag[1:] += q_bb
-    Q = sp.diags([q_ab, diag, q_ab], offsets=[-1, 0, 1], format="csr")
+    # element j = 0..n-1 spans nodes j and j + 1, interior nodes 1..n-1 are
+    # the unknowns 0..n-2; element 0 touches node 0, which is no unknown,
+    # so only its b-side entry is formed
+    m0, m1, m2 = segment_moments(t[:-1], h, w.beta)
+    q_bb = m2 / (h * h)
+    q_ab = m1[1:] / h[1:] - q_bb[1:]
+    q_aa = m0[1:] - 2.0 * (m1[1:] / h[1:]) + q_bb[1:]
+    # node k gets the b-side entry of element k - 1 and the a-side entry
+    # of element k
+    diag = np.zeros(n - 1)
+    diag += q_bb[:-1]
+    diag += q_aa
+    Q = sp.diags([q_ab[:-1], diag, q_ab[:-1]], offsets=[-1, 0, 1], format="csr")
     return D, dual_w, Q
+
+
+def slope_curvature(mesh, u):
+    """D u as the difference of the element slopes at each interior node
+    over their mean width."""
+    h = mesh.spacings
+    p = np.diff(u) / h
+    return (p[1:] - p[:-1]) * (2.0 / (h[:-1] + h[1:]))
 
 
 def sparse_energy_and_grad(ref, mesh, x, eps):
@@ -358,15 +362,15 @@ def sparse_energy_and_grad(ref, mesh, x, eps):
     h = mesh.spacings
     u = np.zeros(mesh.n + 1)
     u[1:-1] = x
-    curv = D @ u
-    wcurv = dual_w * curv
     p = np.diff(u) / h
-    qu = Q @ u
-    f = eps * eps * float(curv @ wcurv) + float(h @ double_well(p)) + float(u @ qu)
+    curv = slope_curvature(mesh, u)
+    wcurv = dual_w * curv
+    qx = Q @ x
+    f = eps * eps * float(curv @ wcurv) + float(h @ double_well(p)) + float(x @ qx)
     wp = double_well_prime(p)
     g = 2.0 * eps * eps * (D.T.tocsr() @ wcurv)[1:-1]
     g += wp[:-1] - wp[1:]
-    g += 2.0 * qu[1:-1]
+    g += 2.0 * qx
     return f, g
 
 
@@ -392,7 +396,10 @@ def test_kernel_matches_sparse_reference(n, q, w):
         want_f, want_g = sparse_energy_and_grad(ref, mesh, x, eps)
         assert got_f == want_f
         assert np.max(np.abs(got_g - want_g)) <= 1e-14 * np.max(np.abs(want_g))
-        curv = ref[0] @ f.values
+        curv = slope_curvature(mesh, f.values)
+        # the row form of D u agrees to the rounding of its terms
+        terms = abs(ref[0]) @ np.abs(f.values)
+        assert np.all(np.abs(ref[0] @ f.values - curv) <= 1e-14 * terms)
         surface = eps * eps * float(curv @ (ref[1] * curv))
         assert evaluate_diffuse(f, eps, w).surface == surface
 
@@ -417,7 +424,7 @@ def test_hessian_base_matches_dense_reference(n, q, w, eps):
     mesh = GradedMesh(n, q)
     D, dual_w, Q = sparse_reference(mesh, w)
     Di = D[:, 1:-1].toarray()
-    Qi = Q[1:-1, 1:-1].toarray()
+    Qi = Q.toarray()
     stiff = 2.0 * eps * eps * Di.T @ (dual_w[:, None] * Di)
     want = stiff + 2.0 * Qi
     # every product and sum in either assembly is bounded by this scale
@@ -625,6 +632,19 @@ LBFGS_4000_TOTALS = {
     "sharp-init": 0.012423828484230449,
     "law-init": 0.013988093896368905,
 }
+
+
+def test_a_descent_reports_the_energy_of_its_trace():
+    # evaluate_diffuse takes its parts from the descent's own operators,
+    # so a descent's start and its reported energy are the ends of its
+    # trace bit for bit; the bulk was once integrated apart, and the two
+    # differed at rounding
+    eps, w = 1e-3, WeightParams(0.5, 1.0)
+    init = smoothed_graded_init(eps, w, GradedMesh(512, 2.0))
+    res = minimize_diffuse(init, eps, w, max_iter=20)
+    assert res.iterations > 0
+    assert evaluate_diffuse(init, eps, w).total == res.trace[0]
+    assert res.energy.total == res.trace[-1]
 
 
 def test_restarts_end_below_the_replaced_solver():

@@ -29,7 +29,7 @@ from mspl import (
     optimize_sharp_sweep,
     rescaled_min_energy,
 )
-from mspl.core import power_primitive, power_primitives, weighted_square_integrals
+from mspl.core import power_primitive, segment_moments, weighted_square_integrals
 import mspl.sharp
 from mspl.sharp import (
     COLLAPSE_TOL,
@@ -448,15 +448,16 @@ def test_stale_counts_end_the_upward_leg_without_collapses(monkeypatch):
 
 def test_early_stop_golden_at_smallest_sweep_eps():
     # solving every count from 1 to 86 on its own picks n = 40, as the walk
-    # does.  The dense Newton step gave the total 0.000608341979968667;
-    # the tridiagonal step gives 0.0006083419799686421, 4.1e-14 lower
+    # does.  The total is 0.000608341979968629, as 50-digit decimal
+    # arithmetic gives on the layout; with every segment written about
+    # t = 0 it read 0.0006083419799686421, 2.2e-14 high
     w = WeightParams(0.5, 1.0)
     oracle, lo, hi = exhaustive_minimum(1e-5, w)
     res = optimize_sharp(1e-5, w)
     assert res.profile.n_jumps == 40
     assert res.energy.total == oracle.energy.total
-    assert res.energy.total == pytest.approx(0.000608341979968667, rel=1e-12)
-    assert res.energy.total <= 0.000608341979968667 * (1.0 + 1e-14)
+    assert res.energy.total == pytest.approx(0.000608341979968629, rel=1e-12)
+    assert res.energy.total <= 0.000608341979968629 * (1.0 + 1e-14)
     assert lo <= res.bracket[0] and res.bracket[1] <= hi
     # one candidate per count scored
     assert res.n_candidates == res.bracket[1] - res.bracket[0] + 1
@@ -606,19 +607,21 @@ def test_flat_regime_result_does_not_depend_on_blas_threads():
 
 
 def test_counts_are_ranked_by_the_reported_total():
-    # in the flat regime at (2, 0.5), eps = 1e-5, the gap kernel's totals
-    # put 116 jumps first (0.00028071299818591464 against
-    # 0.0002807129981859221 for 112), while evaluate_sharp, which the
-    # result reports, scores 112 at 0.0002807129981859145, below 116's
-    # 0.00028071299818591556
+    # in the flat regime at (2, 0.5), eps = 1e-5, counts 111 to 116 tie to
+    # 1e-13; the candidates' totals are evaluate_sharp's, which the result
+    # reports.  With every segment written about t = 0, evaluate_sharp
+    # was 1.1e-13 off and put 112 first (0.0002807129981859145; 50-digit
+    # decimal arithmetic gives 0.00028071299818594624 on that layout).
+    # Each total is now within 1e-16 of the decimal one, and 116 wins at
+    # 0.00028071299818594006 (decimal: 0.00028071299818594006)
     eps, w = 1e-5, WeightParams(2.0, 0.5)
     res = optimize_sharp(eps, w)
     reported = {n: evaluate_sharp(p, eps, w).total for n, _, p, _ in res.candidates}
     assert {n: total for n, total, _, _ in res.candidates} == reported
     assert res.energy.total == min(reported.values())
-    # solving every count from 1 to 242 on its own also picks 112
-    assert res.profile.n_jumps == 112
-    assert res.energy.total == pytest.approx(0.0002807129981859145, rel=1e-12)
+    # solving every count from 1 to 242 on its own also picks 116
+    assert res.profile.n_jumps == 116
+    assert res.energy.total == pytest.approx(0.00028071299818594006, rel=1e-12)
 
 
 def test_a_surface_dominated_count_stops_where_a_bulk_tolerance_would(monkeypatch):
@@ -932,8 +935,9 @@ def test_collapsed_gap_gradient_is_silent():
 
 
 def gap_energy_and_grad_loop(y, eps, w):
-    """Reference gap kernel: generic segment integrator, separate first
-    moments and a per-gap loop for the parity suffix sums."""
+    """Reference gap kernel: the segment moments taken one segment at a
+    time, each segment's integral and first moment in float arithmetic,
+    and a per-gap loop for the parity suffix sums."""
     m = y.size
     bp = np.empty(m + 1)
     bp[0] = 0.0
@@ -942,8 +946,16 @@ def gap_energy_and_grad_loop(y, eps, w):
     signs = np.ones(m)
     signs[1::2] = -1.0
     vals = np.concatenate(([0.0], np.cumsum(signs * y)))
+    seg = np.empty(m)
+    J = np.zeros(m)
+    for j in range(m):
+        p0, p1, p2 = (float(x) for x in segment_moments(bp[j], y[j], w.beta))
+        u, s = float(vals[j]), float(signs[j])
+        # 0 * inf is nan in float arithmetic, as in the kernel's arrays
+        seg[j] = p2 + (u * (u * p0 + 2.0 * s * p1) if u != 0.0 else 0.0)
+        if j > 0:
+            J[j] = u * p0 + s * p1
     surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
-    seg = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta)
     energy = surface + float(np.sum(seg))
     grad = np.full(m, vals[-1] ** 2)
     if w.alpha != 0.0 and zs.size:
@@ -951,13 +963,6 @@ def gap_energy_and_grad_loop(y, eps, w):
             zpow = zs ** (w.alpha - 1.0)
         suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
         grad += 2.0 * eps * w.alpha * suf
-    p, q = bp[1:-1], bp[2:]
-    c = vals[1:-1] - signs[1:] * p
-    p0 = power_primitive(p, q, -w.beta)
-    p1 = power_primitive(p, q, 1.0 - w.beta)
-    J = np.zeros(m)
-    with np.errstate(invalid="ignore"):
-        J[1:] = c * p0 + signs[1:] * p1
     suf_even = np.zeros(m + 1)
     suf_odd = np.zeros(m + 1)
     for j in range(m - 1, -1, -1):
@@ -965,7 +970,8 @@ def gap_energy_and_grad_loop(y, eps, w):
         suf_odd[j] = suf_odd[j + 1] + (J[j] if j % 2 == 1 else 0.0)
     idx = np.arange(m)
     opp = np.where(idx % 2 == 0, suf_odd[idx + 1], suf_even[idx + 1])
-    grad += 4.0 * signs * opp
+    with np.errstate(invalid="ignore"):
+        grad += 4.0 * signs * opp
     return energy, grad
 
 
@@ -1017,49 +1023,41 @@ def gap_energy_and_grad_reference(y: np.ndarray, eps: float, w: WeightParams):
     signs = np.ones(m)
     signs[1::2] = -1.0
     vals = np.concatenate(([0.0], np.cumsum(signs * y)))
+    u = vals[:-1]
 
-    # segments j >= 2 written about t = 0: u(t) = c + sigma_j * t
-    p, q = bp[1:-1], bp[2:]
-    s = signs[1:]
-    c = vals[1:-1] - s * p
-    p0, p1, p2 = power_primitives(p, q, (-w.beta, 1.0 - w.beta, 2.0 - w.beta))
+    # each segment [z_j, z_j + y_j] written about its left end
+    p0, p1, p2 = segment_moments(bp[:-1], y, w.beta)
+    # a gap of exactly 0 makes a later segment start at t = 0, where p0
+    # and p1 may diverge, and 0 * inf in its first moment; the refinement
+    # never steps onto one (no step more than halves a gap), so let the
+    # nan through silently
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up0 = u * p0
+        sp1 = signs * p1
+        # sigma**2 = 1; where u = 0 only p2 survives
+        seg = p2 + np.where(u != 0.0, u * (up0 + 2.0 * sp1), 0.0)
+        surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
+        energy = surface + float(np.sum(seg))
 
-    surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
-    if y[0] == 0.0:
-        # segment 2 starts at t = 0 too: let the general kernel apply its
-        # origin branch and divergence checks
-        seg = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], signs, w.beta)
-    else:
-        seg = np.empty(m)
-        # segment 1 has u(0) = 0 and slope 1: only its slope term survives
-        seg[:1] = bp[1:2] ** (3.0 - w.beta) / (3.0 - w.beta)
-        seg[1:] = c * c * p0 + 2.0 * c * s * p1 + s * s * p2
-    energy = surface + float(np.sum(seg))
-
-    # surface suffix term (a jump at z = 0 gives inf: let it flow through)
-    grad = np.full(m, vals[-1] ** 2)
-    if w.alpha != 0.0 and zs.size:
-        with np.errstate(divide="ignore"):
+        # surface suffix term (a jump at z = 0 gives inf: let it flow through)
+        grad = np.full(m, vals[-1] ** 2)
+        if w.alpha != 0.0 and zs.size:
             zpow = zs ** (w.alpha - 1.0)
-        suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
-        grad += 2.0 * eps * w.alpha * suf
+            suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
+            grad += 2.0 * eps * w.alpha * suf
 
-    # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
-    J = np.zeros(m)
-    # a gap of exactly 0 gives 0 * inf here; the refinement never steps
-    # onto one (no step more than halves a gap), so let the nan through
-    # silently
-    with np.errstate(invalid="ignore"):
-        J[1:] = c * p0 + s * p1
+        # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
+        J = np.zeros(m)
+        J[1:] = up0[1:] + sp1[1:]
 
-    # suffix sums of J by parity, added right to left starting from 0:
-    # suf_even[k] sums J[2k::2], suf_odd[k] sums J[2k+1::2]
-    suf_even = np.cumsum(np.concatenate(([0.0], J[0::2][::-1])))[::-1]
-    suf_odd = np.cumsum(np.concatenate(([0.0], J[1::2][::-1])))[::-1]
-    opp = np.empty(m)
-    opp[0::2] = suf_odd[: (m + 1) // 2]  # even i: odd j > i
-    opp[1::2] = suf_even[1 : m // 2 + 1]  # odd i: even j > i
-    grad += 4.0 * signs * opp
+        # suffix sums of J by parity, added right to left starting from 0:
+        # suf_even[k] sums J[2k::2], suf_odd[k] sums J[2k+1::2]
+        suf_even = np.cumsum(np.concatenate(([0.0], J[0::2][::-1])))[::-1]
+        suf_odd = np.cumsum(np.concatenate(([0.0], J[1::2][::-1])))[::-1]
+        opp = np.empty(m)
+        opp[0::2] = suf_odd[: (m + 1) // 2]  # even i: odd j > i
+        opp[1::2] = suf_even[1 : m // 2 + 1]  # odd i: even j > i
+        grad += 4.0 * signs * opp
     return energy, grad
 
 
@@ -1325,16 +1323,17 @@ def test_optimize_sharp_golden_weighted():
     # the sharp-min result the cli-cold benchmark reports: a change to the
     # kernel or the Newton refinement that moves it must not raise it
     # above rounding.  Every count from 1 to 22 solved on its own picks
-    # n = 8, as the walk does.  The dense Newton step gave the total
-    # 0.013156223785776775; the tridiagonal step gives
-    # 0.013156223785776786, 7.9e-16 more
+    # n = 8, as the walk does.  The total is 0.013156223785776766; 50-digit
+    # decimal arithmetic gives 0.013156223785776768 on the layout.  With
+    # every segment written about t = 0 it read 0.013156223785776786, on
+    # a layout whose decimal total is 0.013156223785776772
     w = WeightParams(0.5, 1.0)
     oracle, _, _ = exhaustive_minimum(1e-3, w)
     res = optimize_sharp(1e-3, w)
     assert res.profile.n_jumps == 8
     assert res.energy.total == oracle.energy.total
-    assert res.energy.total == pytest.approx(0.013156223785776775, rel=1e-12)
-    assert res.energy.total <= 0.013156223785776775 * (1.0 + 1e-14)
+    assert res.energy.total == pytest.approx(0.013156223785776766, rel=1e-12)
+    assert res.energy.total <= 0.013156223785776766 * (1.0 + 1e-14)
 
 
 def test_collapsed_gaps_are_normalized():
