@@ -970,8 +970,7 @@ def gap_energy_and_grad_loop(y, eps, w):
         suf_odd[j] = suf_odd[j + 1] + (J[j] if j % 2 == 1 else 0.0)
     idx = np.arange(m)
     opp = np.where(idx % 2 == 0, suf_odd[idx + 1], suf_even[idx + 1])
-    with np.errstate(invalid="ignore"):
-        grad += 4.0 * signs * opp
+    grad += 4.0 * signs * opp
     return energy, grad
 
 
@@ -1031,33 +1030,34 @@ def gap_energy_and_grad_reference(y: np.ndarray, eps: float, w: WeightParams):
     # and p1 may diverge, and 0 * inf in its first moment; the refinement
     # never steps onto one (no step more than halves a gap), so let the
     # nan through silently
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         up0 = u * p0
         sp1 = signs * p1
         # sigma**2 = 1; where u = 0 only p2 survives
         seg = p2 + np.where(u != 0.0, u * (up0 + 2.0 * sp1), 0.0)
-        surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
-        energy = surface + float(np.sum(seg))
+    surface = 2.0 * eps * float(np.sum(zs**w.alpha)) if zs.size else 0.0
+    energy = surface + float(np.sum(seg))
 
-        # surface suffix term (a jump at z = 0 gives inf: let it flow through)
-        grad = np.full(m, vals[-1] ** 2)
-        if w.alpha != 0.0 and zs.size:
+    # surface suffix term (a jump at z = 0 gives inf: let it flow through)
+    grad = np.full(m, vals[-1] ** 2)
+    if w.alpha != 0.0 and zs.size:
+        with np.errstate(divide="ignore"):
             zpow = zs ** (w.alpha - 1.0)
-            suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
-            grad += 2.0 * eps * w.alpha * suf
+        suf = np.concatenate((np.cumsum(zpow[::-1])[::-1], [0.0]))
+        grad += 2.0 * eps * w.alpha * suf
 
-        # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
-        J = np.zeros(m)
-        J[1:] = up0[1:] + sp1[1:]
+    # first moments J_j = int_seg t**-beta * u(t) dt for segments j >= 2
+    J = np.zeros(m)
+    J[1:] = up0[1:] + sp1[1:]
 
-        # suffix sums of J by parity, added right to left starting from 0:
-        # suf_even[k] sums J[2k::2], suf_odd[k] sums J[2k+1::2]
-        suf_even = np.cumsum(np.concatenate(([0.0], J[0::2][::-1])))[::-1]
-        suf_odd = np.cumsum(np.concatenate(([0.0], J[1::2][::-1])))[::-1]
-        opp = np.empty(m)
-        opp[0::2] = suf_odd[: (m + 1) // 2]  # even i: odd j > i
-        opp[1::2] = suf_even[1 : m // 2 + 1]  # odd i: even j > i
-        grad += 4.0 * signs * opp
+    # suffix sums of J by parity, added right to left starting from 0:
+    # suf_even[k] sums J[2k::2], suf_odd[k] sums J[2k+1::2]
+    suf_even = np.cumsum(np.concatenate(([0.0], J[0::2][::-1])))[::-1]
+    suf_odd = np.cumsum(np.concatenate(([0.0], J[1::2][::-1])))[::-1]
+    opp = np.empty(m)
+    opp[0::2] = suf_odd[: (m + 1) // 2]  # even i: odd j > i
+    opp[1::2] = suf_even[1 : m // 2 + 1]  # odd i: even j > i
+    grad += 4.0 * signs * opp
     return energy, grad
 
 
