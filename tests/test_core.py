@@ -15,7 +15,7 @@ from mspl import (
     evaluate_sharp,
     validate_weights,
 )
-from mspl.core import power_primitive, weighted_square_integrals
+from mspl.core import power_primitive, segment_moments, weighted_square_integrals
 from mspl.diffuse import _operators
 from mspl.sharp import _gap_kernel
 
@@ -224,6 +224,33 @@ def dyadic_layout(rng, n):
         k[-1] += 2**43 - k.sum()
         units[parity::2] = k
     return units * 2.0**-44
+
+
+def test_segment_moments_match_decimal_moments():
+    # each moment against 50 digits, on both sides of y = 2a, at the
+    # poles beta = 1, 2 and near them, and at the ends of the regime;
+    # a = 0 gives the closed form or inf, and y = 0 gives 0
+    rng = np.random.default_rng(5)
+    worst = {True: 0.0, False: 0.0}
+    for beta in (*rng.uniform(-1.0, 2.9, 40), -1.0, 0.0, 1.0, 2.0, 2.9, 1.0 + 1e-13, 2.0 - 1e-13):
+        a = 10.0 ** rng.uniform(-12.0, 0.0, 12)
+        y = a * 10.0 ** rng.uniform(-6.0, 6.0, 12)
+        got = segment_moments(a, y, beta)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for i in range(a.size):
+                t0, h = Decimal(float(a[i])), Decimal(float(y[i]))
+                p0, p1, p2 = decimal_primitives([t0, t0 + h], beta)[0]
+                exact = (p0, p1 - t0 * p0, p2 - 2 * t0 * p1 + t0 * t0 * p0)
+                err = max(abs(float((Decimal(float(g[i])) - e) / e)) for g, e in zip(got, exact))
+                worst[bool(y[i] <= 2.0 * a[i])] = max(worst[bool(y[i] <= 2.0 * a[i])], err)
+    print(f"worst moment error: {worst[True]:.2e} for y <= 2a, {worst[False]:.2e} beyond")
+    assert worst[True] <= 1e-15
+    assert worst[False] <= 2e-15
+    m = segment_moments([0.0, 0.0, 0.5], [0.25, 0.0, 0.0], 1.5)
+    assert m[0][0] == np.inf and m[1][0] == pytest.approx(0.25**0.5 / 0.5, rel=1e-15)
+    assert m[2][0] == pytest.approx(0.25**1.5 / 1.5, rel=1e-15)
+    assert all(k[1] == 0.0 and k[2] == 0.0 for k in m)
 
 
 def test_segment_kernel_matches_decimal_oracle():
