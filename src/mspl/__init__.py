@@ -33,6 +33,7 @@ _HOMES = {
             "minimize_cell",
             "optimal_period",
             "period_law_constant",
+            "sharp_period",
         ),
         "config": ("ExperimentConfig", "MeshSpec", "OptimizerSpec", "preset"),
         "core": ("EnergyBreakdown",),
@@ -51,7 +52,6 @@ _HOMES = {
         ),
         "errors": (
             "errors",
-            "BracketFailure",
             "DivergentIntegral",
             "InsufficientData",
             "InvalidConfig",

@@ -1,22 +1,21 @@
 """Window functional and period measurement.
 
-The cell problem that predicts the local period lives in `cell`.  This
-module evaluates the zoomed window functional on sampled data and
-measures empirical periods of computed minimizers for comparison against
-the prediction
+The cell problem and the period law live in `cell`.  This module
+evaluates the zoomed window functional on sampled data and measures the
+empirical period of a computed minimizer against the law of its model:
+`cell.sharp_period` for a sharp profile, and `predicted_period`, the same
+law at the diffuse model's sharp surrogate, for a diffuse field,
 
-    h(s) = eps**(1/3) * L * s**((alpha + 2*beta)/6),   L = (96 I)**(1/3),
-
-with I the area under sqrt of the double well.
+    h(s) = eps**(1/3) * L * s**((alpha + 2*beta)/6),   L = 4.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import period_law_constant
+from .cell import sharp_period
 from .core import power_primitive, weighted_square_integrals
-from .diffuse import DiffuseField, double_well
+from .diffuse import DiffuseField, diffuse_surrogate, double_well
 from .errors import (
     InvalidConfig,
     InvalidPeriod,
@@ -99,15 +98,16 @@ class PeriodEstimate:
 
 
 def predicted_period(s: float, eps: float, w: WeightParams) -> float:
-    return eps ** (1.0 / 3.0) * period_law_constant() * s ** (
-        (w.alpha + 2.0 * w.beta) / 6.0
-    )
+    """The diffuse model's local period: the sharp law at the diffuse
+    model's sharp-interface surrogate."""
+    return sharp_period(s, *diffuse_surrogate(eps, w))
 
 
 def extract_period(
     obj, s: float, window: float | None = None, *, eps: float, weights: WeightParams
 ) -> PeriodEstimate:
-    """Empirical oscillation period of a minimizer near s, vs predicted.
+    """Empirical oscillation period of a minimizer near s, vs the period
+    law of its model (`sharp_period` or `predicted_period`).
 
     Slope reversals inside [s-window, s+window] are collected (jump
     points for a sawtooth profile, slope zero-crossings for a nodal
@@ -115,22 +115,21 @@ def extract_period(
     Needs at least 4 reversals, else TooFewOscillations."""
     if not 0.0 < s < 1.0:
         raise InvalidSample(f"location must be interior, got {s!r}")
-    h_pred = predicted_period(s, eps, weights)
+    if isinstance(obj, SawtoothProfile):
+        pts = np.asarray(obj.jumps, dtype=float)
+        h_pred = sharp_period(s, eps, weights)
+    elif isinstance(obj, DiffuseField):
+        pts = obj.slope_reversals()
+        h_pred = predicted_period(s, eps, weights)
+    else:
+        raise InvalidSample(f"cannot extract a period from {type(obj).__name__}")
     if window is None:
         # ~2.5 local periods: wide enough for >= 4 reversals, narrow
         # enough that the s-dependence of the period is not averaged out
         window = 1.25 * h_pred
     lo = max(s - window, 0.0)
     hi = min(s + window, 1.0)
-
-    if isinstance(obj, SawtoothProfile):
-        pts = np.asarray(obj.jumps, dtype=float)
-        pts = pts[(pts >= lo) & (pts <= hi)]
-    elif isinstance(obj, DiffuseField):
-        pts = obj.slope_reversals()
-        pts = pts[(pts >= lo) & (pts <= hi)]
-    else:
-        raise InvalidSample(f"cannot extract a period from {type(obj).__name__}")
+    pts = pts[(pts >= lo) & (pts <= hi)]
 
     if pts.size < 4:
         raise TooFewOscillations(

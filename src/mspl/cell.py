@@ -2,16 +2,18 @@
 
 Around an interior point s the energy looks, after zooming by eps**(1/3),
 like a frozen-coefficient functional whose minimizers are periodic
-sawtooth waves.  This module gives that cell density, its optimal period
-in closed form and by a derivative-free search, and the constants of the
-period law.  It needs only `math`, so `mspl cell` loads no numerical
-library.
+sawtooth waves.  This module gives the one period law of both models
+(`sharp_period`; the diffuse model's is the same law at its sharp
+surrogate), the cell density, and its optimal period in closed form and
+by a derivative-free bisection.  It needs only `math`, so `mspl cell`
+loads no numerical library.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import BracketFailure, InvalidConfig, InvalidPeriod, InvalidSample
+from .errors import InvalidConfig, InvalidPeriod, InvalidSample
 from .weights import WeightParams
 
 
@@ -23,9 +25,31 @@ def A0_constant() -> float:
     return 4.0 / 3.0
 
 
-def period_law_constant() -> float:
-    """L = (96 * int_0^1 sqrt(W))**(1/3) = (48 * A0)**(1/3); equals 4."""
-    return (48.0 * A0_constant()) ** (1.0 / 3.0)
+def _tooth_pair(corner: float, bulk: float) -> float:
+    """Width 2y of the tooth pair that minimizes the frozen density
+
+        corner / y  +  bulk * y**2 / 12
+
+    over the tooth width y: one corner of cost `corner` per tooth, and
+    the mean of bulk * u**2 over a slope-one tooth of width y.  The
+    minimum is at y**3 = 6 corner / bulk.  The two cube roots are taken
+    apart, so that corner / bulk cannot underflow or overflow."""
+    return 2.0 * (6.0 * corner) ** (1.0 / 3.0) / bulk ** (1.0 / 3.0)
+
+
+def sharp_period(s: float, eps: float, w: WeightParams) -> float:
+    """The sharp model's local period at s,
+
+        h(s) = 2 (12 eps)**(1/3) s**((alpha+beta)/3).
+
+    Frozen at s, a slope-one sawtooth with teeth of width y spends
+    2 eps s**alpha / y per unit length on its corners (each reversal
+    carries curvature mass 2) and s**-beta y**2 / 12 on the bulk; the sum
+    is least at y**3 = 12 eps s**(alpha+beta), and h is the tooth pair
+    2y.  The diffuse model's law is this one at its sharp-interface
+    surrogate (`diffuse.diffuse_surrogate`), whose corners cost what a
+    diffuse transition layer costs."""
+    return _tooth_pair(2.0 * eps * s**w.alpha, s ** (-w.beta))
 
 
 @dataclass(frozen=True)
@@ -63,10 +87,15 @@ def cell_density(h: float, p: float, params: CellDensityParams) -> float:
 
 
 def optimal_period(params: CellDensityParams) -> float:
-    """Closed-form optimal pattern period (48*A0*sqrt(a)/b)**(1/3),
-    i.e. twice the corner spacing that minimizes cell_density(., 0)
-    (the spacing solves h**3 = 6*A0*sqrt(a)/b)."""
-    return (48.0 * A0_constant() * math.sqrt(params.a_s) / params.b_s) ** (1.0 / 3.0)
+    """Closed-form optimal pattern period (48*A0*sqrt(a)/b)**(1/3), twice
+    the corner spacing that minimizes cell_density(., 0): the tooth pair
+    of a corner cost A0*sqrt(a) and a bulk weight b."""
+    return _tooth_pair(A0_constant() * math.sqrt(params.a_s), params.b_s)
+
+
+def period_law_constant() -> float:
+    """L = (48 * A0)**(1/3) = 4, the optimal period at a = b = 1."""
+    return optimal_period(CellDensityParams(1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -74,71 +103,34 @@ class CellMinimum:
     period: float  # full pattern period, twice the optimal corner spacing
     spacing: float
     density: float
-    bracket: tuple[float, float]
     iterations: int
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the search range in log h: every positive normal double
+_LOG_H_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+_HALVINGS = 60
+_DELTA = 1e-6
 
 
-def minimize_cell(params: CellDensityParams, p: float = 0.0) -> CellMinimum:
+def minimize_cell(params: CellDensityParams) -> CellMinimum:
     """Minimize the cell density over the corner spacing, derivative-free;
     reports the resulting pattern period (twice the spacing).
 
-    Golden-section search on an auto-expanded bracket (up to 60 doublings
-    each way), followed by a parabolic vertex polish: pure golden section
-    stalls at ~sqrt(machine eps) relative accuracy, the parabola through
-    three nearby samples pins the minimum to ~1e-11."""
+    g(h) = cell_density(h, 0) is convex in log h, so the minimum lies to
+    the right of h where g(h e**d) < g(h e**-d), d = 1e-6.  That sign
+    bisects log h over the positive normal doubles; 60 halvings shrink
+    the range below 2e-15, and the sign test resolves the minimizer to
+    about 1e-10 relative, where g's rounding decides it."""
 
     def g(h):
-        return cell_density(h, p, params)
+        return cell_density(h, 0.0, params)
 
-    lo, hi = 1e-3, 1.0
-    it = 0
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if g(lo) > g(mid) < g(hi):
-            break
-        if g(lo) <= g(mid):
-            lo *= 0.5
+    lo, hi = _LOG_H_RANGE
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if g(math.exp(mid + _DELTA)) < g(math.exp(mid - _DELTA)):
+            lo = mid
         else:
-            hi *= 2.0
-        it += 1
-    else:
-        raise BracketFailure(
-            f"no interior minimum of the cell density in [{lo:g}, {hi:g}]"
-        )
-    bracket = (lo, hi)
-
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    gc, gd = g(c), g(d)
-    while (b - a) > 1e-7 * (abs(a) + abs(b)) and it < 500:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _GOLDEN * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _GOLDEN * (b - a)
-            gd = g(d)
-        it += 1
-    h = 0.5 * (a + b)
-
-    # parabolic polish: vertex of the quadratic through h-d, h, h+d
-    for _ in range(3):
-        dlt = 1e-5 * h
-        g0, gm, gp = g(h), g(h - dlt), g(h + dlt)
-        denom = gm - 2.0 * g0 + gp
-        if denom <= 0.0:
-            break
-        shift = 0.5 * dlt * (gm - gp) / denom
-        if abs(shift) > dlt:
-            shift = math.copysign(dlt, shift)
-        h += shift
-        it += 1
-
-    return CellMinimum(
-        period=2.0 * h, spacing=h, density=g(h), bracket=bracket, iterations=it
-    )
+            hi = mid
+    h = math.exp(0.5 * (lo + hi))
+    return CellMinimum(period=2.0 * h, spacing=h, density=g(h), iterations=_HALVINGS)

@@ -25,7 +25,10 @@ from .rounding import round12, write_json
 from .weights import WeightParams
 
 
-def _add_common(p: argparse.ArgumentParser, eps_list=False):
+def _add_common(p: argparse.ArgumentParser, *, eps_list=False, diffuse=True, emit=True):
+    """The flags of a solving subcommand: the diffuse mesh and tolerance only
+    where a diffuse model runs, --format/--plot only where a report is emitted."""
+    p.set_defaults(mesh_n=None, grading_q=None, tol=None, format=None, plot=None)
     p.add_argument("--config", help="JSON config file to start from")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
@@ -33,13 +36,15 @@ def _add_common(p: argparse.ArgumentParser, eps_list=False):
         p.add_argument("--eps-list", default=None, help="comma-separated eps values")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--n-jumps", type=int, default=None)
-    p.add_argument("--mesh-n", type=int, default=None)
-    p.add_argument("--grading-q", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    if diffuse:
+        p.add_argument("--mesh-n", type=int, default=None)
+        p.add_argument("--grading-q", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=["csv", "json", "both"], default=None)
-    p.add_argument("--plot", action="store_true", default=None)
+    if emit:
+        p.add_argument("--format", choices=["csv", "json", "both"], default=None)
+        p.add_argument("--plot", action="store_true", default=None)
 
 
 def _build_config(args, model=None) -> ExperimentConfig:
@@ -226,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sharp-min", help="minimize the sharp sawtooth energy at one eps")
-    _add_common(p)
+    _add_common(p, diffuse=False, emit=False)
     p.set_defaults(fn=_cmd_sharp_min)
 
     p = sub.add_parser("diffuse-min", help="minimize the diffuse energy at one eps")
-    _add_common(p)
+    _add_common(p, emit=False)
     p.set_defaults(fn=_cmd_diffuse_min)
 
     p = sub.add_parser("sweep-scaling", help="energy-vs-eps sweep with power-law fit")
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("energy-profile", help="cumulative energy distribution check")
-    _add_common(p)
+    _add_common(p, diffuse=False)
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("period-check", help="empirical vs predicted local period")

@@ -160,8 +160,9 @@ def build_smoothed(
     """Sample the corner-rounded sawtooth on the mesh.
 
     Each tooth tip at z_k is replaced on [z_k - mu, z_k + mu] by the
-    quadratic cap, shifted by mu/2 toward the axis so the result is C^1:
-    peaks sit at u(z_k) - mu/2, valleys at u(z_k) + mu/2.
+    quadratic cap of `transition_profile`, shifted by mu/2 toward the
+    axis so the result is C^1: peaks sit at u(z_k) - mu/2, valleys at
+    u(z_k) + mu/2.
     """
     if not mu > 0.0:
         raise InvalidMu(f"cap half-width must be positive, got {mu!r}")
@@ -185,7 +186,7 @@ def build_smoothed(
             continue
         peak = slopes[k] > 0  # slope flips + -> - : local max
         c = vals[k + 1] - 0.5 * mu if peak else vals[k + 1] + 0.5 * mu
-        f = d[cap] ** 2 / (2.0 * mu)
+        f = transition_profile(d[cap], mu)
         u[cap] = c - f if peak else c + f
     u[0] = 0.0
     u[-1] = 0.0
@@ -481,11 +482,13 @@ def diffuse_surrogate(eps: float, w: WeightParams) -> tuple[float, WeightParams]
     Across a diffuse slope reversal at t the curvature cost
     eps**2 t**alpha u''**2 balances the well, and the layer costs
     A0 eps t**(alpha/2), with A0 = 2 int_{-1}^{1} sqrt(W) = 4/3
-    (`asymptotics.A0_constant`).  A sharp corner at t costs
+    (`cell.A0_constant`).  A sharp corner at t costs
     2 eps t**alpha.  The bulk terms agree, so matching the corner costs,
     2 eps' t**alpha' = A0 eps t**(alpha/2), gives
 
-        eps' = A0 eps / 2 = 2 eps / 3,    w' = (alpha / 2, beta).
+        eps' = A0 eps / 2 = 2 eps / 3,    w' = (alpha / 2, beta),
+
+    and the diffuse model's period law is `cell.sharp_period` at (eps', w').
     """
     return 2.0 * eps / 3.0, WeightParams(0.5 * w.alpha, w.beta)
 

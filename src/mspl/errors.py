@@ -52,11 +52,6 @@ class InvalidPeriod(LabError):
     """Non-positive period passed to the reference sawtooth."""
 
 
-class BracketFailure(LabError):
-    """Could not bracket a one-dimensional minimum after the allowed
-    number of expansions."""
-
-
 class WindowOutOfDomain(LabError):
     """Rescaled averaging window pokes out of (0, 1)."""
 

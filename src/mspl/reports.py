@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .asymptotics import extract_period, predicted_period
+from .cell import sharp_period
 from .config import ExperimentConfig
 from .diffuse import GradedMesh, minimize_with_restarts
 from .errors import (
@@ -203,7 +204,7 @@ class DistributionReport:
     config: ExperimentConfig
 
 
-def run_distribution_report(cfg: ExperimentConfig, n_samples: int = 48) -> DistributionReport:
+def run_distribution_report(cfg: ExperimentConfig) -> DistributionReport:
     """Cumulative-energy profile of the sharp minimizer at the first eps:
     phi(x)/(x eps^(2/3)) should be flat above the trust threshold."""
     eps = cfg.eps_list[0]
@@ -214,7 +215,7 @@ def run_distribution_report(cfg: ExperimentConfig, n_samples: int = 48) -> Distr
         warnings.extend(validity.reasons)
     res = optimize_sharp(eps, w, sharp_options(cfg))
     threshold = distribution_threshold(eps, w.beta)
-    xs = np.geomspace(max(threshold / 10.0, 1e-6), 1.0, n_samples)
+    xs = np.geomspace(max(threshold / 10.0, 1e-6), 1.0, 48)
     xs[-1] = 1.0
     prof = cumulative_energy(res.profile, eps, w, xs)
     ratios = prof.ratios()
@@ -256,7 +257,8 @@ class PeriodReport:
 
 def run_period_report(cfg: ExperimentConfig, s_list) -> PeriodReport:
     """Empirical vs predicted oscillation period at interior locations,
-    for the configured model(s), at the smallest eps of the sweep."""
+    for the configured model(s), at the smallest eps of the sweep; each
+    model's rows predict by its own law (`extract_period`)."""
     w = cfg.weights
     if not w.limit_ok:
         raise InvalidConfig(
@@ -275,32 +277,19 @@ def run_period_report(cfg: ExperimentConfig, s_list) -> PeriodReport:
     for model in _models(cfg):
         if model == "sharp":
             minimizer = optimize_sharp(eps, w, sharp_options(cfg)).profile
+            law = sharp_period
         else:
             minimizer = diffuse_minimum(eps, cfg)[0].field
+            law = predicted_period
         rows = []
         for s in sorted(s_arr):
             try:
                 est = extract_period(minimizer, s, eps=eps, weights=w)
-                rows.append(
-                    {
-                        "s": s,
-                        "h_emp": est.h_emp,
-                        "h_pred": est.h_pred,
-                        "ratio": est.ratio,
-                        "n_teeth": est.n_teeth,
-                    }
-                )
+                row = (s, est.h_emp, est.h_pred, est.ratio, est.n_teeth)
             except TooFewOscillations as exc:
                 warnings.append(f"{model} s={s:g}: {exc}")
-                rows.append(
-                    {
-                        "s": s,
-                        "h_emp": math.nan,
-                        "h_pred": predicted_period(s, eps, w),
-                        "ratio": math.nan,
-                        "n_teeth": 0,
-                    }
-                )
+                row = (s, math.nan, law(s, eps, w), math.nan, 0)
+            rows.append(dict(zip(PERIOD_HEADER, row)))
         rows_by_model[model] = rows
         ok = [r for r in rows if math.isfinite(r["h_emp"])]
         fits[model] = (

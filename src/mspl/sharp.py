@@ -156,10 +156,10 @@ class CumulativeEnergyProfile:
         return np.asarray(self.phis) / (xs * self.eps ** (2.0 / 3.0))
 
 
-def distribution_threshold(eps: float, beta: float, c1: float = 1.0) -> float:
+def distribution_threshold(eps: float, beta: float) -> float:
     """Left edge of the window where the uniform-distribution statement
-    applies: x >= c1 * eps**(2/(9-3*beta))."""
-    return c1 * eps ** (2.0 / (9.0 - 3.0 * beta))
+    applies: x >= eps**(2/(9-3*beta))."""
+    return eps ** (2.0 / (9.0 - 3.0 * beta))
 
 
 def cumulative_energy(
@@ -672,11 +672,8 @@ def jump_count_estimate(eps: float, w: WeightParams) -> int:
     """Jump count of the cell law, where `optimize_sharp` starts its walk
     over counts; a start, not a bound on the counts it scores.
 
-    Frozen at s, a sawtooth of period h spends 4 eps s**alpha / h per
-    unit length on its two corners per period and s**-beta h**2 / 48 on
-    the bulk (the mean of u**2 over a slope-one tooth of amplitude h/4).
-    The sum is least at h(s) = 2 (12 eps)**(1/3) s**((alpha+beta)/3), so
-    the jumps have density 2 / h(s) and their count is
+    The jumps have density 2 / h(s), with h the local period
+    `cell.sharp_period`, so their count is
 
         n = (12 eps)**(-1/3) * int_{eps**2}^1 s**(-(alpha+beta)/3) ds.
 
@@ -851,15 +848,14 @@ def rescaled_min_energy(
     return a ** (3.0 - w.beta) * res.energy.total
 
 
-def amplitude_envelope_ratio(
-    profile: SawtoothProfile, eps: float, beta: float, n_samples: int = 2048
-) -> float:
-    """max over t of |u(t)| / (eps**(2/9) * t**(beta/3)).
+def amplitude_envelope_ratio(profile: SawtoothProfile, eps: float, beta: float) -> float:
+    """max over t of |u(t)| / (eps**(2/9) * t**(beta/3)), over the
+    breakpoints and 2048 geometric samples.
 
     Boundedness of this statistic across eps is the quantitative form of
     the amplitude decay law near the singular end."""
     bp = profile.breakpoints
-    grid = np.geomspace(max(bp[1] * 1e-3, 1e-9), 1.0, n_samples)
+    grid = np.geomspace(max(bp[1] * 1e-3, 1e-9), 1.0, 2048)
     ts = np.unique(np.concatenate((bp[1:], grid)))
     u = np.abs(profile.evaluate(ts))
     env = eps ** (2.0 / 9.0) * ts ** (beta / 3.0)

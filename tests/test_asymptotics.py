@@ -23,10 +23,13 @@ from mspl import (
     minimize_cell,
     optimal_period,
     period_law_constant,
+    optimize_sharp,
     predicted_period,
     sawtooth,
+    sharp_period,
     window_functional,
 )
+from mspl.sharp import jump_count_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +155,18 @@ def test_minimize_cell_matches_closed_form_randomly():
         checked += 1
 
 
+def test_minimize_cell_spans_the_double_range():
+    # minimizers near 4e-150 and 4e150, where a bracket grown from
+    # [1e-3, 1] in 60 doublings never reaches
+    for a, b in ((1e-300, 1e300), (1e300, 1e-300)):
+        c = CellDensityParams(a, b)
+        want = 2.0 * (6.0 * A0_constant() * a**0.5) ** (1.0 / 3.0) / b ** (1.0 / 3.0)
+        assert optimal_period(c) == pytest.approx(want, rel=1e-14)
+        res = minimize_cell(c)
+        assert abs(res.period - want) <= 1e-8 * want
+        assert res.spacing == 0.5 * res.period
+
+
 # ---------------------------------------------------------------------------
 # window functional
 # ---------------------------------------------------------------------------
@@ -214,6 +229,53 @@ def test_predicted_period_flat_without_weights():
     eps = 1e-4
     vals = [predicted_period(s, eps, w) for s in (0.2, 0.5, 0.9)]
     assert vals == pytest.approx([4.0 * eps ** (1.0 / 3.0)] * 3, rel=1e-14)
+
+
+def law_draws(n, seed):
+    """(s, eps, w) over the weight regime, eps from 1e-10 to 1e-1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        w = WeightParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 2.9)))
+        yield float(rng.uniform(0.01, 0.99)), float(10.0 ** rng.uniform(-10.0, -1.0)), w
+
+
+def test_predicted_period_is_the_sharp_law_at_the_surrogate():
+    for s, eps, w in law_draws(500, 31):
+        got = predicted_period(s, eps, w)
+        law = eps ** (1.0 / 3.0) * 4.0 * s ** ((w.alpha + 2.0 * w.beta) / 6.0)
+        cell = eps ** (1.0 / 3.0) * optimal_period(CellDensityParams.from_location(s, w))
+        assert got == pytest.approx(law, rel=1e-14, abs=0.0)
+        assert got == pytest.approx(cell, rel=1e-14, abs=0.0)
+
+
+def test_sharp_period_is_the_start_counts_jump_density():
+    # jump_count_estimate integrates (12 eps)**(-1/3) s**(-(alpha+beta)/3)
+    for s, eps, w in law_draws(500, 37):
+        density = (12.0 * eps) ** (-1.0 / 3.0) * s ** (-(w.alpha + w.beta) / 3.0)
+        assert 2.0 / sharp_period(s, eps, w) == pytest.approx(density, rel=1e-14, abs=0.0)
+    w = WeightParams(0.0, 0.0)
+    assert jump_count_estimate(1e-6, w) == round(2.0 / sharp_period(0.5, 1e-6, w))
+
+
+def test_extract_period_predicts_by_the_model_law():
+    w, eps = WeightParams(0.5, 1.0), 1e-3
+    p = SawtoothProfile(tuple(k / 10.0 for k in range(1, 10)))
+    fld = build_smoothed(p, 0.01, GradedMesh(4096, 1.0))
+    assert extract_period(p, 0.5, 0.35, eps=eps, weights=w).h_pred == sharp_period(0.5, eps, w)
+    assert extract_period(fld, 0.5, 0.35, eps=eps, weights=w).h_pred == predicted_period(
+        0.5, eps, w
+    )
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.25, 0.5)])
+def test_sharp_teeth_follow_the_sharp_law(alpha, beta):
+    eps, w = 1e-6, WeightParams(alpha, beta)
+    profile = optimize_sharp(eps, w).profile
+    ratios = [extract_period(profile, s, eps=eps, weights=w).ratio for s in (0.3, 0.5, 0.8)]
+    print(f"({alpha}, {beta}), eps {eps:g}: period ratios at s = 0.3, 0.5, 0.8:",
+          [f"{r:.4f}" for r in ratios])
+    for r in ratios:
+        assert abs(r - 1.0) <= 1e-2
 
 
 def test_extract_period_uniform_jumps():

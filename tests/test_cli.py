@@ -194,6 +194,31 @@ def test_threads_flag_is_rejected(capsys, argv):
     assert exc.value.code == 2
 
 
+# each subcommand takes only the flags its handler reads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sharp-min", "--mesh-n", "8"],
+        ["sharp-min", "--grading-q", "0.5"],
+        ["sharp-min", "--tol", "5"],
+        ["sharp-min", "--format", "csv"],
+        ["sharp-min", "--plot"],
+        ["diffuse-min", "--format", "csv"],
+        ["diffuse-min", "--plot"],
+        ["energy-profile", "--mesh-n", "8"],
+        ["energy-profile", "--grading-q", "0.5"],
+        ["energy-profile", "--tol", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_flag_the_handler_ignores_is_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--eps", "1e-2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------

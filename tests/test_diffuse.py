@@ -223,6 +223,41 @@ def test_smoothed_mu_guard():
         build_smoothed(SawtoothProfile((0.5,)), -1e-3, mesh)
 
 
+def caps_by_hand(profile, mu, mesh):
+    """The rounded sawtooth with each cap written out as the quadratic
+    c -+ d**2 / (2 mu) on |d| <= mu: the oracle of the test below."""
+    t = mesh.nodes
+    u = profile.evaluate(t)
+    for k, z in enumerate(profile.jumps):
+        d = t - z
+        cap = np.abs(d) <= mu
+        peak = profile.slopes[k] > 0
+        c = profile.values[k + 1] - 0.5 * mu if peak else profile.values[k + 1] + 0.5 * mu
+        f = d[cap] ** 2 / (2.0 * mu)
+        u[cap] = c - f if peak else c + f
+    u[0] = u[-1] = 0.0
+    return u
+
+
+def test_smoothed_caps_are_the_transition_profile():
+    # the period-law run's start (criterion 7), then random clamped layouts
+    # of paired segments, each bit for bit
+    eps, w, mesh = 1e-4, WeightParams(0.5, 1.0), GradedMesh(8192, 2.0)
+    layout = optimize_sharp(*diffuse_surrogate(eps, w)).profile
+    mu = min(eps, 0.45 * float(np.min(np.diff(layout.breakpoints))))
+    start = smoothed_graded_init(eps, w, mesh)
+    assert start.values.tobytes() == caps_by_hand(layout, mu, mesh).tobytes()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        halves = rng.uniform(0.2, 1.0, int(rng.integers(1, 12)))
+        widths = np.repeat(halves / (2.0 * halves.sum()), 2)
+        p = SawtoothProfile(tuple(float(z) for z in np.cumsum(widths)[:-1]))
+        mu = float(rng.uniform(0.05, 0.45)) * float(np.min(widths))
+        mesh = GradedMesh(int(rng.choice([256, 1024])), float(rng.choice([1.0, 2.0])))
+        got = build_smoothed(p, mu, mesh).values
+        assert got.tobytes() == caps_by_hand(p, mu, mesh).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # energy assembly
 # ---------------------------------------------------------------------------

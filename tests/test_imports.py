@@ -99,6 +99,7 @@ NUMPY_FREE_HOMES = {
     "optimal_period": "mspl.cell",
     "CellMinimum": "mspl.cell",
     "minimize_cell": "mspl.cell",
+    "sharp_period": "mspl.cell",
 }
 
 

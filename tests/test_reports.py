@@ -170,13 +170,15 @@ def test_distribution_warns_outside_hypothesis():
 
 
 def test_period_report_sharp_near_constant_weights():
-    # weights near zero: prediction is s-independent and teeth are uniform
+    # weights near zero: the sharp law is nearly s-independent and the
+    # teeth nearly uniform
     cfg = ExperimentConfig(weights=WeightParams(0.05, 0.05), eps_list=(1e-4,))
     rep = run_period_report(cfg, [0.3, 0.5, 0.8])
     rows = rep.rows_by_model["sharp"]
     assert [r["s"] for r in rows] == [0.3, 0.5, 0.8]
+    print("sharp period ratios:", [round(r["ratio"], 4) for r in rows])
     for r in rows:
-        assert r["ratio"] == pytest.approx(1.0, abs=0.4)
+        assert r["ratio"] == pytest.approx(1.0, abs=0.05)
     assert not rep.warnings
 
 
