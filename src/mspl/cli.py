@@ -52,6 +52,14 @@ def _build_config(args, model=None) -> ExperimentConfig:
     d = cfg.to_dict()
     if model is not None:
         d["model"] = model
+    if d["model"] == "sharp":
+        # the mesh and tolerance flags set only the diffuse solver
+        for flag in ("mesh_n", "grading_q", "tol"):
+            if getattr(args, flag) is not None:
+                raise InvalidConfig(
+                    f"--{flag.replace('_', '-')} sets the diffuse model, "
+                    "which --model sharp does not run"
+                )
     if args.alpha is not None or args.beta is not None:
         d["weights"] = {
             "alpha": args.alpha if args.alpha is not None else cfg.weights.alpha,

@@ -265,9 +265,9 @@ class _Operators:
         well, bulk = float(self.h @ double_well(p)), float(x @ qx)
         return EnergyBreakdown(eps * eps * float(curv @ wcurv), well, bulk), wcurv, p, qx
 
-    def energy_and_grad(self, x: np.ndarray, eps: float):
-        """Objective and gradient in the interior unknowns."""
-        parts, wcurv, p, qx = self.energy(x, eps)
+    def gradient(self, wcurv: np.ndarray, p: np.ndarray, qx: np.ndarray, eps: float):
+        """Gradient in the interior unknowns, from what `energy` returned
+        beside the energy at the same point."""
         wp = double_well_prime(p)
         # transpose of the second-difference operator, interior rows
         dtw = self.cm * wcurv
@@ -276,16 +276,23 @@ class _Operators:
         g = 2.0 * eps * eps * dtw
         g += wp[:-1] - wp[1:]
         g += 2.0 * qx
-        return parts.total, g
+        return g
+
+    def energy_and_grad(self, x: np.ndarray, eps: float):
+        """Objective and gradient in the interior unknowns."""
+        parts, *kept = self.energy(x, eps)
+        return parts.total, self.gradient(*kept, eps)
 
     def hessian_base(self, eps: float) -> np.ndarray:
         """Hessian of the curvature and bulk terms, 2 eps**2 D^T W D + 2 Q
-        on the interior nodes, in lower band form with bandwidth 2 (row 0
-        the diagonal, row 1 the first and row 2 the second subdiagonal,
-        left-aligned as `scipy.linalg.cholesky_banded(..., lower=True)`
-        reads it; the unused tail of rows 1 and 2 is 0)."""
+        on the interior nodes, in LAPACK's lower band storage with
+        bandwidth 2: row 0 the diagonal, row 1 the first and row 2 the
+        second subdiagonal, column j holding the entries (j, j), (j + 1, j)
+        and (j + 2, j), so the unused tail of rows 1 and 2 is 0.  The array
+        is Fortran-ordered, as LAPACK reads it, so passing it makes no
+        transposed copy."""
         cl, cm, cr, w = self.cl, self.cm, self.cr, self.dual_w
-        ab = np.zeros((3, cm.size))
+        ab = np.zeros((3, cm.size), order="F")
         ab[0] = w * cm * cm
         ab[0, 1:] += (w * cr * cr)[:-1]
         ab[0, :-1] += (w * cl * cl)[1:]
@@ -303,7 +310,7 @@ class _Operators:
         +-1/sqrt(3) the well curves down, and the band can be indefinite."""
         p = np.diff(x, prepend=0.0, append=0.0) / self.h
         well = (3.0 * p * p - 1.0) / self.h
-        ab = base.copy()
+        ab = base.copy(order="F")
         ab[0] += well[:-1] + well[1:]
         ab[1, :-1] -= well[1:-1]
         return ab
@@ -314,16 +321,21 @@ def _operators(n: int, q: float, alpha: float, beta: float) -> _Operators:
     return _Operators(n, q, alpha, beta)
 
 
+def _check_energy(eps: float, w: WeightParams) -> None:
+    """Refuse an eps or a bulk weight for which the energy is not finite."""
+    if not 0.0 < eps < math.inf:
+        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
+    if not w.beta < 3.0:
+        raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
+
+
 def evaluate_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> EnergyBreakdown:
     """Discrete energy of a nodal field, split into curvature (surface),
     double-well, and singular-bulk parts: the arithmetic of the descent's
     objective, so a descent's final energy is the last entry of its
     trace.  The bulk integrates the linear interpolant against
     t**(-beta) exactly."""
-    if not 0.0 < eps < math.inf:
-        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
-    if not w.beta < 3.0:
-        raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
+    _check_energy(eps, w)
     ops = _operators(field.mesh.n, field.mesh.q, w.alpha, w.beta)
     return ops.energy(field.values[1:-1], eps)[0]
 
@@ -347,7 +359,8 @@ class DiffuseMinimum:
     status is 'converged' (gradient inf-norm at most the tolerance, or
     30 steps in a row that lower the energy only at rounding level),
     'max_iter' (budget spent), 'line_search_failure' (no backtracked step
-    descends, or no finite Levenberg shift factors the Hessian) or
+    descends, or no finite Levenberg shift makes the Hessian positive
+    definite) or
     'dominated' (abandoned under a `bound`).  `converged` is
     status == 'converged'.  `trace` holds the energy at the start and
     after each of the `iterations` accepted steps; it never increases."""
@@ -372,19 +385,22 @@ def minimize_diffuse(
     """Descend from `init` with Levenberg-shifted Newton steps + Armijo
     backtracking.
 
-    Each step factors the true banded Hessian (`_Operators.hessian`) plus
-    a shift lam * I with one band Cholesky and solves against it.  Where
-    the factorization fails, lam is raised tenfold (to at least LAM_MIN)
-    and the factorization retried; after each accepted step lam is cut
-    tenfold, so near a nondegenerate minimum the shift dies out and the
-    steps become plain Newton steps.  The shifted matrix is positive
-    definite, so every step is a descent direction.
+    Each step solves against the true banded Hessian
+    (`_Operators.hessian`) plus a shift lam * I with one LAPACK `dpbsv`
+    call, a band Cholesky factorization and solve, per shift tried; the
+    call's `info` says whether the shifted matrix is positive definite.
+    Where it is not, lam is raised tenfold (to at least LAM_MIN) and the
+    call repeated; after each accepted step lam is cut tenfold, so near a
+    nondegenerate minimum the shift dies out and the steps become plain
+    Newton steps.  The shifted matrix is positive definite, so every step
+    is a descent direction.  Each backtracking trial evaluates only the
+    energy, and the gradient is taken at the trial accepted.
 
     Stops on gradient inf-norm <= tol (default 1e-8) or when the energy
     stagnates at rounding level for 30 consecutive steps; iteration
     budget exhaustion is reported via status='max_iter', a stalled line
-    search, or a Hessian that no finite shift makes factorizable (a
-    non-finite entry, or lam overflowing), via
+    search, or a Hessian that no finite shift makes positive definite (a
+    non-finite entry, or a shift that overflows the diagonal), via
     status='line_search_failure' -- both still return the best point
     seen, and the trace never increases either way.
 
@@ -395,17 +411,17 @@ def minimize_diffuse(
     above the bound.  The trace decreases, so the projection is at most
     f_k and an abandoned descent ends above the bound.
     """
-    if not 0.0 < eps < math.inf:
-        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
+    _check_energy(eps, w)
     # imported here so commands that never minimize skip loading scipy.linalg
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+    from scipy.linalg.lapack import dpbsv
 
     gtol = 1e-8 if tol is None else tol
     ops = _operators(init.mesh.n, init.mesh.q, w.alpha, w.beta)
     base = ops.hessian_base(eps)
 
     x = init.values[1:-1].copy()
-    f, g = ops.energy_and_grad(x, eps)
+    parts, *kept = ops.energy(x, eps)
+    f, g = parts.total, ops.gradient(*kept, eps)
     trace = [f]
     status = "max_iter"
     it = 0
@@ -417,37 +433,42 @@ def minimize_diffuse(
             status = "converged"
             break
         ab = ops.hessian(x, base)
-        diag = ab[0].copy()
-        factor = None
-        while factor is None and lam < np.inf:
-            ab[0] = diag + lam
-            try:
-                # ValueError: a non-finite entry, which no shift removes, so
-                # lam climbs until it overflows and the descent stops
-                factor = cholesky_banded(ab, lower=True)
-            except (LinAlgError, ValueError):
+        # info stays nonzero where no shift is tried: LAPACK's pivot test
+        # passes nan, and no shift removes a non-finite entry.  A shift is
+        # tried while the shifted diagonal stays finite, which its largest
+        # entry tells, as float addition is monotone
+        info = -1
+        if np.isfinite(ab).all():
+            diag = ab[0].copy()
+            top = float(diag.max())
+            while top + lam < math.inf:
+                ab[0] = diag + lam
+                _, d, info = dpbsv(ab, -g, lower=1, overwrite_b=1)
+                if info == 0:
+                    break
                 lam = max(10.0 * lam, LAM_MIN)
-        if factor is None:
+        if info != 0:
             status = "line_search_failure"
             break
-        d = cho_solve_banded((factor, True), -g)
         gd = float(g @ d)
 
         step = 1.0
-        f_new = None
+        accepted = None
         for _ in range(60):
             x_try = x + step * d
-            f_try, g_try = ops.energy_and_grad(x_try, eps)
-            if f_try <= f + 1e-4 * step * gd:
-                f_new = f_try
+            trial = ops.energy(x_try, eps)
+            if trial[0].total <= f + 1e-4 * step * gd:
+                accepted = trial
                 break
             step *= 0.5
-        if f_new is None:
+        if accepted is None:
             status = "line_search_failure"
             break
 
+        parts, *kept = accepted
+        f_new = parts.total
         stagnant = stagnant + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
-        x, f, g = x_try, f_new, g_try
+        x, f, g = x_try, f_new, ops.gradient(*kept, eps)
         trace.append(f)
         it += 1
         lam /= 10.0
@@ -462,11 +483,9 @@ def minimize_diffuse(
     if status == "max_iter" and float(np.max(np.abs(g))) <= gtol:
         status = "converged"
 
-    field = init.with_interior(x)
-    energy = evaluate_diffuse(field, eps, w)
     return DiffuseMinimum(
-        field=field,
-        energy=energy,
+        field=init.with_interior(x),
+        energy=parts,
         iterations=it,
         converged=status == "converged",
         status=status,
@@ -570,7 +589,7 @@ def minimize_with_restarts(
             {
                 "n_jumps": prof.n_jumps,
                 "teeth": res.field.slope_reversals().size,
-                "init_total": evaluate_diffuse(init, eps, w).total,
+                "init_total": res.trace[0],
                 "final_total": res.energy.total,
                 "status": res.status,
                 "iterations": res.iterations,

@@ -401,17 +401,22 @@ def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
     return _close((y / y.sum())[None], [n + 1])[0]
 
 
-def _tridiagonal_solve(p0: list, e: list, h: list):
-    """The solve of `_newton_steps` against one layout's tridiagonal T / 8,
-    by the LDL^T factorization of T / 8, or None at the first pivot not
-    > 0 (nan included), where T is not positive definite.
+def _tridiagonal_solve(p0: list, E: list, P: list, lam: float, h: list):
+    """The solve of `_newton_steps` against one layout's tridiagonal T / 8
+    at the shift lam, by the LDL^T factorization of T / 8, or None at the
+    first pivot not > 0 (nan included), where T is not positive definite.
 
     T / 8 has diagonal p0_k + e_k + e_{k+1} and off-diagonal -e_{k+1}:
-    p0 holds the n segment integrals and e the n + 1 entries e_k / 8 of
-    `_newton_steps`.  h holds the n entries s_k r_k / 8.  Returns vhat_k =
-    s_k v_k for k = 1..n, where vhat_n = v_n = 0, and a last 0."""
+    p0 holds the n segment integrals, and E and P the n + 1 entries e_k / 8
+    of `_newton_steps` at lam = 0 and the P(z_k) that lam scales, with
+    P_{n+1} = 0 under e_{n+1} = c, so e_k / 8 = E_k + lam P_k.  Each e_k is
+    formed as the elimination reaches it, so a shift that fails at the
+    first pivot costs that pivot.  h holds the n entries s_k r_k / 8.
+    Returns vhat_k = s_k v_k for k = 1..n, where vhat_n = v_n = 0, and a
+    last 0."""
     n = len(p0)
-    d = p0[0] + e[0] + e[1]
+    ek = E[1] + lam * P[1]
+    d = p0[0] + (E[0] + lam * P[0]) + ek
     if not d > 0.0:
         return None
     # the ratios e_k / d_{k-1} of the pivots d, and the eliminated
@@ -419,7 +424,8 @@ def _tridiagonal_solve(p0: list, e: list, h: list):
     # taken out
     y = h[0]
     qs, ys = [0.0], [y / d]
-    for gk, ek, ek1, hk in zip(p0[1:], e[1:], e[2:], h[1:]):
+    for gk, Ek1, Pk1, hk in zip(p0[1:], E[2:], P[2:], h[1:]):
+        ek1 = Ek1 + lam * Pk1
         q = ek / d
         d = gk + ek + ek1 - ek * q
         if not d > 0.0:
@@ -427,6 +433,7 @@ def _tridiagonal_solve(p0: list, e: list, h: list):
         y = hk - q * y
         qs.append(q)
         ys.append(y / d)
+        ek = ek1
     vhat = [0.0] * (n + 1)
     v = 0.0
     for k in range(n - 2, -1, -1):
@@ -492,10 +499,13 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
     h *= 0.125
     lam = list(lam)
     steps = []
+    p0_l, E_l, P_l, h_l = p0.tolist(), E.tolist(), P.tolist(), h.tolist()
     for i, k in enumerate((m - 1).tolist()):
-        c = 1.0 / float(np.add.reduce(inv_P[i, :k]))
-        p0_i, h_i, E_i, P_i = p0[i, :k].tolist(), h[i, :k].tolist(), E[i, :k], P[i, :k]
-        while (vhat := _tridiagonal_solve(p0_i, (E_i + lam[i] * P_i).tolist() + [c], h_i)) is None:
+        p0_i, h_i = p0_l[i][:k], h_l[i][:k]
+        # the last entry e_{n+1} / 8 = c / 8, which P = 0 keeps off the shift
+        E_i = E_l[i][:k] + [1.0 / float(np.add.reduce(inv_P[i, :k]))]
+        P_i = P_l[i][:k] + [0.0]
+        while (vhat := _tridiagonal_solve(p0_i, E_i, P_i, lam[i], h_i)) is None:
             lam[i] = max(10.0 * lam[i], LAM_MIN)
         steps.append(vhat + [0.0] * (M - k - 1))
     # the gap changes vhat_k - vhat_{k-2}, which reach two columns into
@@ -661,7 +671,11 @@ def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
     layouts never get there: `_refine_jump_positions` drops a layout
     long before, once a gap falls below COLLAPSE_TOL of its start.
     """
-    at, count = np.unique(np.cumsum(y)[:-1], return_counts=True)
+    at = np.cumsum(y)[:-1]
+    if np.all(np.diff(at, prepend=0.0, append=1.0) > 0.0):
+        # strictly increasing inside (0, 1): nothing to normalize
+        return SawtoothProfile(tuple(at.tolist()))
+    at, count = np.unique(at, return_counts=True)
     odd = count % 2 == 1
     initial_slope = -1 if at.size and at[0] == 0.0 and odd[0] else 1
     keep = odd & (at > 0.0) & (at < 1.0)

@@ -219,6 +219,41 @@ def test_a_flag_the_handler_ignores_is_rejected(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+# the mesh and tolerance flags of the report commands set the diffuse
+# solver, so a sharp-only run refuses them and names the flag
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "period-check", "--model", "sharp", "--alpha", "0.5", "--beta", "1",
+            "--eps", "1e-3", "--mesh-n", "8", "--tol", "5", "--grading-q", "0.1",
+        ],
+        ["sweep-scaling", "--eps-list", "1e-2,1e-3", "--mesh-n", "8", "--tol", "5"],
+        ["sweep-scaling", "--model", "sharp", "--eps-list", "1e-2", "--grading-q", "1"],
+        ["period-check", "--model", "sharp", "--alpha", "0.5", "--beta", "1", "--tol", "1e-6"],
+    ],
+    ids=["period-check", "sweep-scaling", "sweep-grading-q", "period-check-tol"],
+)
+def test_a_diffuse_flag_on_a_sharp_run_is_config_error(tmp_path, capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    flag = next(a for a in argv if a in ("--mesh-n", "--grading-q", "--tol"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_run_of_both_models_takes_the_diffuse_flags(tmp_path, capsys):
+    rc, _, _ = run_cli(
+        capsys, "sweep-scaling", "--model", "both", "--eps-list", "1e-2,5e-3",
+        "--mesh-n", "64", "--grading-q", "1", "--tol", "1e-6", "--out", str(tmp_path),
+    )
+    assert rc == 0
+    params = json.loads((tmp_path / "sweep_scaling.json").read_text())["params"]
+    assert params["mesh"] == {"n": 64, "q": 1.0}
+    assert params["optimizer"]["tol"] == 1e-6
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------

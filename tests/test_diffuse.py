@@ -5,6 +5,7 @@ import pytest
 
 from mspl import (
     DiffuseField,
+    DivergentIntegral,
     GradedMesh,
     InvalidConfig,
     InvalidField,
@@ -772,6 +773,20 @@ def test_a_shift_that_overflows_ends_the_descent(monkeypatch):
     assert res.iterations == 0
 
 
+@pytest.mark.parametrize("beta", [3.0, 3.5])
+def test_a_divergent_bulk_is_refused_before_the_descent(monkeypatch, beta):
+    import mspl.diffuse
+
+    def never(*args):
+        raise AssertionError("an operator was built")
+
+    init = random_field(GradedMesh(64, 1.0), np.random.default_rng(3))
+    monkeypatch.setattr(mspl.diffuse, "_operators", never)
+    for call in (evaluate_diffuse, minimize_diffuse):
+        with pytest.raises(DivergentIntegral, match="bulk term infinite"):
+            call(init, 1e-2, WeightParams(0.0, beta))
+
+
 @pytest.fixture(scope="module")
 def period_law_run():
     """Criterion 7's setting, which the diffuse-period benchmark runs."""
@@ -869,6 +884,163 @@ def _spy_on_descents(monkeypatch):
 
     monkeypatch.setattr(mspl.diffuse, "minimize_diffuse", spy)
     return calls, solve
+
+
+def reference_minimize_diffuse(init, eps, w, tol=None, max_iter=500, *, bound=None):
+    """`minimize_diffuse` written the plain way, as an oracle: each shift
+    tried is one `cholesky_banded` call, whose exception rejects it, the
+    step is one `cho_solve_banded`, every Armijo trial evaluates the
+    gradient too, and the final energy is `evaluate_diffuse` at the
+    result.  Returns the minimum and the shifts each step tried."""
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+
+    from mspl.diffuse import DOMINANCE_WINDOW, LAM_MIN, DiffuseMinimum
+
+    gtol = 1e-8 if tol is None else tol
+    ops = _operators(init.mesh.n, init.mesh.q, w.alpha, w.beta)
+    base = ops.hessian_base(eps)
+    x = init.values[1:-1].copy()
+    f, g = ops.energy_and_grad(x, eps)
+    trace, status, it, stagnant, lam, tried = [f], "max_iter", 0, 0, 0.0, []
+    while it < max_iter:
+        if float(np.max(np.abs(g))) <= gtol:
+            status = "converged"
+            break
+        ab = ops.hessian(x, base)
+        diag = ab[0].copy()
+        factor = None
+        tried.append(0)
+        while factor is None and lam < np.inf:
+            ab[0] = diag + lam
+            tried[-1] += 1
+            try:
+                factor = cholesky_banded(ab, lower=True)
+            except (LinAlgError, ValueError):
+                lam = max(10.0 * lam, LAM_MIN)
+        if factor is None:
+            status = "line_search_failure"
+            break
+        d = cho_solve_banded((factor, True), -g)
+        gd = float(g @ d)
+        step, f_new = 1.0, None
+        for _ in range(60):
+            x_try = x + step * d
+            f_try, g_try = ops.energy_and_grad(x_try, eps)
+            if f_try <= f + 1e-4 * step * gd:
+                f_new = f_try
+                break
+            step *= 0.5
+        if f_new is None:
+            status = "line_search_failure"
+            break
+        stagnant = stagnant + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
+        x, f, g = x_try, f_new, g_try
+        trace.append(f)
+        it += 1
+        lam /= 10.0
+        if stagnant >= 30:
+            status = "converged"
+            break
+        if bound is not None and DOMINANCE_WINDOW <= it < max_iter:
+            rate = (trace[-1 - DOMINANCE_WINDOW] - f) / DOMINANCE_WINDOW
+            if f - (max_iter - it) * rate > bound:
+                status = "dominated"
+                break
+    if status == "max_iter" and float(np.max(np.abs(g))) <= gtol:
+        status = "converged"
+    field = init.with_interior(x)
+    res = DiffuseMinimum(
+        field, evaluate_diffuse(field, eps, w), it, status == "converged", status, tuple(trace)
+    )
+    return res, tried
+
+
+def assert_same_minimum(got, want):
+    assert got.field.values.tobytes() == want.field.values.tobytes()
+    assert repr(got.trace) == repr(want.trace)
+    assert (got.status, got.converged, got.iterations) == (
+        want.status, want.converged, want.iterations
+    )
+    assert repr(got.energy) == repr(want.energy)
+
+
+def walk_against_the_reference(monkeypatch, eps, w, mesh):
+    """Run a walk and descend each of its starts again with the reference,
+    under the same bound: each descent and each row's totals, status and
+    iterations must match bit for bit.  Returns the walk's rows, its
+    descents as (start, bound, minimum) in the order run, and the shifts
+    each step of them tried under the reference."""
+    import mspl.diffuse
+
+    solve, seen = mspl.diffuse.minimize_diffuse, []
+
+    def spy(init, eps, w, tol=None, max_iter=500, *, bound=None):
+        res = solve(init, eps, w, tol=tol, max_iter=max_iter, bound=bound)
+        seen.append((init, bound, res))
+        return res
+
+    monkeypatch.setattr(mspl.diffuse, "minimize_diffuse", spy)
+    _, rows = minimize_with_restarts(eps, w, mesh)
+    want, tried = [], []
+    for init, bound, res in seen:
+        ref, shifts = reference_minimize_diffuse(init, eps, w, bound=bound)
+        assert_same_minimum(res, ref)
+        want.append(
+            (evaluate_diffuse(init, eps, w).total, ref.energy.total, ref.status, ref.iterations)
+        )
+        tried.append(shifts)
+    got = [(r["init_total"], r["final_total"], r["status"], r["iterations"]) for r in rows]
+    assert repr(sorted(got)) == repr(sorted(want))
+    return rows, seen, tried
+
+
+def test_the_period_law_run_matches_the_reference_descent(monkeypatch):
+    # the surrogate's count 18 descends first, then 17, and 19 is abandoned
+    # under the bound; 19's first steps are shifted, so the Levenberg
+    # ladder is part of what is compared
+    rows, seen, tried = walk_against_the_reference(
+        monkeypatch, 1e-4, WeightParams(0.5, 1.0), GradedMesh(8192, 2.0)
+    )
+    by_count = {r["n_jumps"]: r for r in rows}
+    assert list(by_count) == [17, 18, 19]
+    assert by_count[19]["status"] == "dominated"
+    assert [bound is None for _, bound, _ in seen] == [True, False, False]
+    (k,) = [k for k, (_, _, res) in enumerate(seen) if res.status == "dominated"]
+    assert tried[k][0] > 1
+    print(f"period-law run: shifts tried per step of count 19 {tried[k]}")
+
+
+@pytest.mark.parametrize(
+    "weights, eps",
+    [((0.5, 1.0), 1e-2), ((2.0, 0.0), 1e-2), ((1.0, -1.0), 1e-2), ((0.0, 2.0), 1e-3)],
+)
+def test_walks_match_the_reference_descent(monkeypatch, weights, eps):
+    # long descents, shifted steps and abandoned counts on an
+    # under-resolved mesh
+    _, _, tried = walk_against_the_reference(
+        monkeypatch, eps, WeightParams(*weights), GradedMesh(512, 2.0)
+    )
+    assert any(n > 1 for shifts in tried for n in shifts)
+
+
+@pytest.mark.parametrize("broken", ["nan", "inf", "overflow"])
+def test_failed_descents_match_the_reference(monkeypatch, broken):
+    import mspl.diffuse
+
+    hessian = mspl.diffuse._Operators.hessian
+
+    def patched(self, x, base):
+        if broken == "overflow":
+            return np.full_like(base, -1e308)
+        ab = hessian(self, x, base)
+        ab[2, 5] = float(broken)
+        return ab
+
+    monkeypatch.setattr(mspl.diffuse._Operators, "hessian", patched)
+    init = smoothed_graded_init(1e-2, W00, GradedMesh(64, 1.0))
+    ref, _ = reference_minimize_diffuse(init, 1e-2, W00)
+    assert ref.status == "line_search_failure"
+    assert_same_minimum(minimize_diffuse(init, 1e-2, W00), ref)
 
 
 # (weights, eps, mesh, restarts): every weight pair and eps once, meshes of

@@ -58,8 +58,8 @@ def test_light_paths_skip_heavy_scipy():
         + "shutil.rmtree(out)",
         HEAVY,
     ) == []
-    # the diffuse Newton step needs scipy.linalg's banded Cholesky factor
-    # and solve, no more
+    # the diffuse Newton step needs scipy.linalg's LAPACK wrapper for the
+    # banded Cholesky factor-and-solve, dpbsv, no more
     assert loaded(
         out + "mspl.cli.main(['diffuse-min', '--mesh-n', '512', '--out', out])\nshutil.rmtree(out)",
         HEAVY,
