@@ -22,8 +22,6 @@ _HOMES = {
             "PeriodEstimate",
             "extract_period",
             "predicted_period",
-            "sawtooth",
-            "window_functional",
         ),
         "cell": (
             "A0_constant",
@@ -67,7 +65,6 @@ _HOMES = {
             "TooManyJumps",
             "UnclampedProfile",
             "UnknownPreset",
-            "WindowOutOfDomain",
         ),
         "reports": (
             "ScalingFit",
@@ -93,7 +90,7 @@ _HOMES = {
             "optimize_sharp_sweep",
             "rescaled_min_energy",
         ),
-        "weights": ("WeightParams", "WeightValidity", "validate_weights"),
+        "weights": ("WeightParams",),
     }.items()
     for name in names
 }

@@ -2,7 +2,8 @@
 
 Subcommands: sharp-min, diffuse-min, sweep-scaling, energy-profile,
 period-check, cell, preset.  Exit codes: 0 ok, 2 bad configuration,
-3 solver failed to converge (outputs are still written).
+3 a solve of sharp-min, diffuse-min or sweep-scaling did not converge
+(outputs are still written); energy-profile and period-check exit 0.
 """
 
 import argparse

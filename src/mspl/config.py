@@ -23,6 +23,10 @@ class OptimizerSpec:
     tol: float | None = None
     max_iter: int = 500
 
+    def __post_init__(self):
+        if self.max_iter < 0:
+            raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

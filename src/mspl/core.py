@@ -11,11 +11,13 @@ its moments.  Against 50-digit decimal arithmetic over beta in [-1, 2.9],
 each moment is within 1e-15 relative for y <= 2a and 2e-15 beyond.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegral
+from .errors import DivergentIntegral, InvalidConfig
+from .weights import WeightParams
 
 # The 10-point Gauss-Legendre rule on [0, 1], rounded from 40 digits; it
 # takes segments with y <= RULE_RATIO * a, where its truncation error is
@@ -57,12 +59,14 @@ class EnergyBreakdown:
             "total": self.total,
         }
 
-    def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            self.surface + other.surface,
-            self.well + other.well,
-            self.bulk + other.bulk,
-        )
+
+def check_energy(eps: float, w: WeightParams) -> None:
+    """Refuse an eps or a bulk weight for which the energy of either model
+    is not finite: eps must be positive and finite, and beta < 3."""
+    if not 0.0 < eps < math.inf:
+        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
+    if not w.beta < 3.0:
+        raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
 
 
 def segment_moments(a, y, beta):

@@ -24,9 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnergyBreakdown, power_primitive, segment_moments
+from .core import EnergyBreakdown, check_energy, power_primitive, segment_moments
 from .errors import (
-    DivergentIntegral,
     InvalidConfig,
     InvalidField,
     InvalidMu,
@@ -321,21 +320,13 @@ def _operators(n: int, q: float, alpha: float, beta: float) -> _Operators:
     return _Operators(n, q, alpha, beta)
 
 
-def _check_energy(eps: float, w: WeightParams) -> None:
-    """Refuse an eps or a bulk weight for which the energy is not finite."""
-    if not 0.0 < eps < math.inf:
-        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
-    if not w.beta < 3.0:
-        raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
-
-
 def evaluate_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> EnergyBreakdown:
     """Discrete energy of a nodal field, split into curvature (surface),
     double-well, and singular-bulk parts: the arithmetic of the descent's
     objective, so a descent's final energy is the last entry of its
     trace.  The bulk integrates the linear interpolant against
     t**(-beta) exactly."""
-    _check_energy(eps, w)
+    check_energy(eps, w)
     ops = _operators(field.mesh.n, field.mesh.q, w.alpha, w.beta)
     return ops.energy(field.values[1:-1], eps)[0]
 
@@ -411,7 +402,7 @@ def minimize_diffuse(
     above the bound.  The trace decreases, so the projection is at most
     f_k and an abandoned descent ends above the bound.
     """
-    _check_energy(eps, w)
+    check_energy(eps, w)
     # imported here so commands that never minimize skip loading scipy.linalg
     from scipy.linalg.lapack import dpbsv
 

@@ -49,11 +49,7 @@ class MuTooLarge(LabError):
 
 
 class InvalidPeriod(LabError):
-    """Non-positive period passed to the reference sawtooth."""
-
-
-class WindowOutOfDomain(LabError):
-    """Rescaled averaging window pokes out of (0, 1)."""
+    """Non-positive corner spacing passed to `cell.cell_density`."""
 
 
 class TooFewOscillations(LabError):

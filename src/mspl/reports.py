@@ -38,7 +38,6 @@ from .sharp import (
     optimize_sharp_sweep,
     sharp_options,
 )
-from .weights import validate_weights
 
 SWEEP_HEADER = [
     "eps",
@@ -210,9 +209,11 @@ def run_distribution_report(cfg: ExperimentConfig) -> DistributionReport:
     eps = cfg.eps_list[0]
     w = cfg.weights
     warnings = []
-    validity = validate_weights(w)
-    if not validity.distribution_ok:
-        warnings.extend(validity.reasons)
+    if not w.distribution_ok:
+        warnings.append(
+            f"2*alpha={2 * w.alpha:g} < beta={w.beta:g}: energy "
+            "distribution bound not guaranteed"
+        )
     res = optimize_sharp(eps, w, sharp_options(cfg))
     threshold = distribution_threshold(eps, w.beta)
     xs = np.geomspace(max(threshold / 10.0, 1e-6), 1.0, 48)

@@ -17,9 +17,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EnergyBreakdown, power_primitive, segment_moments, weighted_square_integrals
+from .core import (
+    EnergyBreakdown,
+    check_energy,
+    power_primitive,
+    segment_moments,
+    weighted_square_integrals,
+)
 from .errors import (
-    DivergentIntegral,
     InvalidConfig,
     InvalidProfile,
     InvalidSample,
@@ -114,10 +119,7 @@ def evaluate_sharp(
     through its moments (`segment_moments`).  The well component is
     identically zero in this model.
     """
-    if not 0.0 < eps < math.inf:
-        raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
-    if not w.beta < 3.0:
-        raise DivergentIntegral(f"beta={w.beta:g} >= 3: bulk term infinite")
+    check_energy(eps, w)
     if profile.unclamped and not allow_unclamped:
         raise UnclampedProfile(
             f"u(1) = {profile.boundary_value:.3e}; pass allow_unclamped=True "
@@ -174,6 +176,7 @@ def cumulative_energy(
 
     Jumps landing exactly at a sample point count toward it (surface is
     accumulated inclusively)."""
+    check_energy(eps, w)
     if profile.unclamped and not allow_unclamped:
         raise UnclampedProfile(f"u(1) = {profile.boundary_value:.3e}")
     xs = np.asarray(xs, dtype=float)
@@ -225,6 +228,8 @@ class SharpOptions:
     def __post_init__(self):
         if self.n_jumps is not None and self.n_jumps < 1:
             raise InvalidConfig(f"need at least one jump, got n_jumps={self.n_jumps}")
+        if self.max_iter < 0:
+            raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
 
 
 def sharp_options(cfg: "ExperimentConfig") -> SharpOptions:
@@ -795,18 +800,16 @@ def optimize_sharp_sweep(
     call for the whole sweep.  Each result is bit for bit what
     `optimize_sharp` alone returns at its eps.
 
-    Every eps is checked before any count is scored: one that is not
-    positive and finite raises InvalidConfig.  A round holding a count
-    above MAX_JUMPS raises TooManyJumps before any of it is scored, for
-    the first such count in eps-list order, then in walk order; the
-    message names that count and its eps.
+    Every eps is checked by `check_energy` before any count is scored:
+    one that is not positive and finite raises InvalidConfig, and
+    beta >= 3 raises DivergentIntegral.  A round holding a count above
+    MAX_JUMPS raises TooManyJumps before any of it is scored, for the
+    first such count in eps-list order, then in walk order; the message
+    names that count and its eps.
     """
     eps_list = tuple(eps_list)
     for eps in eps_list:
-        if not 0.0 < eps < math.inf:
-            raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
-    if not w.beta < 3.0:
-        raise DivergentIntegral(f"beta={w.beta:g} >= 3: no finite minimizer")
+        check_energy(eps, w)
     opts = options or SharpOptions()
     gamma = default_gamma(w.beta)
     max_iter = opts.max_iter if opts.refine else 0

@@ -1,8 +1,7 @@
-"""Cell problem, window functional, and period statistics."""
+"""Cell problem, period laws, and period statistics."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from mspl import (
     CellDensityParams,
@@ -14,61 +13,18 @@ from mspl import (
     SawtoothProfile,
     TooFewOscillations,
     WeightParams,
-    WindowOutOfDomain,
     A0_constant,
     build_smoothed,
     cell_density,
-    evaluate_diffuse,
     extract_period,
     minimize_cell,
     optimal_period,
     period_law_constant,
     optimize_sharp,
     predicted_period,
-    sawtooth,
     sharp_period,
-    window_functional,
 )
 from mspl.sharp import jump_count_estimate
-
-
-# ---------------------------------------------------------------------------
-# reference sawtooth
-# ---------------------------------------------------------------------------
-
-
-def test_sawtooth_point_values():
-    h = 0.8
-    assert sawtooth(0.0, h) == pytest.approx(-h / 4.0, abs=1e-15)
-    assert sawtooth(h / 2.0, h) == pytest.approx(h / 4.0, abs=1e-15)
-    got = sawtooth(np.array([0.0, 1.0, 2.0, -1.0]), 4.0)
-    assert got == pytest.approx([-1.0, 0.0, 1.0, 0.0], abs=1e-15)
-
-
-def test_sawtooth_mean_zero_and_periodic():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        h = float(rng.uniform(0.05, 3.0))
-        val, _ = quad(lambda t: sawtooth(t, h), -h / 2.0, h / 2.0)
-        assert abs(val) <= 1e-12 * h
-        t = rng.uniform(-5.0, 5.0, size=64)
-        assert sawtooth(t + h, h) == pytest.approx(sawtooth(t, h), abs=1e-12)
-
-
-def test_sawtooth_unit_slopes():
-    h = 0.3
-    t = np.linspace(-1.0, 1.0, 20001)
-    d = np.diff(sawtooth(t, h)) / np.diff(t)
-    # away from the corners every difference quotient is exactly +-1
-    interior = np.abs(np.abs(d) - 1.0) < 1e-9
-    assert np.mean(interior) > 0.995
-
-
-def test_sawtooth_rejects_bad_period():
-    with pytest.raises(InvalidPeriod):
-        sawtooth(0.1, 0.0)
-    with pytest.raises(InvalidPeriod):
-        sawtooth(0.1, -2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,58 +121,6 @@ def test_minimize_cell_spans_the_double_range():
         res = minimize_cell(c)
         assert abs(res.period - want) <= 1e-8 * want
         assert res.spacing == 0.5 * res.period
-
-
-# ---------------------------------------------------------------------------
-# window functional
-# ---------------------------------------------------------------------------
-
-
-def test_window_constant_data_gives_well_floor():
-    eps = 1e-3
-    got = window_functional(np.zeros(257), 0.5, eps, WeightParams(0.0, 0.0), 2.0)
-    assert got == pytest.approx(0.25 * eps ** (-2.0 / 3.0), rel=1e-12)
-
-
-def test_window_blowup_preserves_slopes():
-    # x(t) = eps^{-1/3} u(s + eps^{1/3} t) has x'(t) = u'(s + eps^{1/3} t)
-    eps, s, r = 1e-3, 0.5, 1.5
-    lam = eps ** (1.0 / 3.0)
-    t = np.linspace(-r, r, 401)
-    u = lambda y: np.sin(3.0 * y)
-    x = u(s + lam * t) / lam
-    slopes = np.diff(x) / np.diff(t)
-    mid = s + lam * 0.5 * (t[:-1] + t[1:])
-    assert np.max(np.abs(slopes - 3.0 * np.cos(3.0 * mid))) < 1e-3
-
-
-def test_window_average_consistency():
-    # integrating the window functional over interior s recovers the
-    # rescaled total energy within a few percent (boundary strips carry
-    # almost no energy for this profile and are left out)
-    eps = 1e-3
-    w = WeightParams(0.0, 0.0)
-    mesh = GradedMesh(2048, 1.0)
-    t = mesh.nodes
-    u_field = DiffuseField(mesh, np.sin(np.pi * t) / np.pi)
-    target = eps ** (-2.0 / 3.0) * evaluate_diffuse(u_field, eps, w).total
-
-    lam = eps ** (1.0 / 3.0)
-    r = 1.0
-    s_grid = np.linspace(lam * r + 0.005, 1.0 - lam * r - 0.005, 60)
-    vals = []
-    for s in s_grid:
-        tt = np.linspace(-r, r, 513)
-        x = np.sin(np.pi * (s + lam * tt)) / (np.pi * lam)
-        vals.append(window_functional(x, float(s), eps, w, r))
-    assert np.trapezoid(vals, s_grid) == pytest.approx(target, rel=0.05)
-
-
-def test_window_domain_guard():
-    with pytest.raises(WindowOutOfDomain):
-        window_functional(np.zeros(65), 0.05, 1e-3, WeightParams(0.0, 0.0), 2.0)
-    with pytest.raises(InvalidSample):
-        window_functional(np.zeros(3), 0.5, 1e-3, WeightParams(0.0, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +221,11 @@ def test_extract_period_needs_oscillations():
 
 
 def test_exact_sawtooth_window_recovers_period():
-    # sample the reference wave on a window and measure it back
+    # sample an exact h-periodic wave with slopes +-1 and measure it back
     h = 0.04
     mesh = GradedMesh(8192, 1.0)
-    t = mesh.nodes
-    vals = sawtooth(t - 0.5, h) + h / 4.0
+    t = mesh.nodes - 0.5
+    vals = np.abs(t - h * np.ceil(t / h - 0.5))
     vals[0] = vals[-1] = 0.0
     fld = DiffuseField(mesh, vals)
     est = extract_period(fld, 0.5, 0.2, eps=1e-3, weights=WeightParams(0.0, 0.0))

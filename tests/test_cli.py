@@ -175,6 +175,24 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+# a negative budget is refused: the sharp refinement would never reach
+# its step count, and the diffuse descent would take no step
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sharp-min", "--eps", "1e-2", "--max-iter", "-3"),
+        ("diffuse-min", "--eps", "1e-2", "--max-iter", "-3", "--mesh-n", "64"),
+    ],
+    ids=("sharp-min", "diffuse-min"),
+)
+def test_a_negative_max_iter_is_config_error(tmp_path, capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: max_iter must be nonnegative")
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -38,6 +38,9 @@ def test_validation_rejects_nonsense():
         ExperimentConfig(eps_list=(1e-2, 1e-2))
     with pytest.raises(InvalidConfig):
         ExperimentConfig(formats=("csv", "xml"))
+    with pytest.raises(InvalidConfig, match="nonnegative"):
+        ExperimentConfig.from_dict({"optimizer": {"tol": None, "max_iter": -1}})
+    assert OptimizerSpec(max_iter=0).max_iter == 0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

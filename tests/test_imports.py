@@ -90,8 +90,6 @@ def test_dir_lists_every_public_name_before_any_loads():
 # names whose home is a numpy-free module
 NUMPY_FREE_HOMES = {
     "WeightParams": "mspl.weights",
-    "WeightValidity": "mspl.weights",
-    "validate_weights": "mspl.weights",
     "A0_constant": "mspl.cell",
     "period_law_constant": "mspl.cell",
     "CellDensityParams": "mspl.cell",

@@ -159,9 +159,14 @@ def test_sharp_options_carry_the_shared_budget():
 
 
 def test_distribution_warns_outside_hypothesis():
-    cfg = ExperimentConfig(weights=WeightParams(0.0, 1.0), eps_list=(1e-3,))
-    rep = run_distribution_report(cfg)
-    assert rep.warnings  # 2*alpha >= beta fails
+    # the report warns about its own hypothesis, 2 alpha >= beta, alone:
+    # (0, 1) is outside the period law's too, which it does not use
+    def warnings(alpha, beta):
+        cfg = ExperimentConfig(weights=WeightParams(alpha, beta), eps_list=(1e-3,))
+        return run_distribution_report(cfg).warnings
+
+    assert warnings(0.0, 1.0) == ["2*alpha=0 < beta=1: energy distribution bound not guaranteed"]
+    assert warnings(0.5, 1.0) == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from mspl import (
+    DivergentIntegral,
     InvalidConfig,
     InvalidProfile,
     InvalidSample,
@@ -221,6 +222,27 @@ def test_cumulative_below_first_jump():
     prof = cumulative_energy(p, 0.01, WeightParams(0.0, 0.0), xs)
     for x, phi in zip(xs, prof.phis):
         assert phi == pytest.approx(x**3 / 3.0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "eps, beta, error",
+    [
+        (0.0, 0.0, InvalidConfig),
+        (-1.0, 0.0, InvalidConfig),
+        (math.nan, 0.0, InvalidConfig),
+        (math.inf, 0.0, InvalidConfig),
+        (1e-2, 3.5, DivergentIntegral),
+    ],
+    ids=("eps-zero", "eps-negative", "eps-nan", "eps-inf", "beta-3.5"),
+)
+def test_cumulative_refuses_an_infinite_energy_before_any_integral(monkeypatch, eps, beta, error):
+    def never(*args):
+        raise AssertionError("an integral was taken")
+
+    monkeypatch.setattr(mspl.sharp, "weighted_square_integrals", never)
+    match = "finite" if error is InvalidConfig else "bulk term infinite"
+    with pytest.raises(error, match=match):
+        cumulative_energy(SawtoothProfile((0.25, 0.75)), eps, WeightParams(0.0, beta), [0.5, 1.0])
 
 
 def test_cumulative_monotone_on_random_profiles():
@@ -921,6 +943,17 @@ def test_eps_that_is_not_positive_and_finite_rejected(eps):
 def test_nonpositive_jump_count_rejected():
     with pytest.raises(InvalidConfig):
         optimize_sharp(1e-4, WeightParams(0.0, 0.0), SharpOptions(n_jumps=0))
+
+
+def test_negative_step_budget_rejected():
+    # 0 stays valid: it is the zero-step refinement refine=False makes
+    with pytest.raises(InvalidConfig, match="nonnegative"):
+        SharpOptions(max_iter=-1)
+    w = WeightParams(0.0, 0.0)
+    opts = SharpOptions(n_jumps=8, max_iter=0)
+    assert optimize_sharp(1e-3, w, opts) == optimize_sharp(
+        1e-3, w, SharpOptions(n_jumps=8, refine=False)
+    )
 
 
 def test_collapsed_gap_gradient_is_silent():
