@@ -38,16 +38,16 @@ def predicted_period(s: float, eps: float, w: WeightParams) -> float:
     return sharp_period(s, *diffuse_surrogate(eps, w))
 
 
-def extract_period(
-    obj, s: float, window: float | None = None, *, eps: float, weights: WeightParams
-) -> PeriodEstimate:
+def extract_period(obj, s: float, *, eps: float, weights: WeightParams) -> PeriodEstimate:
     """Empirical oscillation period of a minimizer near s, vs the period
-    law of its model (`sharp_period` or `predicted_period`).
+    law h_pred of its model (`sharp_period` or `predicted_period`).
 
-    Slope reversals inside [s-window, s+window] are collected (jump
-    points for a sawtooth profile, slope zero-crossings for a nodal
-    field); the period is twice the 10%-trimmed mean reversal gap.
-    Needs at least 4 reversals, else TooFewOscillations."""
+    Slope reversals within 1.25 h_pred of s are collected (jump points
+    for a sawtooth profile, slope zero-crossings for a nodal field):
+    about 2.5 local periods, wide enough for 4 reversals and narrow
+    enough that the s-dependence of the period is not averaged out.  The
+    period is twice the 10%-trimmed mean reversal gap.  Needs at least 4
+    reversals, else TooFewOscillations."""
     if not 0.0 < s < 1.0:
         raise InvalidSample(f"location must be interior, got {s!r}")
     if isinstance(obj, SawtoothProfile):
@@ -58,12 +58,8 @@ def extract_period(
         h_pred = predicted_period(s, eps, weights)
     else:
         raise InvalidSample(f"cannot extract a period from {type(obj).__name__}")
-    if window is None:
-        # ~2.5 local periods: wide enough for >= 4 reversals, narrow
-        # enough that the s-dependence of the period is not averaged out
-        window = 1.25 * h_pred
-    lo = max(s - window, 0.0)
-    hi = min(s + window, 1.0)
+    lo = max(s - 1.25 * h_pred, 0.0)
+    hi = min(s + 1.25 * h_pred, 1.0)
     pts = pts[(pts >= lo) & (pts <= hi)]
 
     if pts.size < 4:

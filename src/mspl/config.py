@@ -24,6 +24,8 @@ class OptimizerSpec:
     max_iter: int = 500
 
     def __post_init__(self):
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise InvalidConfig(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 0:
             raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import OptimizerSpec
 from .core import EnergyBreakdown, check_energy, power_primitive, segment_moments
 from .errors import (
     InvalidConfig,
@@ -401,8 +402,12 @@ def minimize_diffuse(
     step over the last 10 steps, kept up for the rest of the budget -- is
     above the bound.  The trace decreases, so the projection is at most
     f_k and an abandoned descent ends above the bound.
+
+    A tol that is not positive and finite, or a negative max_iter, raises
+    InvalidConfig before the descent, as in `OptimizerSpec`.
     """
     check_energy(eps, w)
+    OptimizerSpec(tol, max_iter)  # raises InvalidConfig on a tol or budget no descent meets
     # imported here so commands that never minimize skip loading scipy.linalg
     from scipy.linalg.lapack import dpbsv
 
@@ -503,26 +508,16 @@ def diffuse_surrogate(eps: float, w: WeightParams) -> tuple[float, WeightParams]
     return 2.0 * eps / 3.0, WeightParams(0.5 * w.alpha, w.beta)
 
 
-def smoothed_graded_init(
-    eps: float,
-    w: WeightParams,
-    mesh: GradedMesh,
-    n: int | None = None,
-) -> DiffuseField:
+def smoothed_graded_init(eps: float, w: WeightParams, mesh: GradedMesh) -> DiffuseField:
     """The diffuse model's start: the minimizer of its sharp-interface
-    limit, `optimize_sharp` at `diffuse_surrogate(eps, w)` (count `n` if
-    given, walked otherwise), with its corners rounded by caps of
-    half-width eps, capped at 0.45x the minimum gap so the caps never
-    overlap.
-
-    With the defaults this is the field the first descent of
-    `minimize_with_restarts` starts from, and with `n` the start of its
-    descent pinned to n."""
+    limit, `optimize_sharp` at `diffuse_surrogate(eps, w)`, with its
+    corners rounded by caps of half-width eps, capped at 0.45x the
+    minimum gap so the caps never overlap.  This is the field the first
+    descent of `minimize_with_restarts` starts from."""
     # resolved at call time, as in minimize_with_restarts
-    from .sharp import SharpOptions, optimize_sharp
+    from .sharp import optimize_sharp
 
-    found = optimize_sharp(*diffuse_surrogate(eps, w), SharpOptions(n_jumps=n))
-    return _smooth_capped(found.profile, eps, mesh)
+    return _smooth_capped(optimize_sharp(*diffuse_surrogate(eps, w)).profile, eps, mesh)
 
 
 def minimize_with_restarts(

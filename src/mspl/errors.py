@@ -53,8 +53,8 @@ class InvalidPeriod(LabError):
 
 
 class TooFewOscillations(LabError):
-    """Fewer than four slope sign changes inside the measurement
-    window; no meaningful period statistic exists."""
+    """Fewer than four slope reversals within 1.25 predicted periods of
+    the sample point; no meaningful period statistic exists."""
 
 
 class InsufficientData(LabError):

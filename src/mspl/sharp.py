@@ -105,26 +105,18 @@ def default_gamma(beta: float) -> float:
     return max(0.0, 2.0 / (3.0 - beta) - 1.0) + 0.25
 
 
-def evaluate_sharp(
-    profile: SawtoothProfile,
-    eps: float,
-    w: WeightParams,
-    *,
-    allow_unclamped: bool = False,
-) -> EnergyBreakdown:
+def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> EnergyBreakdown:
     """Exact energy of a sawtooth profile.
 
     surface = 2*eps * sum z_k**alpha (each slope reversal carries
     curvature mass 2); bulk integrates t**(-beta) u**2 on each segment
     through its moments (`segment_moments`).  The well component is
-    identically zero in this model.
+    identically zero in this model.  A profile with |u(1)| > CLAMP_TOL
+    is not admissible and raises UnclampedProfile.
     """
     check_energy(eps, w)
-    if profile.unclamped and not allow_unclamped:
-        raise UnclampedProfile(
-            f"u(1) = {profile.boundary_value:.3e}; pass allow_unclamped=True "
-            "to evaluate anyway"
-        )
+    if profile.unclamped:
+        raise UnclampedProfile(f"u(1) = {profile.boundary_value:.3e}")
     return _sharp_energies([profile], [eps], w)[0]
 
 
@@ -165,19 +157,15 @@ def distribution_threshold(eps: float, beta: float) -> float:
 
 
 def cumulative_energy(
-    profile: SawtoothProfile,
-    eps: float,
-    w: WeightParams,
-    xs,
-    *,
-    allow_unclamped: bool = False,
+    profile: SawtoothProfile, eps: float, w: WeightParams, xs
 ) -> CumulativeEnergyProfile:
     """Sample the cumulative energy phi at sorted locations xs in (0, 1].
 
     Jumps landing exactly at a sample point count toward it (surface is
-    accumulated inclusively)."""
+    accumulated inclusively).  Raises UnclampedProfile where
+    |u(1)| > CLAMP_TOL, as `evaluate_sharp` does."""
     check_energy(eps, w)
-    if profile.unclamped and not allow_unclamped:
+    if profile.unclamped:
         raise UnclampedProfile(f"u(1) = {profile.boundary_value:.3e}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:

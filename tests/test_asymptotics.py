@@ -165,8 +165,8 @@ def test_extract_period_predicts_by_the_model_law():
     w, eps = WeightParams(0.5, 1.0), 1e-3
     p = SawtoothProfile(tuple(k / 10.0 for k in range(1, 10)))
     fld = build_smoothed(p, 0.01, GradedMesh(4096, 1.0))
-    assert extract_period(p, 0.5, 0.35, eps=eps, weights=w).h_pred == sharp_period(0.5, eps, w)
-    assert extract_period(fld, 0.5, 0.35, eps=eps, weights=w).h_pred == predicted_period(
+    assert extract_period(p, 0.5, eps=eps, weights=w).h_pred == sharp_period(0.5, eps, w)
+    assert extract_period(fld, 0.5, eps=eps, weights=w).h_pred == predicted_period(
         0.5, eps, w
     )
 
@@ -184,9 +184,9 @@ def test_sharp_teeth_follow_the_sharp_law(alpha, beta):
 
 def test_extract_period_uniform_jumps():
     p = SawtoothProfile(tuple(k / 10.0 for k in range(1, 10)))
-    est = extract_period(p, 0.5, 0.25, eps=1e-3, weights=WeightParams(0.0, 0.0))
+    est = extract_period(p, 0.5, eps=1e-3, weights=WeightParams(0.0, 0.0))
     assert est.h_emp == pytest.approx(0.2, rel=1e-12)
-    assert est.n_teeth == 5
+    assert est.n_teeth == 9
 
 
 def test_extract_period_from_smoothed_field():
@@ -194,7 +194,7 @@ def test_extract_period_from_smoothed_field():
     mesh = GradedMesh(4096, 1.0)
     p = SawtoothProfile(tuple(k / 10.0 for k in range(1, 10)))
     fld = build_smoothed(p, 0.01, mesh)
-    est = extract_period(fld, 0.5, 0.35, eps=1e-3, weights=WeightParams(0.0, 0.0))
+    est = extract_period(fld, 0.5, eps=1e-3, weights=WeightParams(0.0, 0.0))
     assert est.h_emp == pytest.approx(0.2, rel=1e-2)
 
 
@@ -205,7 +205,7 @@ def test_extract_period_trimmed_mean_matches_scipy():
     for size in range(4, 64):
         jumps = np.sort(rng.uniform(0.01, 0.99, size))
         p = SawtoothProfile(tuple(float(z) for z in jumps))
-        est = extract_period(p, 0.5, 1.0, eps=1e-3, weights=WeightParams(0.0, 0.0))
+        est = extract_period(p, 0.5, eps=1e-3, weights=WeightParams(0.0, 0.0))
         want = 2.0 * trim_mean(np.diff(jumps), 0.1)
         assert est.h_emp == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -213,11 +213,11 @@ def test_extract_period_trimmed_mean_matches_scipy():
 def test_extract_period_needs_oscillations():
     p = SawtoothProfile((0.48, 0.52))
     with pytest.raises(TooFewOscillations):
-        extract_period(p, 0.5, 0.1, eps=1e-3, weights=WeightParams(0.0, 0.0))
+        extract_period(p, 0.5, eps=1e-3, weights=WeightParams(0.0, 0.0))
     with pytest.raises(InvalidSample):
-        extract_period(p, 1.2, 0.1, eps=1e-3, weights=WeightParams(0.0, 0.0))
+        extract_period(p, 1.2, eps=1e-3, weights=WeightParams(0.0, 0.0))
     with pytest.raises(InvalidSample):
-        extract_period("nonsense", 0.5, 0.1, eps=1e-3, weights=WeightParams(0.0, 0.0))
+        extract_period("nonsense", 0.5, eps=1e-3, weights=WeightParams(0.0, 0.0))
 
 
 def test_exact_sawtooth_window_recovers_period():
@@ -228,5 +228,5 @@ def test_exact_sawtooth_window_recovers_period():
     vals = np.abs(t - h * np.ceil(t / h - 0.5))
     vals[0] = vals[-1] = 0.0
     fld = DiffuseField(mesh, vals)
-    est = extract_period(fld, 0.5, 0.2, eps=1e-3, weights=WeightParams(0.0, 0.0))
+    est = extract_period(fld, 0.5, eps=1e-3, weights=WeightParams(0.0, 0.0))
     assert est.h_emp == pytest.approx(h, rel=1e-2)

@@ -193,6 +193,18 @@ def test_a_negative_max_iter_is_config_error(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+# a tolerance no descent can meet is refused: tol = inf returned the
+# start as converged, and 0, -1 and nan converged only by stagnation
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_an_unmeetable_tol_is_config_error(tmp_path, capsys, tol):
+    argv = ("diffuse-min", "--eps", "1e-2", "--mesh-n", "64", "--tol", tol)
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: tol must be positive and finite")
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

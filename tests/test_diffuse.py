@@ -787,6 +787,23 @@ def test_a_divergent_bulk_is_refused_before_the_descent(monkeypatch, beta):
             call(init, 1e-2, WeightParams(0.0, beta))
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"max_iter": -3}, {"tol": np.inf}], ids=("max_iter-negative", "tol-inf")
+)
+def test_an_unmeetable_budget_or_tol_is_refused_before_the_descent(monkeypatch, kwargs):
+    # a negative budget took no step and reported 'max_iter'; tol = inf
+    # returned the start as 'converged'
+    import mspl.diffuse
+
+    def never(*args):
+        raise AssertionError("an operator was built")
+
+    init = random_field(GradedMesh(64, 1.0), np.random.default_rng(3))
+    monkeypatch.setattr(mspl.diffuse, "_operators", never)
+    with pytest.raises(InvalidConfig):
+        minimize_diffuse(init, 1e-2, W00, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def period_law_run():
     """Criterion 7's setting, which the diffuse-period benchmark runs."""
@@ -844,9 +861,10 @@ def test_a_pinned_count_is_the_only_count_descended(monkeypatch):
 
 
 def test_the_start_is_where_the_walk_starts(monkeypatch):
-    # the default start is, bit for bit, the field the walk's first
-    # descent starts from, and a pinned n the surrogate layout pinned to
-    # n, smoothed with caps of half-width eps (below 0.45 of its least gap)
+    # the start is, bit for bit, the field the walk's first descent
+    # starts from, and a pinned descent starts from the surrogate layout
+    # pinned to n, smoothed with caps of half-width eps (below 0.45 of its
+    # least gap)
     eps, w, mesh = 1e-3, WeightParams(0.5, 1.0), GradedMesh(256, 2.0)
     descents, _ = _spy_on_descents(monkeypatch)
     minimize_with_restarts(eps, w, mesh)
@@ -855,9 +873,7 @@ def test_the_start_is_where_the_walk_starts(monkeypatch):
     minimize_with_restarts(eps, w, mesh, n_jumps=5)
     pinned = optimize_sharp(*diffuse_surrogate(eps, w), SharpOptions(n_jumps=5)).profile
     mu = min(eps, 0.45 * float(np.min(np.diff(pinned.breakpoints))))
-    start = smoothed_graded_init(eps, w, mesh, n=5)
-    assert np.array_equal(start.values, build_smoothed(pinned, mu, mesh).values)
-    assert np.array_equal(start.values, descents[0][0].values)
+    assert np.array_equal(build_smoothed(pinned, mu, mesh).values, descents[0][0].values)
 
 
 def test_rows_show_a_pinned_count_that_collapses():

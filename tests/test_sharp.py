@@ -134,9 +134,8 @@ def test_unclamped_rejected():
     assert p.boundary_value == 1.0
     with pytest.raises(UnclampedProfile):
         evaluate_sharp(p, 0.01, WeightParams(0.0, 0.0))
-    # explicit opt-in evaluates the partial profile anyway
-    res = evaluate_sharp(p, 0.01, WeightParams(0.0, 0.0), allow_unclamped=True)
-    assert res.total == pytest.approx(1.0 / 3.0, rel=1e-14)
+    with pytest.raises(UnclampedProfile):
+        cumulative_energy(p, 0.01, WeightParams(0.0, 0.0), [0.5, 1.0])
 
 
 def test_evaluation_matches_quadrature():
