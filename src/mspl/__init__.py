@@ -33,7 +33,7 @@ _HOMES = {
             "period_law_constant",
             "sharp_period",
         ),
-        "config": ("ExperimentConfig", "MeshSpec", "OptimizerSpec", "preset"),
+        "config": ("ExperimentConfig", "MeshSpec", "preset"),
         "core": ("EnergyBreakdown",),
         "diffuse": (
             "DiffuseField",

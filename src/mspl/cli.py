@@ -27,9 +27,9 @@ from .weights import WeightParams
 
 
 def _add_common(p: argparse.ArgumentParser, *, eps_list=False, diffuse=True, emit=True):
-    """The flags of a solving subcommand: the diffuse mesh and tolerance only
-    where a diffuse model runs, --format/--plot only where a report is emitted."""
-    p.set_defaults(mesh_n=None, grading_q=None, tol=None, format=None, plot=None)
+    """The flags of a solving subcommand: the diffuse mesh only where a
+    diffuse model runs, --format/--plot only where a report is emitted."""
+    p.set_defaults(mesh_n=None, grading_q=None, format=None, plot=None)
     p.add_argument("--config", help="JSON config file to start from")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
@@ -40,7 +40,6 @@ def _add_common(p: argparse.ArgumentParser, *, eps_list=False, diffuse=True, emi
     if diffuse:
         p.add_argument("--mesh-n", type=int, default=None)
         p.add_argument("--grading-q", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     if emit:
@@ -54,8 +53,8 @@ def _build_config(args, model=None) -> ExperimentConfig:
     if model is not None:
         d["model"] = model
     if d["model"] == "sharp":
-        # the mesh and tolerance flags set only the diffuse solver
-        for flag in ("mesh_n", "grading_q", "tol"):
+        # the mesh flags set only the diffuse solver
+        for flag in ("mesh_n", "grading_q"):
             if getattr(args, flag) is not None:
                 raise InvalidConfig(
                     f"--{flag.replace('_', '-')} sets the diffuse model, "
@@ -66,6 +65,8 @@ def _build_config(args, model=None) -> ExperimentConfig:
             "alpha": args.alpha if args.alpha is not None else cfg.weights.alpha,
             "beta": args.beta if args.beta is not None else cfg.weights.beta,
         }
+    if getattr(args, "eps_list", None) is not None and args.eps is not None:
+        raise InvalidConfig("--eps and --eps-list both set the eps values; give one")
     if getattr(args, "eps_list", None):
         try:
             d["eps_list"] = [
@@ -82,11 +83,8 @@ def _build_config(args, model=None) -> ExperimentConfig:
             "n": args.mesh_n if args.mesh_n is not None else cfg.mesh.n,
             "q": args.grading_q if args.grading_q is not None else cfg.mesh.q,
         }
-    if args.tol is not None or args.max_iter is not None:
-        d["optimizer"] = {
-            "tol": args.tol if args.tol is not None else cfg.optimizer.tol,
-            "max_iter": args.max_iter if args.max_iter is not None else cfg.optimizer.max_iter,
-        }
+    if args.max_iter is not None:
+        d["max_iter"] = args.max_iter
     if args.out is not None:
         d["out_dir"] = args.out
     if args.format is not None:

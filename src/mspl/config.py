@@ -19,24 +19,13 @@ class MeshSpec:
 
 
 @dataclass(frozen=True)
-class OptimizerSpec:
-    tol: float | None = None
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise InvalidConfig(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 0:
-            raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     weights: WeightParams = field(default_factory=lambda: WeightParams(0.0, 0.0))
     eps_list: tuple[float, ...] = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     model: str = "sharp"
     mesh: MeshSpec = field(default_factory=MeshSpec)
-    optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
+    # Newton step budget of every sharp and diffuse descent
+    max_iter: int = 500
     n_jumps: int | None = None
     out_dir: str = "."
     formats: tuple[str, ...] = ("csv", "json")
@@ -51,6 +40,8 @@ class ExperimentConfig:
             raise InvalidConfig("every eps must be positive and finite")
         if len(set(self.eps_list)) != len(self.eps_list):
             raise InvalidConfig("eps_list has duplicates")
+        if self.max_iter < 0:
+            raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise InvalidConfig(f"unknown output format {fmt!r}")
@@ -73,8 +64,6 @@ class ExperimentConfig:
                 d["weights"] = WeightParams(**d["weights"])
             if "mesh" in d:
                 d["mesh"] = MeshSpec(**d["mesh"])
-            if "optimizer" in d:
-                d["optimizer"] = OptimizerSpec(**d["optimizer"])
             if "eps_list" in d:
                 d["eps_list"] = tuple(d["eps_list"])
             if "formats" in d:

@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import OptimizerSpec
 from .core import EnergyBreakdown, check_energy, power_primitive, segment_moments
 from .errors import (
     InvalidConfig,
@@ -33,14 +32,15 @@ from .errors import (
     MuTooLarge,
     UnclampedProfile,
 )
-from .sharp import SawtoothProfile
+from .sharp import FTOL, LAM_MIN, SawtoothProfile
 from .weights import WeightParams
 
 BOUNDARY_TOL = 1e-12
 # steps over which a bounded descent measures its recent rate of decrease
 DOMINANCE_WINDOW = 10
-# floor of the Levenberg shift once the Hessian is indefinite
-LAM_MIN = 1e-8
+# a descent has converged at this gradient inf-norm, or once an accepted
+# step lowers the energy by at most FTOL of it, as a sharp refinement does
+GTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,14 +348,14 @@ def gradient_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> np.nda
 class DiffuseMinimum:
     """Where a `minimize_diffuse` descent stopped, and why.
 
-    status is 'converged' (gradient inf-norm at most the tolerance, or
-    30 steps in a row that lower the energy only at rounding level),
-    'max_iter' (budget spent), 'line_search_failure' (no backtracked step
-    descends, or no finite Levenberg shift makes the Hessian positive
-    definite) or
-    'dominated' (abandoned under a `bound`).  `converged` is
-    status == 'converged'.  `trace` holds the energy at the start and
-    after each of the `iterations` accepted steps; it never increases."""
+    status is 'converged' (gradient inf-norm at most GTOL, or an accepted
+    step that lowers the energy by at most FTOL of it: the stop of a sharp
+    refinement), 'max_iter' (budget spent), 'line_search_failure' (no
+    backtracked step descends, or no finite Levenberg shift makes the
+    Hessian positive definite) or 'dominated' (abandoned under a
+    `bound`).  `converged` is status == 'converged'.  `trace` holds the
+    energy at the start and after each of the `iterations` accepted
+    steps; it never increases."""
 
     field: DiffuseField
     energy: EnergyBreakdown
@@ -369,7 +369,6 @@ def minimize_diffuse(
     init: DiffuseField,
     eps: float,
     w: WeightParams,
-    tol: float | None = None,
     max_iter: int = 500,
     *,
     bound: float | None = None,
@@ -388,13 +387,15 @@ def minimize_diffuse(
     is a descent direction.  Each backtracking trial evaluates only the
     energy, and the gradient is taken at the trial accepted.
 
-    Stops on gradient inf-norm <= tol (default 1e-8) or when the energy
-    stagnates at rounding level for 30 consecutive steps; iteration
-    budget exhaustion is reported via status='max_iter', a stalled line
-    search, or a Hessian that no finite shift makes positive definite (a
-    non-finite entry, or a shift that overflows the diagonal), via
-    status='line_search_failure' -- both still return the best point
-    seen, and the trace never increases either way.
+    The descent has converged at the start, or after an accepted step,
+    once the gradient inf-norm is at most GTOL (1e-8), or once that step
+    lowered the energy f by at most FTOL * f (FTOL = 1e-14, as in
+    `sharp._refine_jump_positions`).  It stops unconverged with
+    status='max_iter' after max_iter steps, and with
+    status='line_search_failure' on a stalled line search or a Hessian
+    that no finite shift makes positive definite (a non-finite entry, or
+    a shift that overflows the diagonal); both still return the best
+    point seen, and the trace never increases either way.
 
     With a `bound`, the descent is abandoned with status='dominated' once,
     after step k >= 10 (DOMINANCE_WINDOW), its projected energy
@@ -403,15 +404,14 @@ def minimize_diffuse(
     above the bound.  The trace decreases, so the projection is at most
     f_k and an abandoned descent ends above the bound.
 
-    A tol that is not positive and finite, or a negative max_iter, raises
-    InvalidConfig before the descent, as in `OptimizerSpec`.
+    A negative max_iter raises InvalidConfig before the descent.
     """
     check_energy(eps, w)
-    OptimizerSpec(tol, max_iter)  # raises InvalidConfig on a tol or budget no descent meets
+    if max_iter < 0:
+        raise InvalidConfig(f"max_iter must be nonnegative, got {max_iter}")
     # imported here so commands that never minimize skip loading scipy.linalg
     from scipy.linalg.lapack import dpbsv
 
-    gtol = 1e-8 if tol is None else tol
     ops = _operators(init.mesh.n, init.mesh.q, w.alpha, w.beta)
     base = ops.hessian_base(eps)
 
@@ -419,14 +419,13 @@ def minimize_diffuse(
     parts, *kept = ops.energy(x, eps)
     f, g = parts.total, ops.gradient(*kept, eps)
     trace = [f]
-    status = "max_iter"
+    status = "converged" if float(np.max(np.abs(g))) <= GTOL else None
     it = 0
-    stagnant = 0
     lam = 0.0
 
-    while it < max_iter:
-        if float(np.max(np.abs(g))) <= gtol:
-            status = "converged"
+    while status is None:
+        if it == max_iter:
+            status = "max_iter"
             break
         ab = ops.hessian(x, base)
         # info stays nonzero where no shift is tried: LAPACK's pivot test
@@ -462,22 +461,17 @@ def minimize_diffuse(
             break
 
         parts, *kept = accepted
-        f_new = parts.total
-        stagnant = stagnant + 1 if f - f_new <= 1e-15 * max(1.0, abs(f)) else 0
-        x, f, g = x_try, f_new, ops.gradient(*kept, eps)
+        done = f - parts.total <= FTOL * f
+        x, f, g = x_try, parts.total, ops.gradient(*kept, eps)
         trace.append(f)
         it += 1
         lam /= 10.0
-        if stagnant >= 30:
+        if done or float(np.max(np.abs(g))) <= GTOL:
             status = "converged"
-            break
-        if bound is not None and DOMINANCE_WINDOW <= it < max_iter:
+        elif bound is not None and DOMINANCE_WINDOW <= it < max_iter:
             rate = (trace[-1 - DOMINANCE_WINDOW] - f) / DOMINANCE_WINDOW
             if f - (max_iter - it) * rate > bound:
                 status = "dominated"
-                break
-    if status == "max_iter" and float(np.max(np.abs(g))) <= gtol:
-        status = "converged"
 
     return DiffuseMinimum(
         field=init.with_interior(x),
@@ -528,7 +522,6 @@ def minimize_with_restarts(
     n_jumps: int | None = None,
     restarts: int | None = None,
     seed: int | None = None,
-    tol: float | None = None,
     max_iter: int = 500,
 ):
     """Walk the tooth count of the diffuse minimum.
@@ -551,6 +544,9 @@ def minimize_with_restarts(
     leg's count starts from its row; only a count the table lacks is
     pinned on the surrogate.
 
+    Each count descends by `minimize_diffuse` with the same `max_iter`,
+    so a row is 'converged' by its GTOL or FTOL stop.
+
     `restarts` and `seed` are ignored: the walk has no random starts, and
     each sharp solve grades its start layouts by `default_gamma`.
     Returns (best DiffuseMinimum, diagnostics rows); one row per count
@@ -570,7 +566,7 @@ def minimize_with_restarts(
 
     def descend(prof: SawtoothProfile, bound: float | None) -> DiffuseMinimum:
         init = _smooth_capped(prof, eps, mesh)
-        res = minimize_diffuse(init, eps, w, tol=tol, max_iter=max_iter, bound=bound)
+        res = minimize_diffuse(init, eps, w, max_iter=max_iter, bound=bound)
         rows.append(
             {
                 "n_jumps": prof.n_jumps,

@@ -35,8 +35,8 @@ class InvalidField(LabError):
 
 
 class InvalidSample(LabError):
-    """Requested sample location(s) outside the open unit interval or
-    not sorted."""
+    """Requested sample location(s) outside the open unit interval, not
+    sorted, or repeated."""
 
 
 class InvalidMu(LabError):
@@ -58,7 +58,7 @@ class TooFewOscillations(LabError):
 
 
 class InsufficientData(LabError):
-    """Fewer data points than the fit requires."""
+    """Fewer data points, or distinct abscissae, than the fit requires."""
 
 
 class NonPositiveValue(LabError):

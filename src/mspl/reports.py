@@ -72,6 +72,8 @@ def fit_scaling(xs, ys) -> ScalingFit:
         raise InsufficientData("need matching 1-d arrays")
     if xs.size < 3:
         raise InsufficientData(f"need at least 3 points, got {xs.size}")
+    if np.all(xs == xs[0]):
+        raise InsufficientData("need at least 2 distinct abscissae")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise NonPositiveValue("log-log fit needs positive values")
     lx, ly = np.log(xs), np.log(ys)
@@ -102,15 +104,14 @@ class SweepReport:
 
 def diffuse_minimum(eps: float, cfg: ExperimentConfig):
     """`minimize_with_restarts` at eps on the configuration's mesh, with
-    its pinned jump count, tolerance and budget.  Returns (best
-    DiffuseMinimum, diagnostics rows)."""
+    its pinned jump count and budget.  Returns (best DiffuseMinimum,
+    diagnostics rows)."""
     return minimize_with_restarts(
         eps,
         cfg.weights,
         GradedMesh(cfg.mesh.n, cfg.mesh.q),
         n_jumps=cfg.n_jumps,
-        tol=cfg.optimizer.tol,
-        max_iter=cfg.optimizer.max_iter,
+        max_iter=cfg.max_iter,
     )
 
 
@@ -271,6 +272,8 @@ def run_period_report(cfg: ExperimentConfig, s_list) -> PeriodReport:
     for s in s_arr:
         if not 0.0 < s < 1.0:
             raise InvalidSample(f"location must be interior, got {s!r}")
+    if len(set(s_arr)) != len(s_arr):
+        raise InvalidSample("locations have duplicates")
     eps = min(cfg.eps_list)
     warnings = []
     rows_by_model: dict[str, list[dict]] = {}

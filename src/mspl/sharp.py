@@ -223,7 +223,7 @@ class SharpOptions:
 def sharp_options(cfg: "ExperimentConfig") -> SharpOptions:
     """Options of every sharp solve a configuration runs: its jump count
     if one is fixed, and its iteration budget."""
-    return SharpOptions(n_jumps=cfg.n_jumps, max_iter=cfg.optimizer.max_iter)
+    return SharpOptions(n_jumps=cfg.n_jumps, max_iter=cfg.max_iter)
 
 
 @dataclass(frozen=True)

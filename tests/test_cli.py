@@ -78,7 +78,7 @@ def test_diffuse_min_budget_exhaustion_still_writes(tmp_path, capsys):
 def test_diffuse_min_converges_on_easy_problem(tmp_path, capsys):
     rc, out, _ = run_cli(
         capsys, "diffuse-min", "--eps", "1e-2", "--mesh-n", "64",
-        "--grading-q", "1", "--tol", "1e-5", "--out", str(tmp_path),
+        "--grading-q", "1", "--out", str(tmp_path),
     )
     assert rc == 0
     payload = json.loads(out)
@@ -120,6 +120,31 @@ def test_bad_eps_list_is_config_error(tmp_path, capsys):
     )
     assert rc == 2
     assert "error:" in err
+
+
+# --eps replaced the list, so the sweep ran one eps and fit nothing
+@pytest.mark.parametrize("command", ["sweep-scaling", "period-check"])
+def test_eps_with_an_eps_list_is_config_error(tmp_path, capsys, command):
+    rc, out, err = run_cli(
+        capsys, command, "--model", "sharp", "--alpha", "0.5", "--beta", "1",
+        "--eps-list", "1e-2,1e-3,1e-4", "--eps", "1e-2", "--out", str(tmp_path),
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --eps and --eps-list ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_repeated_location_is_config_error(tmp_path, capsys):
+    # three equal abscissae fit a slope to rounding, with r_squared 1
+    rc, out, err = run_cli(
+        capsys, "period-check", "--model", "sharp", "--alpha", "0.5", "--beta", "1",
+        "--eps", "1e-3", "--s-list", "0.5,0.5,0.5", "--out", str(tmp_path),
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: locations have duplicates")
+    assert os.listdir(tmp_path) == []
 
 
 def test_bad_s_list_is_config_error(tmp_path, capsys):
@@ -193,15 +218,15 @@ def test_a_negative_max_iter_is_config_error(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
-# a tolerance no descent can meet is refused: tol = inf returned the
-# start as converged, and 0, -1 and nan converged only by stagnation
+# the descent stops on a fixed gradient and decrease test, so there is no
+# tolerance to set: --tol is refused with exit 2 whatever its value
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_an_unmeetable_tol_is_config_error(tmp_path, capsys, tol):
     argv = ("diffuse-min", "--eps", "1e-2", "--mesh-n", "64", "--tol", tol)
-    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: tol must be positive and finite")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -238,6 +263,8 @@ def test_threads_flag_is_rejected(capsys, argv):
         ["energy-profile", "--mesh-n", "8"],
         ["energy-profile", "--grading-q", "0.5"],
         ["energy-profile", "--tol", "-1"],
+        ["sweep-scaling", "--tol", "1e-6"],
+        ["period-check", "--tol", "1e-6"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
@@ -249,24 +276,23 @@ def test_a_flag_the_handler_ignores_is_rejected(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
-# the mesh and tolerance flags of the report commands set the diffuse
-# solver, so a sharp-only run refuses them and names the flag
+# the mesh flags of the report commands set the diffuse solver, so a
+# sharp-only run refuses them and names the flag
 @pytest.mark.parametrize(
     "argv",
     [
         [
             "period-check", "--model", "sharp", "--alpha", "0.5", "--beta", "1",
-            "--eps", "1e-3", "--mesh-n", "8", "--tol", "5", "--grading-q", "0.1",
+            "--eps", "1e-3", "--mesh-n", "8", "--grading-q", "0.1",
         ],
-        ["sweep-scaling", "--eps-list", "1e-2,1e-3", "--mesh-n", "8", "--tol", "5"],
+        ["sweep-scaling", "--eps-list", "1e-2,1e-3", "--mesh-n", "8"],
         ["sweep-scaling", "--model", "sharp", "--eps-list", "1e-2", "--grading-q", "1"],
-        ["period-check", "--model", "sharp", "--alpha", "0.5", "--beta", "1", "--tol", "1e-6"],
     ],
-    ids=["period-check", "sweep-scaling", "sweep-grading-q", "period-check-tol"],
+    ids=["period-check", "sweep-scaling", "sweep-grading-q"],
 )
 def test_a_diffuse_flag_on_a_sharp_run_is_config_error(tmp_path, capsys, argv):
     rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    flag = next(a for a in argv if a in ("--mesh-n", "--grading-q", "--tol"))
+    flag = next(a for a in argv if a in ("--mesh-n", "--grading-q"))
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: {flag} ")
@@ -276,12 +302,12 @@ def test_a_diffuse_flag_on_a_sharp_run_is_config_error(tmp_path, capsys, argv):
 def test_a_run_of_both_models_takes_the_diffuse_flags(tmp_path, capsys):
     rc, _, _ = run_cli(
         capsys, "sweep-scaling", "--model", "both", "--eps-list", "1e-2,5e-3",
-        "--mesh-n", "64", "--grading-q", "1", "--tol", "1e-6", "--out", str(tmp_path),
+        "--mesh-n", "64", "--grading-q", "1", "--out", str(tmp_path),
     )
     assert rc == 0
     params = json.loads((tmp_path / "sweep_scaling.json").read_text())["params"]
     assert params["mesh"] == {"n": 64, "q": 1.0}
-    assert params["optimizer"]["tol"] == 1e-6
+    assert params["max_iter"] == 500 and "optimizer" not in params
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from mspl import (
     ExperimentConfig,
     InvalidConfig,
     MeshSpec,
-    OptimizerSpec,
     UnknownPreset,
     WeightParams,
     preset,
@@ -22,7 +21,7 @@ def test_defaults():
     assert cfg.model == "sharp"
     assert cfg.eps_list == (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     assert cfg.mesh == MeshSpec(4096, 2.0)
-    assert cfg.optimizer == OptimizerSpec(None, 500)
+    assert cfg.max_iter == 500
     assert cfg.formats == ("csv", "json")
     assert not cfg.plot
 
@@ -39,8 +38,8 @@ def test_validation_rejects_nonsense():
     with pytest.raises(InvalidConfig):
         ExperimentConfig(formats=("csv", "xml"))
     with pytest.raises(InvalidConfig, match="nonnegative"):
-        ExperimentConfig.from_dict({"optimizer": {"tol": None, "max_iter": -1}})
-    assert OptimizerSpec(max_iter=0).max_iter == 0
+        ExperimentConfig.from_dict({"max_iter": -1})
+    assert ExperimentConfig(max_iter=0).max_iter == 0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -61,7 +60,7 @@ def test_json_round_trip():
         eps_list=(1e-3, 1e-4),
         model="both",
         mesh=MeshSpec(8192, 1.0),
-        optimizer=OptimizerSpec(1e-7, 900),
+        max_iter=900,
         n_jumps=11,
         out_dir="runs/x",
         plot=True,
@@ -92,8 +91,9 @@ def test_unknown_field_rejected():
     # the diffuse solve walks its tooth count; it has no restarts to seed
     with pytest.raises(InvalidConfig):
         ExperimentConfig.from_dict({"seed": 0})
+    # the budget is a field of its own; the descents have no tolerance
     with pytest.raises(InvalidConfig):
-        ExperimentConfig.from_dict({"optimizer": {"restarts": 3}})
+        ExperimentConfig.from_dict({"optimizer": {"max_iter": 500}})
     # the sharp solver grades every start by default_gamma; no grading to set
     with pytest.raises(InvalidConfig, match="gamma"):
         ExperimentConfig.from_dict({"gamma": 0.5})

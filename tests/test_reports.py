@@ -12,7 +12,6 @@ from mspl import (
     InvalidSample,
     MeshSpec,
     NonPositiveValue,
-    OptimizerSpec,
     SharpOptions,
     WeightParams,
     default_gamma,
@@ -61,6 +60,12 @@ def test_fit_validation():
         fit_scaling([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_a_fit_over_one_repeated_abscissa_is_refused():
+    # the least-squares system is singular: numpy warned and raised LinAlgError
+    with pytest.raises(InsufficientData, match="distinct"):
+        fit_scaling([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # sweep driver
 # ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ def test_sweep_both_models():
         eps_list=(3e-3, 1e-3, 3e-4),
         model="both",
         mesh=MeshSpec(512, 1.0),
-        optimizer=OptimizerSpec(max_iter=400),
+        max_iter=400,
     )
     rep = sweep_scaling(cfg)
     assert {r["model"] for r in rep.rows} == {"sharp", "diffuse"}
@@ -142,7 +147,7 @@ def test_distribution_endpoint_matches_total_energy():
 
 
 def test_distribution_report_honours_jump_count_and_budget():
-    cfg = ExperimentConfig(eps_list=(1e-3,), n_jumps=3, optimizer=OptimizerSpec(max_iter=5))
+    cfg = ExperimentConfig(eps_list=(1e-3,), n_jumps=3, max_iter=5)
     rep = run_distribution_report(cfg)
     opts = SharpOptions(n_jumps=3, max_iter=5)
     total = optimize_sharp(1e-3, cfg.weights, opts).energy.total
@@ -154,7 +159,7 @@ def test_sharp_options_carry_the_shared_budget():
     # the shared budget defaults to 500, the sharp default too, and
     # reaches the sharp solves uncapped
     assert sharp_options(ExperimentConfig()).max_iter == SharpOptions().max_iter == 500
-    cfg = ExperimentConfig(optimizer=OptimizerSpec(max_iter=2000), n_jumps=7)
+    cfg = ExperimentConfig(max_iter=2000, n_jumps=7)
     assert sharp_options(cfg) == SharpOptions(n_jumps=7, max_iter=2000)
 
 
