@@ -1,5 +1,6 @@
 """Sawtooth construction, exact evaluation, and the jump-count optimizer."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -852,6 +853,51 @@ def test_sweep_shares_its_kernel_calls_across_eps(monkeypatch):
     assert len(calls) <= 45
 
 
+# (alpha, beta, eps) of the single solves whose candidate tables the golden
+# hash covers after the (0.5, 1) sweep: deep, collapsing, strongly
+# weighted and unweighted walks
+GOLDEN_SOLVES = (
+    (1.5, 1.4, 1e-5),
+    (0.5, 2.4, 1e-3),
+    (2.0, 0.5, 1e-5),
+    (0.0, 0.0, 1e-6),
+    (1.0, 2.5, 1e-2),
+    (2.0, 1.5, 1e-2),
+    (0.5, 1.0, 1e-8),
+    (0.5, 2.0, 1e-5),
+)
+GOLDEN_SHA256 = "82855bd45a0621c49c353bf49dbfae4ed7af15d1c603d2e230019d99eb50369e"
+
+
+def test_sharp_results_keep_their_bytes(monkeypatch):
+    # every candidate row of the (0.5, 1) sweep and of eight single solves,
+    # totals and jump positions to the last bit, and the sweep's work: its
+    # kernel calls and rows, Newton step calls and tridiagonal solves
+    calls = count_kernel_calls(monkeypatch)
+    steps, solves = [], []
+    newton_steps, solve = mspl.sharp._newton_steps, mspl.sharp._tridiagonal_solve
+
+    def stepping(*args):
+        steps.append(None)
+        return newton_steps(*args)
+
+    def solving(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(mspl.sharp, "_newton_steps", stepping)
+    monkeypatch.setattr(mspl.sharp, "_tridiagonal_solve", solving)
+    results = list(optimize_sharp_sweep(SWEEP_EPS, WeightParams(0.5, 1.0)))
+    print(
+        f"sweep: {len(calls)} kernel calls for {sum(calls)} rows, "
+        f"{len(steps)} Newton step calls, {len(solves)} tridiagonal solves"
+    )
+    assert (len(calls), sum(calls), len(steps), len(solves)) == (37, 971, 36, 1979)
+    results += [optimize_sharp(eps, WeightParams(a, b)) for a, b, eps in GOLDEN_SOLVES]
+    digest = hashlib.sha256("".join(repr(r.candidates) for r in results).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256
+
+
 @pytest.mark.parametrize(
     "eps_list",
     [(1e-2, 1e-3, math.nan), (0.0, 1e-2), (1e-2, -1e-3, 1e-4), (1e-3, math.inf)],
@@ -1034,6 +1080,28 @@ def test_gap_kernel_matches_loop_reference_bitwise():
                     for e, g in ((e_new, g_new), (e_batch, g_batch[: y.size])):
                         assert np.float64(e).tobytes() == np.float64(e_ref).tobytes()
                         assert g.tobytes() == g_ref.tobytes()
+
+
+def test_masked_row_sums_are_the_row_sums():
+    # the refinement sums the prefix of each row of a padded batch with one
+    # masked reduction; numpy must give each row's own sum of its prefix,
+    # bit for bit: rows past the pairwise block of 128 and past MAX_JUMPS,
+    # magnitudes 1e-8..1e8 of both signs, nan and inf inside the prefix,
+    # and the parity views `_close` sums
+    rng = np.random.default_rng(28)
+    for M in (1, 2, 7, 128, 129, 300, 1000, MAX_JUMPS + 1, 2100):
+        x = rng.choice((-1.0, 1.0), size=(24, M)) * 10.0 ** rng.uniform(-8.0, 8.0, (24, M))
+        # rows 2-5 sum their whole row: one nan, one inf, one -inf, and
+        # inf against -inf (at one index when M = 1: then -inf alone)
+        at = rng.integers(M, size=5)
+        x[2, at[0]], x[3, at[1]], x[4, at[2]] = math.nan, math.inf, -math.inf
+        x[5, at[3]], x[5, at[4]] = math.inf, -math.inf
+        k = np.concatenate(([0, 1, M, M, M, M], rng.integers(M + 1, size=18)))
+        for view, kv in ((x, k), (x[:, 0::2], (k + 1) // 2), (x[:, 1::2], k // 2)):
+            with np.errstate(invalid="ignore"):
+                masked = np.add.reduce(view, axis=1, where=np.arange(view.shape[1]) < kv[:, None])
+                own = [np.add.reduce(row[:n]) for row, n in zip(view, kv)]
+            assert masked.tobytes() == np.array(own).tobytes()
 
 
 # ---------------------------------------------------------------------------
