@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("period-check", help="empirical vs predicted local period")
-    _add_common(p, eps_list=True)
+    _add_common(p)
     p.add_argument("--model", choices=["sharp", "diffuse", "both"], default="diffuse")
     p.add_argument("--s-list", default="0.3,0.5,0.8", help="comma-separated interior locations")
     p.set_defaults(fn=_cmd_period)

@@ -122,16 +122,22 @@ def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> Ene
 
 def _sharp_energies(profiles, eps, w: WeightParams) -> list[EnergyBreakdown]:
     """`evaluate_sharp` of each profile at its eps, unchecked, with one
-    call of the segment kernel for all their segments."""
+    call of the segment kernel for all their segments.  The segment
+    integrals and jump powers of profile i fill row i of a zero-padded
+    array, and each row's sum is a masked sum over the rows' own entries,
+    bit for bit the sum of that profile's own array."""
     columns = [(p.breakpoints[:-1], p.breakpoints[1:], p.values[:-1], p.slopes) for p in profiles]
     seg = weighted_square_integrals(*map(np.concatenate, zip(*columns)), w.beta)
-    bulks = np.split(seg, np.cumsum([p.n_jumps + 1 for p in profiles]))
-    out = []
-    for p, e, bulk in zip(profiles, eps, bulks):
-        zs = np.asarray(p.jumps, dtype=float)
-        surface = 2.0 * e * float(np.sum(zs**w.alpha)) if zs.size else 0.0
-        out.append(EnergyBreakdown(surface=surface, well=0.0, bulk=float(np.sum(bulk))))
-    return out
+    zsa = np.concatenate([p.breakpoints[1:-1] for p in profiles]) ** w.alpha
+    m = np.array([p.n_jumps + 1 for p in profiles])
+    own = np.arange(m.max()) < m[:, None]
+    sums = []
+    for values, mask in ((zsa, own[:, 1:]), (seg, own)):
+        rows = np.zeros(mask.shape)
+        rows[mask] = values
+        sums.append(np.add.reduce(rows, axis=1, where=mask))
+    surface, bulk = (2.0 * np.asarray(eps, dtype=float) * sums[0]).tolist(), sums[1].tolist()
+    return [EnergyBreakdown(surface=s, well=0.0, bulk=b) for s, b in zip(surface, bulk)]
 
 
 @dataclass(frozen=True)
@@ -293,9 +299,10 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     with zeros: padded gaps add zero-width segments at the right end,
     whose moments, segment integrals and first moments are exactly 0.
     eps is the eps of each row, or one eps for all of them.  The
-    elementwise work runs on whole rows, and each sum runs on its row's
-    own unpadded slice, so a row's results do not depend on the rest of
-    the batch.
+    elementwise work runs on whole rows, and each energy sum is one
+    masked sum over the batch that reads only a row's own m[i] entries,
+    bit for bit the sum of its unpadded slice, so a row's results do not
+    depend on the rest of the batch.
 
     One pass: the moments p0, p1, p2 of t**-beta on each segment
     [z_j, z_j + y_j], written about its left end (`segment_moments`),
@@ -314,8 +321,8 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     Products with a slope sigma = +-1 are exact and are regrouped freely;
     every other operation keeps the order of the formulas above.
 
-    Returns (energies, grad, p0, vals, zs): a list of the B energies, the
-    (B, M) gradients, and what the Newton step reuses: p0, the integrals
+    Returns (energies, grad, p0, vals, zs): the B energies, the (B, M)
+    gradients, and what the Newton step reuses: p0, the integrals
     of t**-beta over the segments after the first, vals, u at 0, at each
     jump and at the right end, and zs, the jump positions.  Entries past
     a row's own m[i] gaps (m[i] - 1 jumps) are padding; those of p0 are 0.
@@ -323,6 +330,8 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     b, M = y.shape
     eps = np.broadcast_to(eps, (b,))
     signs = _alternating_signs(M)
+    # the row's own segments, and (from column 1) its own jumps
+    own = np.arange(M) < m[:, None]
     bp = np.zeros((b, M + 1))
     y.cumsum(axis=1, out=bp[:, 1:])
     zs = bp[:, 1:-1]
@@ -349,13 +358,10 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
         # t = 0) only p2 survives, also against a diverging p0 or p1
         seg = p2 + np.where(u != 0.0, u * (up0 + 2.0 * sp1), 0.0)
         if w.alpha != 0.0:
-            np.power(zs, w.alpha - 1.0, out=zpow, where=np.arange(1, M) < m[:, None])
+            np.power(zs, w.alpha - 1.0, out=zpow, where=own[:, 1:])
 
-    zsa = zs**w.alpha
-    energies = [
-        2.0 * e * float(np.add.reduce(zsa[i, : k - 1])) + float(np.add.reduce(seg[i, :k]))
-        for i, (k, e) in enumerate(zip(m.tolist(), eps.tolist()))
-    ]
+    surface = np.add.reduce(zs**w.alpha, axis=1, where=own[:, 1:])
+    energies = 2.0 * eps * surface + np.add.reduce(seg, axis=1, where=own)
 
     # surface suffix term (a jump at z = 0 gives inf: let it flow through);
     # the last gap moves no jump.  Padded rows read u(1) at their end too,
@@ -376,13 +382,12 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
 
 def _close(y: np.ndarray, m) -> np.ndarray:
     """Rescale each parity of the m[i] gaps of each row i of y in place to
-    sum to 1/2, so each profile ends at t = 1 with u(1) = 0; returns y."""
-    even, odd = [], []
-    for row, k in zip(y, m):
-        even.append(0.5 / np.add.reduce(row[0:k:2]))
-        odd.append(0.5 / np.add.reduce(row[1:k:2]))
-    y[:, 0::2] *= np.array(even)[:, None]
-    y[:, 1::2] *= np.array(odd)[:, None]
+    sum to 1/2, so each profile ends at t = 1 with u(1) = 0; returns y.
+    Each parity's sums are one masked sum over the batch, bit for bit the
+    sum of row i's own gaps of that parity."""
+    own = np.arange(y.shape[1]) < np.asarray(m)[:, None]
+    for p in (0, 1):
+        y[:, p::2] *= (0.5 / np.add.reduce(y[:, p::2], axis=1, where=own[:, p::2]))[:, None]
     return y
 
 
@@ -474,7 +479,10 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
     and, with vhat_k = s_k v_k (0 outside 1..n), p_k = vhat_k + vhat_{k-1}
     and the gap change p_k - p_{k-1} is vhat_k - vhat_{k-2}.  T is solved
     as T / 8, which scales exactly.  Each layout keeps its own
-    factorization and its own sum in c."""
+    factorization, and its c is one masked sum over the batch that reads
+    only the row's own entries, bit for bit the sum of its slice.  The
+    solves read each row's own entries from flat lists and write their
+    steps into one zero-padded array."""
     M = vals.shape[1] - 1
     eps = np.broadcast_to(eps, m.shape)
     s = _alternating_signs(M)[:-1]
@@ -486,24 +494,30 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
         - 0.5 * s * zs ** (-w.beta) * vals[:, 1:-1]
     )
     inv_P = np.divide(1.0, P, out=np.zeros_like(P), where=jumps)
+    c8 = 1.0 / np.add.reduce(inv_P, axis=1, where=jumps)
     # s_k r_k / 8
     h = g.copy()
     np.add(h[:, :-1], g[:, 1:], out=h[:, :-1], where=jumps[:, 1:])
     h *= 0.125
     lam = list(lam)
-    steps = []
-    p0_l, E_l, P_l, h_l = p0.tolist(), E.tolist(), P.tolist(), h.tolist()
-    for i, k in enumerate((m - 1).tolist()):
-        p0_i, h_i = p0_l[i][:k], h_l[i][:k]
+    # the rows' own entries, one after another, and their steps vhat
+    p0_f, E_f, P_f, h_f = (a[jumps].tolist() for a in (p0, E, P, h))
+    vhats = []
+    start = 0
+    for i, (k, c8_i) in enumerate(zip((m - 1).tolist(), c8.tolist())):
+        end = start + k
+        p0_i, h_i = p0_f[start:end], h_f[start:end]
         # the last entry e_{n+1} / 8 = c / 8, which P = 0 keeps off the shift
-        E_i = E_l[i][:k] + [1.0 / float(np.add.reduce(inv_P[i, :k]))]
-        P_i = P_l[i][:k] + [0.0]
+        E_i = E_f[start:end] + [c8_i]
+        P_i = P_f[start:end] + [0.0]
         while (vhat := _tridiagonal_solve(p0_i, E_i, P_i, lam[i], h_i)) is None:
             lam[i] = max(10.0 * lam[i], LAM_MIN)
-        steps.append(vhat + [0.0] * (M - k - 1))
+        vhats += vhat
+        start = end
     # the gap changes vhat_k - vhat_{k-2}, which reach two columns into
     # each row's padding
-    dy = np.array(steps)
+    dy = np.zeros((len(lam), M))
+    dy[np.arange(M) < m[:, None]] = vhats
     dy[:, 2:] -= dy[:, :-2]
     np.copyto(dy, 0.0, where=np.arange(M) >= m[:, None])
     return dy, lam
@@ -539,36 +553,37 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     descending in one kernel call, and sets up the next steps of the
     counts it moved in one `_newton_steps` call.  A count leaves the
     batch once it converges, collapses or stalls, and its result is bit
-    for bit that of a batch of one.
+    for bit that of a batch of one: each count's energy, step length,
+    slope, shift, steps and backtracks are entries of arrays, and the
+    Armijo, FTOL, collapse and max_iter tests are masks over the active
+    counts, with the float operations of a single count's tests in the
+    same order.
 
     Returns one entry per count: (gaps, energy, converged), or None once
     the layout collapses: some gap falls below COLLAPSE_TOL times its own
     starting width.  The descent stops there, and the layout is not
     returned, because it is really one of fewer teeth."""
-    counts = list(counts)
-    m = np.array(counts) + 1
+    counts = np.array(counts)
+    m = counts + 1
     eps = np.broadcast_to(eps, m.shape)
-    y = np.zeros((len(counts), int(m.max())))
-    for i, n in enumerate(counts):
+    y = np.zeros((m.size, int(m.max())))
+    for i, n in enumerate(counts.tolist()):
         # closure pins a single jump to 1/2: nothing to optimize
         y[i, : n + 1] = (0.5, 0.5) if n == 1 else _graded_start_gaps(n, gamma)
     floor = COLLAPSE_TOL * y
     dy = np.zeros_like(y)
-    results: list = [None] * len(counts)
+    results: list = [None] * m.size
     # per count: energy, step length, slope g . p and shift of the current
     # step, steps taken (-1 before the start is scored), failed trials
-    f = [0.0] * len(counts)
-    t = [0.0] * len(counts)
-    slope = [0.0] * len(counts)
-    lam = [0.0] * len(counts)
-    steps = [-1] * len(counts)
-    tries = [0] * len(counts)
+    f, t, slope, lam = (np.zeros(m.size) for _ in range(4))
+    steps, tries = np.full(m.size, -1), np.zeros(m.size, dtype=int)
 
-    def finish(i, ok):
-        results[i] = y[i, : m[i]].copy(), f[i], ok
+    def finish(rows, ok):
+        for i in rows.tolist():
+            results[i] = y[i, : m[i]].copy(), float(f[i]), ok
 
-    def advance(rows, gy, p0, vals, zs) -> list:
-        """Test the counts in `rows`, which have just moved to layouts with
+    def advance(rows, gy, p0, vals, zs):
+        """Test the counts `rows`, which have just moved to layouts with
         the kernel results gy, p0, vals and zs, for convergence, and set up
         the next step of the others; returns those that search along it."""
         mm = m[rows]
@@ -578,78 +593,61 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         mean = [float(s[:n] @ g[r, :n]) / n for r, n in enumerate((mm - 1).tolist())]
         jumps = np.arange(g.shape[1]) < (mm - 1)[:, None]
         dev = np.abs(g - s * np.array(mean)[:, None]).max(axis=1, where=jumps, initial=0.0)
-        going = []
-        for r, i in enumerate(rows):
-            if dev[r] <= GTOL:
-                finish(i, True)
-            else:
-                going.append(r)
-        if not going:
-            return []
-        if len(going) < len(rows):
-            rows, mm = [rows[r] for r in going], mm[going]
-            g, gy, p0, vals, zs = g[going], gy[going], p0[going], vals[going], zs[going]
-        step, lam_taken = _newton_steps(
-            g, zs, p0, vals, mm, [lam[i] for i in rows], eps[rows], w
-        )
+        going = dev > GTOL
+        finish(rows[~going], True)
+        rows, mm, g, gy, p0, vals, zs = (a[going] for a in (rows, mm, g, gy, p0, vals, zs))
+        if not rows.size:
+            return rows
+        step, lam_taken = _newton_steps(g, zs, p0, vals, mm, lam[rows].tolist(), eps[rows], w)
+        lam[rows] = lam_taken
+        # the slope g . p, summed by parts
+        slope[rows] = [float(gy[r, :n] @ step[r, :n]) for r, n in enumerate(mm.tolist())]
+        # the Newton model predicts no decrease above rounding
+        flat = -0.5 * slope[rows] <= FTOL * f[rows]
+        finish(rows[flat], True)
+        rows, step = rows[~flat], step[~flat]
         gaps = y[rows]
         # p != 0 and dy sums to 0, so some gap shrinks: dy / y has a
-        # negative minimum, and t caps the fastest shrink at half its gap
+        # negative minimum, and t, min(1, -0.5 / shrink) as Python's min
+        # takes it, caps the fastest shrink at half its gap
         shrink = np.divide(step, gaps, out=np.full_like(gaps, np.inf), where=gaps > 0.0)
-        shrink = shrink.min(axis=1).tolist()
-        searching = []
-        for r, i in enumerate(rows):
-            lam[i] = lam_taken[r]
-            # the slope g . p, summed by parts
-            slope[i] = float(gy[r, : mm[r]] @ step[r, : mm[r]])
-            if -0.5 * slope[i] <= FTOL * f[i]:
-                # the Newton model predicts no decrease above rounding
-                finish(i, True)
-                continue
-            dy[i], t[i], tries[i] = step[r], min(1.0, -0.5 / shrink[r]), 0
-            searching.append(i)
-        return searching
+        cap = -0.5 / shrink.min(axis=1)
+        dy[rows], t[rows], tries[rows] = step, np.where(cap < 1.0, cap, 1.0), 0
+        return rows
 
-    active = list(range(len(counts)))
+    active = np.arange(m.size)
     trial = y.copy()
-    while active:
+    while active.size:
         f_new, gy, p0, vals, zs = _gap_kernel(trial, m[active], eps[active], w)
-        collapsed = (trial < floor[active]).any(axis=1).tolist()
-        moved, searching = [], []
-        for j, i in enumerate(active):
-            if steps[i] < 0:
-                steps[i], f[i] = 0, f_new[j]
-                if counts[i] == 1:
-                    finish(i, True)
-                    continue
-            elif f_new[j] <= f[i] + 1e-4 * t[i] * slope[i]:
-                done = f[i] - f_new[j] <= FTOL * f[i]
-                y[i], f[i] = trial[j], f_new[j]
-                if collapsed[j]:
-                    continue
-                if done:
-                    finish(i, True)
-                    continue
-                lam[i] /= 10.0
-                steps[i] += 1
-            else:
-                t[i] *= 0.5
-                tries[i] += 1
-                if tries[i] == MAX_BACKTRACKS:
-                    finish(i, False)
-                else:
-                    searching.append(i)
-                continue
-            if steps[i] == max_iter:
-                finish(i, False)
-            else:
-                moved.append(j)
-        if moved:
-            if len(moved) < len(active):
-                gy, p0, vals, zs = gy[moved], p0[moved], vals[moved], zs[moved]
-            searching += advance([active[j] for j in moved], gy, p0, vals, zs)
-        active = sorted(searching)
-        trial = _close(y[active] + np.array(t)[active, None] * dy[active], m[active].tolist())
+        # the start scored, or a trial that passes the Armijo test: it is
+        # taken, and ends the descent once it lowers f by at most FTOL f,
+        # or is dropped once it collapses; any other trial is backtracked
+        f_old = f[active]
+        start = steps[active] < 0
+        armijo = ~start & (f_new <= f_old + 1e-4 * t[active] * slope[active])
+        done = armijo & (f_old - f_new <= FTOL * f_old)
+        kept = armijo & ~(trial < floor[active]).any(axis=1)
+        back = ~start & ~armijo
+        y[active[armijo]] = trial[armijo]
+        f[active[start | armijo]] = f_new[start | armijo]
+        steps[active[start]] = 0
+        finish(active[start & (counts[active] == 1)], True)
+        finish(active[kept & done], True)
+        stepped = kept & ~done
+        lam[active[stepped]] /= 10.0
+        steps[active[stepped]] += 1
+        t[active[back]] *= 0.5
+        tries[active[back]] += 1
+        stalled = back & (tries[active] == MAX_BACKTRACKS)
+        finish(active[stalled], False)
+        moved = (start & (counts[active] != 1)) | stepped
+        capped = moved & (steps[active] == max_iter)
+        finish(active[capped], False)
+        searching = [active[back & ~stalled]]
+        if (moved := moved & ~capped).any():
+            searching.append(advance(active[moved], gy[moved], p0[moved], vals[moved], zs[moved]))
+        active = np.sort(np.concatenate(searching))
+        trial = _close(y[active] + t[active, None] * dy[active], m[active])
     return results
 
 

@@ -123,7 +123,7 @@ def test_bad_eps_list_is_config_error(tmp_path, capsys):
 
 
 # --eps replaced the list, so the sweep ran one eps and fit nothing
-@pytest.mark.parametrize("command", ["sweep-scaling", "period-check"])
+@pytest.mark.parametrize("command", ["sweep-scaling"])
 def test_eps_with_an_eps_list_is_config_error(tmp_path, capsys, command):
     rc, out, err = run_cli(
         capsys, command, "--model", "sharp", "--alpha", "0.5", "--beta", "1",
@@ -265,6 +265,8 @@ def test_threads_flag_is_rejected(capsys, argv):
         ["energy-profile", "--tol", "-1"],
         ["sweep-scaling", "--tol", "1e-6"],
         ["period-check", "--tol", "1e-6"],
+        # one period-check measures one eps: a list ran only its smallest
+        ["period-check", "--eps-list", "1e-2,1e-3"],
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )
