@@ -573,10 +573,10 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     floor = COLLAPSE_TOL * y
     dy = np.zeros_like(y)
     results: list = [None] * m.size
-    # per count: energy, step length, slope g . p and shift of the current
-    # step, steps taken (-1 before the start is scored), failed trials
-    f, t, slope, lam = (np.zeros(m.size) for _ in range(4))
-    steps, tries = np.full(m.size, -1), np.zeros(m.size, dtype=int)
+    # per count: step length, slope g . p and shift of the current step,
+    # steps taken and failed trials; the energies f come with the starts'
+    t, slope, lam = (np.zeros(m.size) for _ in range(3))
+    steps, tries = np.zeros(m.size, dtype=int), np.zeros(m.size, dtype=int)
 
     def finish(rows, ok):
         for i in rows.tolist():
@@ -593,11 +593,11 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         mean = [float(s[:n] @ g[r, :n]) / n for r, n in enumerate((mm - 1).tolist())]
         jumps = np.arange(g.shape[1]) < (mm - 1)[:, None]
         dev = np.abs(g - s * np.array(mean)[:, None]).max(axis=1, where=jumps, initial=0.0)
-        going = dev > GTOL
-        finish(rows[~going], True)
-        rows, mm, g, gy, p0, vals, zs = (a[going] for a in (rows, mm, g, gy, p0, vals, zs))
-        if not rows.size:
-            return rows
+        if not (going := dev > GTOL).all():
+            finish(rows[~going], True)
+            rows, mm, g, gy, p0, vals, zs = (a[going] for a in (rows, mm, g, gy, p0, vals, zs))
+            if not rows.size:
+                return rows
         step, lam_taken = _newton_steps(g, zs, p0, vals, mm, lam[rows].tolist(), eps[rows], w)
         lam[rows] = lam_taken
         # the slope g . p, summed by parts
@@ -615,40 +615,41 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         dy[rows], t[rows], tries[rows] = step, np.where(cap < 1.0, cap, 1.0), 0
         return rows
 
-    active = np.arange(m.size)
-    trial = y.copy()
-    while active.size:
-        f_new, gy, p0, vals, zs = _gap_kernel(trial, m[active], eps[active], w)
-        # the start scored, or a trial that passes the Armijo test: it is
-        # taken, and ends the descent once it lowers f by at most FTOL f,
-        # or is dropped once it collapses; any other trial is backtracked
-        f_old = f[active]
-        start = steps[active] < 0
-        armijo = ~start & (f_new <= f_old + 1e-4 * t[active] * slope[active])
-        done = armijo & (f_old - f_new <= FTOL * f_old)
-        kept = armijo & ~(trial < floor[active]).any(axis=1)
-        back = ~start & ~armijo
-        y[active[armijo]] = trial[armijo]
-        f[active[start | armijo]] = f_new[start | armijo]
-        steps[active[start]] = 0
-        finish(active[start & (counts[active] == 1)], True)
-        finish(active[kept & done], True)
-        stepped = kept & ~done
-        lam[active[stepped]] /= 10.0
-        steps[active[stepped]] += 1
-        t[active[back]] *= 0.5
-        tries[active[back]] += 1
-        stalled = back & (tries[active] == MAX_BACKTRACKS)
-        finish(active[stalled], False)
-        moved = (start & (counts[active] != 1)) | stepped
-        capped = moved & (steps[active] == max_iter)
-        finish(active[capped], False)
-        searching = [active[back & ~stalled]]
+    # the starts are scored, and a single jump is its closed start
+    f, gy, p0, vals, zs = _gap_kernel(y, m, eps, w)
+    finish(np.flatnonzero(counts == 1), True)
+    rows = np.arange(m.size)
+    moved, searching = counts != 1, [rows[:0]]
+    while True:
+        # a count that moved stops after max_iter steps, or sets up its next
+        capped = moved & (steps[rows] == max_iter)
+        finish(rows[capped], False)
         if (moved := moved & ~capped).any():
-            searching.append(advance(active[moved], gy[moved], p0[moved], vals[moved], zs[moved]))
-        active = np.sort(np.concatenate(searching))
-        trial = _close(y[active] + t[active, None] * dy[active], m[active])
-    return results
+            searching.append(advance(rows[moved], gy[moved], p0[moved], vals[moved], zs[moved]))
+        rows = np.sort(np.concatenate(searching))
+        if not rows.size:
+            return results
+        trial = _close(y[rows] + t[rows, None] * dy[rows], m[rows])
+        f_new, gy, p0, vals, zs = _gap_kernel(trial, m[rows], eps[rows], w)
+        # a trial that fails the Armijo test is backtracked, MAX_BACKTRACKS
+        # times at most; one that passes is taken, and ends the descent once
+        # it lowers f by at most FTOL f, or is dropped once it collapses
+        f_old = f[rows]
+        armijo = f_new <= f_old + 1e-4 * t[rows] * slope[rows]
+        back = rows[~armijo]
+        t[back] *= 0.5
+        tries[back] += 1
+        stalled = tries[back] == MAX_BACKTRACKS
+        finish(back[stalled], False)
+        searching = [back[~stalled]]
+        done = armijo & (f_old - f_new <= FTOL * f_old)
+        kept = armijo & ~(trial < floor[rows]).any(axis=1)
+        taken = rows[armijo]
+        y[taken], f[taken] = trial[armijo], f_new[armijo]
+        finish(rows[kept & done], True)
+        moved = kept & ~done
+        lam[rows[moved]] /= 10.0
+        steps[rows[moved]] += 1
 
 
 def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
