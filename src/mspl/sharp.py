@@ -124,8 +124,8 @@ def _sharp_energies(profiles, eps, w: WeightParams) -> list[EnergyBreakdown]:
     """`evaluate_sharp` of each profile at its eps, unchecked, with one
     call of the segment kernel for all their segments.  The segment
     integrals and jump powers of profile i fill row i of a zero-padded
-    array, and each row's sum is a masked sum over the rows' own entries,
-    bit for bit the sum of that profile's own array."""
+    array, and each row's sum is a masked sum over its own entries, bit
+    for bit the sum of that profile's own array."""
     columns = [(p.breakpoints[:-1], p.breakpoints[1:], p.values[:-1], p.slopes) for p in profiles]
     seg = weighted_square_integrals(*map(np.concatenate, zip(*columns)), w.beta)
     zsa = np.concatenate([p.breakpoints[1:-1] for p in profiles]) ** w.alpha
@@ -574,7 +574,7 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     dy = np.zeros_like(y)
     results: list = [None] * m.size
     # per count: step length, slope g . p and shift of the current step,
-    # steps taken and failed trials; the energies f come with the starts'
+    # steps taken and failed trials; f, the energies, come from the starts
     t, slope, lam = (np.zeros(m.size) for _ in range(3))
     steps, tries = np.zeros(m.size, dtype=int), np.zeros(m.size, dtype=int)
 
@@ -621,7 +621,7 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     rows = np.arange(m.size)
     moved, searching = counts != 1, [rows[:0]]
     while True:
-        # a count that moved stops after max_iter steps, or sets up its next
+        # a count that moved stops after max_iter steps, or sets up a step
         capped = moved & (steps[rows] == max_iter)
         finish(rows[capped], False)
         if (moved := moved & ~capped).any():
