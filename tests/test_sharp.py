@@ -31,7 +31,12 @@ from mspl import (
     optimize_sharp_sweep,
     rescaled_min_energy,
 )
-from mspl.core import power_primitive, segment_moments, weighted_square_integrals
+from mspl.core import (
+    EnergyBreakdown,
+    power_primitive,
+    segment_moments,
+    weighted_square_integrals,
+)
 import mspl.sharp
 from mspl.sharp import (
     COLLAPSE_TOL,
@@ -47,6 +52,7 @@ from mspl.sharp import (
     _newton_steps,
     _profile_from_gaps,
     _refine_jump_positions,
+    _sharp_energies,
     default_gamma,
     jump_count_estimate,
 )
@@ -55,6 +61,11 @@ from mspl.sharp import (
 def close(y):
     """`_close` on one layout."""
     return _close(y[None], [y.size])[0]
+
+
+def profile_from_gaps(y):
+    """`_profile_from_gaps` on one layout."""
+    return _profile_from_gaps(y)
 
 
 def gap_energy_and_grad(y, eps, w):
@@ -1102,6 +1113,58 @@ def test_masked_row_sums_are_the_row_sums():
                 masked = np.add.reduce(view, axis=1, where=np.arange(view.shape[1]) < kv[:, None])
                 own = [np.add.reduce(row[:n]) for row, n in zip(view, kv)]
             assert masked.tobytes() == np.array(own).tobytes()
+
+
+def graded_start_reference(n, gamma):
+    """Reference for `_graded_start_gaps`: the widths k**gamma of one
+    count over their sum, each parity closed by `closed_reference`."""
+    y = np.arange(1, n + 2, dtype=float) ** gamma
+    return closed_reference(y / y.sum())
+
+
+def test_batched_starts_are_the_closed_powers():
+    # every count up to MAX_JUMPS, at the grading of beta from -1 to 2.9
+    for beta in (-1.0, 0.0, 1.0, 2.0, 2.9):
+        gamma = default_gamma(beta)
+        for n in range(1, MAX_JUMPS + 1):
+            got = _graded_start_gaps(n, gamma)
+            assert got.tobytes() == graded_start_reference(n, gamma).tobytes()
+
+
+def sharp_energy_reference(profile, eps, w):
+    """Reference for `_sharp_energies` on one profile: its segment
+    integrals from its own breakpoints, values and slopes, and its own
+    sums."""
+    bp = profile.breakpoints
+    seg = weighted_square_integrals(bp[:-1], bp[1:], profile.values[:-1], profile.slopes, w.beta)
+    surface = 2.0 * eps * np.add.reduce(bp[1:-1] ** w.alpha)
+    return EnergyBreakdown(surface=float(surface), well=0.0, bulk=float(np.add.reduce(seg)))
+
+
+def test_batched_scores_are_the_profile_scores():
+    # one call scores profiles of 1 to 2048 jumps, each at its own eps:
+    # closed layouts, their mirrors (initial slope -1), and layouts whose
+    # coinciding jumps, or a jump at 0 or 1, are normalized away
+    rng = np.random.default_rng(29)
+    sizes = [1, 2, 3, 8, 47, 127, 128, 129, 300, 1000, 2047, MAX_JUMPS]
+    layouts = [
+        _decode_gaps(rng.normal(size=n + 1), (n + 2) // 2)
+        for n in sizes + rng.integers(1, MAX_JUMPS + 1, size=8).tolist()
+    ]
+    degenerate = [np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0])]
+    for zeros in ([0], [3, 4], [0, 17, 30], [5, 6, 7]):
+        y = _decode_gaps(rng.normal(size=41), 21)
+        y[zeros] = 0.0
+        degenerate.append(y)
+    profiles = [profile_from_gaps(y) for y in layouts + degenerate]
+    profiles += [SawtoothProfile(p.jumps, -1) for p in profiles[::3]]
+    assert {p.initial_slope for p in profiles} == {-1, 1}
+    assert sum(len(p.jumps) < y.size - 1 for p, y in zip(profiles, layouts + degenerate)) == 5
+    for w in (*ORACLE_WEIGHTS, WeightParams(1.0, 2.9)):
+        eps = 10.0 ** rng.uniform(-8.0, -1.0, size=len(profiles))
+        got = _sharp_energies(profiles, eps, w)
+        want = [sharp_energy_reference(p, e, w) for p, e in zip(profiles, eps.tolist())]
+        assert [repr(e) for e in got] == [repr(e) for e in want]
 
 
 # ---------------------------------------------------------------------------
