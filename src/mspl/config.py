@@ -5,7 +5,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .errors import InvalidConfig, UnknownPreset
+from .errors import InvalidConfig, UnknownPreset, check_integer
 from .weights import WeightParams
 
 _MODELS = ("sharp", "diffuse", "both")
@@ -16,6 +16,9 @@ _FORMATS = ("csv", "json")
 class MeshSpec:
     n: int = 4096
     q: float = 2.0
+
+    def __post_init__(self):
+        check_integer("mesh n", self.n)
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,11 @@ class ExperimentConfig:
             raise InvalidConfig("every eps must be positive and finite")
         if len(set(self.eps_list)) != len(self.eps_list):
             raise InvalidConfig("eps_list has duplicates")
+        check_integer("max_iter", self.max_iter)
         if self.max_iter < 0:
             raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
+        if self.n_jumps is not None:
+            check_integer("n_jumps", self.n_jumps)
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise InvalidConfig(f"unknown output format {fmt!r}")

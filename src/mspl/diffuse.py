@@ -31,6 +31,7 @@ from .errors import (
     InvalidMu,
     MuTooLarge,
     UnclampedProfile,
+    check_integer,
 )
 from .sharp import FTOL, LAM_MIN, SawtoothProfile
 from .weights import WeightParams
@@ -52,6 +53,7 @@ class GradedMesh:
     q: float = 2.0
 
     def __post_init__(self):
+        check_integer("mesh n", self.n)
         if self.n < 16:
             raise InvalidConfig(f"mesh needs at least 16 cells, got {self.n}")
         if not self.q >= 1.0:
@@ -252,8 +254,8 @@ class _Operators:
 
     def energy(self, x: np.ndarray, eps: float):
         """The discrete energy at the interior values x, and what its
-        gradient reuses: the weighted curvatures, the element slopes and
-        Q x."""
+        gradient reuses: the weighted curvatures, the element slopes (which
+        the Hessian reuses too) and Q x."""
         u = np.zeros(self.h.size + 1)
         u[1:-1] = x
         p = np.diff(u) / self.h
@@ -303,12 +305,12 @@ class _Operators:
         ab[1, :-1] += 2.0 * self.mass_off
         return ab
 
-    def hessian(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """`base` (from `hessian_base`) plus the well Hessian at the interior
-        values x, each element adding W''(p) / h = (3 p**2 - 1) / h: the true
-        Hessian, in the same band form.  Where slopes lie inside
-        +-1/sqrt(3) the well curves down, and the band can be indefinite."""
-        p = np.diff(x, prepend=0.0, append=0.0) / self.h
+    def hessian(self, p: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """`base` (from `hessian_base`) plus the well Hessian at the element
+        slopes p, which `energy` returned at the same point, each element
+        adding W''(p) / h = (3 p**2 - 1) / h: the true Hessian, in the same
+        band form.  Where slopes lie inside +-1/sqrt(3) the well curves
+        down, and the band can be indefinite."""
         well = (3.0 * p * p - 1.0) / self.h
         ab = base.copy(order="F")
         ab[0] += well[:-1] + well[1:]
@@ -404,9 +406,11 @@ def minimize_diffuse(
     above the bound.  The trace decreases, so the projection is at most
     f_k and an abandoned descent ends above the bound.
 
-    A negative max_iter raises InvalidConfig before the descent.
+    A max_iter that is not a nonnegative integer raises InvalidConfig
+    before the descent.
     """
     check_energy(eps, w)
+    check_integer("max_iter", max_iter)
     if max_iter < 0:
         raise InvalidConfig(f"max_iter must be nonnegative, got {max_iter}")
     # imported here so commands that never minimize skip loading scipy.linalg
@@ -416,8 +420,9 @@ def minimize_diffuse(
     base = ops.hessian_base(eps)
 
     x = init.values[1:-1].copy()
-    parts, *kept = ops.energy(x, eps)
-    f, g = parts.total, ops.gradient(*kept, eps)
+    # the energy, and its weighted curvatures, element slopes and Q x
+    parts, wcurv, slopes, qx = ops.energy(x, eps)
+    f, g = parts.total, ops.gradient(wcurv, slopes, qx, eps)
     trace = [f]
     status = "converged" if float(np.max(np.abs(g))) <= GTOL else None
     it = 0
@@ -427,7 +432,7 @@ def minimize_diffuse(
         if it == max_iter:
             status = "max_iter"
             break
-        ab = ops.hessian(x, base)
+        ab = ops.hessian(slopes, base)
         # info stays nonzero where no shift is tried: LAPACK's pivot test
         # passes nan, and no shift removes a non-finite entry.  A shift is
         # tried while the shifted diagonal stays finite, which its largest
@@ -460,9 +465,9 @@ def minimize_diffuse(
             status = "line_search_failure"
             break
 
-        parts, *kept = accepted
+        parts, wcurv, slopes, qx = accepted
         done = f - parts.total <= FTOL * f
-        x, f, g = x_try, parts.total, ops.gradient(*kept, eps)
+        x, f, g = x_try, parts.total, ops.gradient(wcurv, slopes, qx, eps)
         trace.append(f)
         it += 1
         lam /= 10.0

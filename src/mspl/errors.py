@@ -6,6 +6,8 @@ are *expected* in normal operation (iteration budget exhausted, line
 search stall) are reported as result flags, not exceptions.
 """
 
+import numbers
+
 
 class LabError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,6 +29,14 @@ class UnclampedProfile(LabError):
 
 class InvalidConfig(LabError):
     """Configuration value out of range or inconsistent."""
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a count -- a jump count, a step budget, a number of mesh
+    cells -- that is not an integer with InvalidConfig: a float, even a
+    whole one, and a bool are refused; numpy integers are integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
 class InvalidField(LabError):

@@ -13,6 +13,7 @@ positions and their count.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     InvalidSample,
     TooManyJumps,
     UnclampedProfile,
+    check_integer,
 )
 from .weights import WeightParams
 
@@ -56,10 +58,9 @@ class SawtoothProfile:
     def __post_init__(self):
         if self.initial_slope not in (-1, 1):
             raise InvalidProfile(f"initial_slope must be +-1, got {self.initial_slope!r}")
-        zs = np.asarray(self.jumps, dtype=float)
-        if zs.size and not (
-            np.all(zs > 0.0) and np.all(zs < 1.0) and np.all(np.diff(zs) > 0.0)
-        ):
+        # 0, the jumps and 1 strictly increasing, which nan and inf fail
+        bp = np.array((0.0, *self.jumps, 1.0), dtype=float)
+        if not (bp[1:] > bp[:-1]).all():
             raise InvalidProfile(
                 "jumps must be strictly increasing and strictly inside (0, 1)"
             )
@@ -121,18 +122,30 @@ def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> Ene
 
 
 def _sharp_energies(profiles, eps, w: WeightParams) -> list[EnergyBreakdown]:
-    """`evaluate_sharp` of each profile at its eps, unchecked, with one
-    call of the segment kernel for all their segments.  The segment
-    integrals and jump powers of profile i fill row i of a zero-padded
-    array, and each row's sum is a masked sum over its own entries, bit
-    for bit the sum of that profile's own array."""
-    columns = [(p.breakpoints[:-1], p.breakpoints[1:], p.values[:-1], p.slopes) for p in profiles]
-    seg = weighted_square_integrals(*map(np.concatenate, zip(*columns)), w.beta)
-    zsa = np.concatenate([p.breakpoints[1:-1] for p in profiles]) ** w.alpha
-    m = np.array([p.n_jumps + 1 for p in profiles])
-    own = np.arange(m.max()) < m[:, None]
+    """`evaluate_sharp` of each profile at its eps, unchecked, from one
+    zero-padded batch and one call of the segment kernel for all their
+    segments.  Row i of the breakpoint array holds 0, the jumps of
+    profile i, then 1 to its end; one cumsum over the batch of the
+    slopes, alternating from each profile's `initial_slope`, times the
+    gaps gives every value.  The segment integrals and jump powers are
+    taken over the profiles' own entries, in profile order, and each
+    profile's sums are masked sums over its row of a zero-padded array,
+    bit for bit the sums of that profile's own arrays."""
+    n = np.array([p.n_jumps for p in profiles])
+    M = int(n.max()) + 1
+    own = np.arange(M) < (n + 1)[:, None]
+    zs = np.fromiter(chain.from_iterable(p.jumps for p in profiles), float, int(n.sum()))
+    bp = np.ones((n.size, M + 1))
+    bp[:, 0] = 0.0
+    bp[:, 1:M][own[:, 1:]] = zs
+    slopes = np.array([p.initial_slope for p in profiles], dtype=float)[:, None] * _alternating_signs(M)
+    vals = np.zeros_like(bp)
+    np.multiply(slopes, np.diff(bp, axis=1), out=vals[:, 1:]).cumsum(axis=1, out=vals[:, 1:])
+    seg = weighted_square_integrals(
+        bp[:, :-1][own], bp[:, 1:][own], vals[:, :-1][own], slopes[own], w.beta
+    )
     sums = []
-    for values, mask in ((zsa, own[:, 1:]), (seg, own)):
+    for values, mask in ((zs**w.alpha, own[:, 1:]), (seg, own)):
         rows = np.zeros(mask.shape)
         rows[mask] = values
         sums.append(np.add.reduce(rows, axis=1, where=mask))
@@ -220,8 +233,11 @@ class SharpOptions:
     refine: bool = True
 
     def __post_init__(self):
-        if self.n_jumps is not None and self.n_jumps < 1:
-            raise InvalidConfig(f"need at least one jump, got n_jumps={self.n_jumps}")
+        if self.n_jumps is not None:
+            check_integer("n_jumps", self.n_jumps)
+            if self.n_jumps < 1:
+                raise InvalidConfig(f"need at least one jump, got n_jumps={self.n_jumps}")
+        check_integer("max_iter", self.max_iter)
         if self.max_iter < 0:
             raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
 
@@ -391,12 +407,18 @@ def _close(y: np.ndarray, m) -> np.ndarray:
     return y
 
 
-def _graded_start_gaps(n: int, gamma: float) -> np.ndarray:
-    """Starting gaps of an n-jump refinement: the graded widths k**gamma,
-    each parity rescaled to sum to 1/2 so the profile closes."""
-    k = np.arange(1, n + 2, dtype=float)
-    y = k**gamma
-    return _close((y / y.sum())[None], [n + 1])[0]
+def _graded_start_gaps(counts, gamma: float) -> np.ndarray:
+    """Starting gaps of the refinement of each count n in `counts`, the
+    rows of a zero-padded array: the graded widths k**gamma, k = 1..n + 1,
+    over their sum, each parity rescaled to sum to 1/2 so the profile
+    closes.  Each row's sums are masked sums over the batch, bit for bit
+    the sums of that count's own widths."""
+    m = np.asarray(counts) + 1
+    M = int(m.max())
+    own = np.arange(M) < m[:, None]
+    y = np.where(own, np.arange(1, M + 1, dtype=float) ** gamma, 0.0)
+    y /= np.add.reduce(y, axis=1, where=own)[:, None]
+    return _close(y, m)
 
 
 def _tridiagonal_solve(p0: list, E: list, P: list, lam: float, h: list):
@@ -486,7 +508,9 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
     M = vals.shape[1] - 1
     eps = np.broadcast_to(eps, m.shape)
     s = _alternating_signs(M)[:-1]
-    jumps = np.arange(M - 1) < (m - 1)[:, None]
+    # each row's own gaps, and (from column 1) its own jumps
+    own = np.arange(M) < m[:, None]
+    jumps = own[:, 1:]
     P = p0[:, ::-1].cumsum(axis=1)[:, ::-1]
     # e_k / 8 at lam = 0, and e_{n+1} / 8 = c / 8, which no shift moves
     E = (
@@ -517,13 +541,13 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
     # the gap changes vhat_k - vhat_{k-2}, which reach two columns into
     # each row's padding
     dy = np.zeros((len(lam), M))
-    dy[np.arange(M) < m[:, None]] = vhats
+    dy[own] = vhats
     dy[:, 2:] -= dy[:, :-2]
-    np.copyto(dy, 0.0, where=np.arange(M) >= m[:, None])
+    np.copyto(dy, 0.0, where=~own)
     return dy, lam
 
 
-def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter: int) -> list:
+def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter: int):
     """Best n-jump profile for each count n in `counts`, at its own eps
     (eps holds one per count, or one for all): damped Newton
     descent on the interior jump positions z from the parity-projected
@@ -549,63 +573,66 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     lowers the energy.
 
     The counts descend together, each on its own, whatever their eps:
-    every round evaluates the next trial layout of each count still
-    descending in one kernel call, and sets up the next steps of the
-    counts it moved in one `_newton_steps` call.  A count leaves the
-    batch once it converges, collapses or stalls, and its result is bit
-    for bit that of a batch of one: each count's energy, step length,
-    slope, shift, steps and backtracks are entries of arrays, and the
-    Armijo, FTOL, collapse and max_iter tests are masks over the active
-    counts, with the float operations of a single count's tests in the
-    same order.
+    the starts of all counts are built in one pass (`_graded_start_gaps`)
+    and scored by one kernel call; every round evaluates the next trial
+    layout of each count still descending in one kernel call, and sets up
+    the next steps of the counts it moved in one `_newton_steps` call.
+    The state of the counts still descending -- gaps, step, collapse
+    floor, energy, step length, slope, shift, steps, backtracks, gap
+    count and eps -- is one row per count, in count order, of arrays that
+    hold no other row: a round filters them once, when counts leave, and
+    the Armijo, FTOL, collapse and max_iter tests are masks over them,
+    with the float operations of a single count's tests in the same
+    order.  A count leaves once it converges, collapses or stalls, and
+    its result is bit for bit that of a batch of one.
 
-    Returns one entry per count: (gaps, energy, converged), or None once
+    Returns one entry per count, (gaps, energy, converged), or None once
     the layout collapses: some gap falls below COLLAPSE_TOL times its own
     starting width.  The descent stops there, and the layout is not
-    returned, because it is really one of fewer teeth."""
-    counts = np.array(counts)
+    returned, because it is really one of fewer teeth.  Also returns the
+    starts, the rows of a zero-padded array like `_graded_start_gaps`'."""
+    counts = np.asarray(counts)
     m = counts + 1
-    eps = np.broadcast_to(eps, m.shape)
-    y = np.zeros((m.size, int(m.max())))
-    for i, n in enumerate(counts.tolist()):
-        # closure pins a single jump to 1/2: nothing to optimize
-        y[i, : n + 1] = (0.5, 0.5) if n == 1 else _graded_start_gaps(n, gamma)
-    floor = COLLAPSE_TOL * y
-    dy = np.zeros_like(y)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), m.shape)
+    starts = _graded_start_gaps(counts, gamma)
+    # closure pins a single jump to 1/2: nothing to optimize
+    starts[counts == 1, :2] = 0.5
     results: list = [None] * m.size
-    # per count: step length, slope g . p and shift of the current step,
-    # steps taken and failed trials; f, the energies, come from the starts
+
+    # the state, one row per count still descending: its gaps y, step dy,
+    # collapse floor, energy f, step length t, slope g . p and shift lam,
+    # steps taken and failed trials; f comes from the starts
+    idx = np.arange(m.size)
+    y, dy, floor = starts.copy(), np.zeros_like(starts), COLLAPSE_TOL * starts
     t, slope, lam = (np.zeros(m.size) for _ in range(3))
     steps, tries = np.zeros(m.size, dtype=int), np.zeros(m.size, dtype=int)
 
-    def finish(rows, ok):
-        for i in rows.tolist():
-            results[i] = y[i, : m[i]].copy(), float(f[i]), ok
-
     def advance(rows, gy, p0, vals, zs):
-        """Test the counts `rows`, which have just moved to layouts with
-        the kernel results gy, p0, vals and zs, for convergence, and set up
-        the next step of the others; returns those that search along it."""
-        mm = m[rows]
+        """Test the state's rows `rows` (positions), which have just moved
+        to layouts with the kernel results gy, p0, vals and zs of the whole
+        state, for convergence, and set up the next step of the others,
+        which then search along it."""
+        gy, mm = gy[rows], m[rows]
         g = gy[:, :-1] - gy[:, 1:]
         # the projected-gradient inf-norm of each layout
         s = _alternating_signs(y.shape[1])[:-1]
-        mean = [float(s[:n] @ g[r, :n]) / n for r, n in enumerate((mm - 1).tolist())]
+        mean = [s[:n].dot(row[:n]) / n for row, n in zip(g, (mm - 1).tolist())]
         jumps = np.arange(g.shape[1]) < (mm - 1)[:, None]
         dev = np.abs(g - s * np.array(mean)[:, None]).max(axis=1, where=jumps, initial=0.0)
         if not (going := dev > GTOL).all():
-            finish(rows[~going], True)
-            rows, mm, g, gy, p0, vals, zs = (a[going] for a in (rows, mm, g, gy, p0, vals, zs))
+            ended[rows[~going]] = 1
+            rows, mm, g, gy = rows[going], mm[going], g[going], gy[going]
             if not rows.size:
-                return rows
-        step, lam_taken = _newton_steps(g, zs, p0, vals, mm, lam[rows].tolist(), eps[rows], w)
-        lam[rows] = lam_taken
+                return
+        step, lam[rows] = _newton_steps(
+            g, zs[rows], p0[rows], vals[rows], mm, lam[rows].tolist(), eps[rows], w
+        )
         # the slope g . p, summed by parts
-        slope[rows] = [float(gy[r, :n] @ step[r, :n]) for r, n in enumerate(mm.tolist())]
+        slope[rows] = [a[:k].dot(b[:k]) for a, b, k in zip(gy, step, mm.tolist())]
         # the Newton model predicts no decrease above rounding
-        flat = -0.5 * slope[rows] <= FTOL * f[rows]
-        finish(rows[flat], True)
-        rows, step = rows[~flat], step[~flat]
+        if (flat := -0.5 * slope[rows] <= FTOL * f[rows]).any():
+            ended[rows[flat]] = 1
+            rows, step = rows[~flat], step[~flat]
         gaps = y[rows]
         # p != 0 and dy sums to 0, so some gap shrinks: dy / y has a
         # negative minimum, and t, min(1, -0.5 / shrink) as Python's min
@@ -613,65 +640,90 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         shrink = np.divide(step, gaps, out=np.full_like(gaps, np.inf), where=gaps > 0.0)
         cap = -0.5 / shrink.min(axis=1)
         dy[rows], t[rows], tries[rows] = step, np.where(cap < 1.0, cap, 1.0), 0
-        return rows
+        search[rows] = True
 
-    # the starts are scored, and a single jump is its closed start
+    # the starts are scored, and a single jump is its closed start.
+    # `ended` is 1 for a descent that has just converged, -1 for one that
+    # has stopped unconverged, and 0 otherwise
     f, gy, p0, vals, zs = _gap_kernel(y, m, eps, w)
-    finish(np.flatnonzero(counts == 1), True)
-    rows = np.arange(m.size)
-    moved, searching = counts != 1, [rows[:0]]
+    ended = (counts == 1).astype(int)
+    moved, search = counts != 1, np.zeros(m.size, dtype=bool)
     while True:
         # a count that moved stops after max_iter steps, or sets up a step
-        capped = moved & (steps[rows] == max_iter)
-        finish(rows[capped], False)
+        capped = moved & (steps == max_iter)
+        ended[capped] = -1
         if (moved := moved & ~capped).any():
-            searching.append(advance(rows[moved], gy[moved], p0[moved], vals[moved], zs[moved]))
-        rows = np.sort(np.concatenate(searching))
-        if not rows.size:
-            return results
-        trial = _close(y[rows] + t[rows, None] * dy[rows], m[rows])
-        f_new, gy, p0, vals, zs = _gap_kernel(trial, m[rows], eps[rows], w)
+            advance(moved.nonzero()[0], gy, p0, vals, zs)
+        if not search.all():
+            # counts leave: a descent that ended gives its result, and one
+            # that collapsed none; the state keeps the others' rows, and
+            # their columns
+            for r in (~search).nonzero()[0].tolist():
+                if ended[r]:
+                    results[idx[r]] = y[r, : m[r]].copy(), float(f[r]), bool(ended[r] > 0)
+            if not search.any():
+                return results, starts
+            width = int(m[search].max())
+            idx, m, eps, f, t, slope, lam, steps, tries = (
+                a[search] for a in (idx, m, eps, f, t, slope, lam, steps, tries)
+            )
+            y, dy, floor = (a[search, :width] for a in (y, dy, floor))
+            ended = np.zeros(m.size, dtype=int)
+        trial = _close(y + t[:, None] * dy, m)
+        f_new, gy, p0, vals, zs = _gap_kernel(trial, m, eps, w)
         # a trial that fails the Armijo test is backtracked, MAX_BACKTRACKS
         # times at most; one that passes is taken, and ends the descent once
         # it lowers f by at most FTOL f, or is dropped once it collapses
-        f_old = f[rows]
-        armijo = f_new <= f_old + 1e-4 * t[rows] * slope[rows]
-        back = rows[~armijo]
-        t[back] *= 0.5
-        tries[back] += 1
-        stalled = tries[back] == MAX_BACKTRACKS
-        finish(back[stalled], False)
-        searching = [back[~stalled]]
-        done = armijo & (f_old - f_new <= FTOL * f_old)
-        kept = armijo & ~(trial < floor[rows]).any(axis=1)
-        taken = rows[armijo]
-        y[taken], f[taken] = trial[armijo], f_new[armijo]
-        finish(rows[kept & done], True)
-        moved = kept & ~done
-        lam[rows[moved]] /= 10.0
-        steps[rows[moved]] += 1
+        armijo = f_new <= f + 1e-4 * t * slope
+        search = ~armijo
+        np.multiply(t, 0.5, out=t, where=search)
+        tries += search
+        stalled = search & (tries == MAX_BACKTRACKS)
+        ended[stalled] = -1
+        search &= ~stalled
+        done = armijo & (f - f_new <= FTOL * f)
+        moved = armijo & ~(trial < floor).any(axis=1)
+        np.copyto(y, trial, where=armijo[:, None])
+        np.copyto(f, f_new, where=armijo)
+        ended[moved & done] = 1
+        moved &= ~done
+        np.divide(lam, 10.0, out=lam, where=moved)
+        steps += moved
 
 
-def _profile_from_gaps(y: np.ndarray) -> SawtoothProfile:
-    """Profile with slope +1 first and a jump after each gap but the last.
+def _profile_from_gaps(y: np.ndarray, m) -> list[SawtoothProfile]:
+    """The profile of each row i of the zero-padded gap array y, whose
+    m[i] gaps it holds: slope +1 first and a jump after each gap but the
+    last.  One cumsum over the batch places every jump, and one test over
+    the batch finds the rows whose jumps increase strictly inside (0, 1),
+    which are taken as they stand.
 
-    A gap driven below the rounding of its neighbours' partial sums
-    makes jumps coincide, or land on 0 or 1.  Such a layout is
-    normalized without changing u: two reversals at one point cancel, a
-    jump at 0 only flips the initial slope, and one at 1 does nothing.
+    In the other rows a gap driven below the rounding of its neighbours'
+    partial sums makes jumps coincide, or land on 0 or 1.  Such a layout
+    is normalized without changing u: two reversals at one point cancel,
+    a jump at 0 only flips the initial slope, and one at 1 does nothing.
     The surface energy of the dropped jumps goes with them.  Refined
     layouts never get there: `_refine_jump_positions` drops a layout
     long before, once a gap falls below COLLAPSE_TOL of its start.
     """
-    at = np.cumsum(y)[:-1]
-    if np.all(np.diff(at, prepend=0.0, append=1.0) > 0.0):
-        # strictly increasing inside (0, 1): nothing to normalize
-        return SawtoothProfile(tuple(at.tolist()))
-    at, count = np.unique(at, return_counts=True)
-    odd = count % 2 == 1
-    initial_slope = -1 if at.size and at[0] == 0.0 and odd[0] else 1
-    keep = odd & (at > 0.0) & (at < 1.0)
-    return SawtoothProfile(tuple(float(z) for z in at[keep]), initial_slope)
+    m = np.asarray(m)
+    b, M = y.shape
+    # 0, each row's jumps, then 1 from its right end on
+    bp = np.zeros((b, M + 1))
+    y.cumsum(axis=1, out=bp[:, 1:])
+    np.copyto(bp[:, 1:], 1.0, where=np.arange(M) >= (m - 1)[:, None])
+    plain = (bp[:, 1:] > bp[:, :-1]).all(axis=1, where=np.arange(M) < m[:, None])
+    profiles = []
+    for row, n, ok in zip(bp[:, 1:].tolist(), (m - 1).tolist(), plain.tolist()):
+        if ok:
+            profiles.append(SawtoothProfile(tuple(row[:n])))
+            continue
+        at, count = np.unique(row[:n], return_counts=True)
+        odd = count % 2 == 1
+        initial_slope = -1 if at.size and at[0] == 0.0 and odd[0] else 1
+        keep = odd & (at > 0.0) & (at < 1.0)
+        profiles.append(SawtoothProfile(tuple(float(z) for z in at[keep]), initial_slope))
+    return profiles
 
 
 def jump_count_estimate(eps: float, w: WeightParams) -> int:
@@ -696,20 +748,20 @@ def jump_count_estimate(eps: float, w: WeightParams) -> int:
 def _count_candidates(counts, eps, w: WeightParams, gamma: float, max_iter: int) -> list:
     """(energy, profile, converged) of the one candidate of each count n
     in `counts`, at its own eps (one per count, or one for all), refined
-    together: its refined layout, or its unrefined start layout if the
-    refinement collapsed.  The energy is `evaluate_sharp`'s, whose total
-    `optimize_sharp` reports, for all the candidates in one kernel call;
-    the gap kernel's total differs from it at rounding, and so could its
-    order of the counts in a flat regime."""
+    together: its refined layout, or the start layout that
+    `_refine_jump_positions` hands back if the refinement collapsed.
+    The candidates are built from one padded batch of their gaps
+    (`_profile_from_gaps`) and scored by one `_sharp_energies` call, so
+    the energy is `evaluate_sharp`'s, whose total `optimize_sharp`
+    reports; the gap kernel's total differs from it at rounding, and so
+    could its order of the counts in a flat regime."""
     eps = np.broadcast_to(eps, (len(counts),)).tolist()
-    profiles, oks = [], []
-    for n, row in zip(counts, _refine_jump_positions(counts, eps, w, gamma, max_iter)):
-        if row is None:
-            gaps, ok = _graded_start_gaps(n, gamma), False
-        else:
-            gaps, _, ok = row
-        profiles.append(_profile_from_gaps(gaps))
-        oks.append(ok)
+    rows, gaps = _refine_jump_positions(counts, eps, w, gamma, max_iter)
+    for i, row in enumerate(rows):
+        if row is not None:
+            gaps[i, : row[0].size] = row[0]
+    profiles = _profile_from_gaps(gaps, np.asarray(counts) + 1)
+    oks = [row is not None and row[2] for row in rows]
     return list(zip(_sharp_energies(profiles, eps, w), profiles, oks))
 
 
@@ -806,7 +858,7 @@ def optimize_sharp_sweep(
         {} for _ in eps_list
     ]
     walks = [
-        iter([[opts.n_jumps]])
+        iter([[int(opts.n_jumps)]])
         if opts.n_jumps is not None
         else _count_walk(jump_count_estimate(eps, w), done)
         for eps, done in zip(eps_list, scored)

@@ -332,6 +332,32 @@ def test_preset_round_trip(tmp_path, capsys):
     assert payload["beta"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sharp-min", {"n_jumps": 2.5, "eps_list": [0.01]}),
+        ("sharp-min", {"max_iter": 2.5, "eps_list": [0.01]}),
+        ("diffuse-min", {"mesh": {"n": 64.5, "q": 1.0}, "eps_list": [0.01]}),
+    ],
+    ids=("n_jumps", "max_iter", "mesh-n"),
+)
+def test_a_count_in_a_config_file_that_is_not_an_integer_is_config_error(
+    tmp_path, capsys, command, config
+):
+    # n_jumps 2.5 died with a TypeError traceback, max_iter 2.5 meant no
+    # budget, and mesh n 64.5 asked for 65.5 nodal values
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be an integer" in err
+    assert err.count("\n") == 1
+    assert os.listdir(out_dir) == []
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "preset", "spherical-ok")
     cfg_path = tmp_path / "cfg.json"

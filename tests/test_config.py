@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mspl import (
@@ -40,6 +41,33 @@ def test_validation_rejects_nonsense():
     with pytest.raises(InvalidConfig, match="nonnegative"):
         ExperimentConfig.from_dict({"max_iter": -1})
     assert ExperimentConfig(max_iter=0).max_iter == 0
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"n_jumps": 2.5},
+        {"n_jumps": 2.0},
+        {"n_jumps": True},
+        {"max_iter": 2.5},
+        {"max_iter": 2.0},
+        {"max_iter": False},
+        {"mesh": {"n": 64.5}},
+        {"mesh": {"n": 4096.0}},
+        {"mesh": {"n": True}},
+    ],
+    ids=str,
+)
+def test_a_count_that_is_not_an_integer_is_refused(d):
+    # a float count broke a solve with a TypeError, or ran with no step
+    # budget, or asked for 65.5 nodal values; a bool ran as 0 or 1
+    with pytest.raises(InvalidConfig, match="must be an integer"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_numpy_integer_counts_are_integers():
+    cfg = ExperimentConfig(max_iter=np.int64(7), n_jumps=np.int32(3), mesh=MeshSpec(np.int64(64)))
+    assert (cfg.max_iter, cfg.n_jumps, cfg.mesh.n) == (7, 3, 64)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -58,6 +58,11 @@ def test_mesh_validation():
         GradedMesh(8)
     with pytest.raises(InvalidConfig):
         GradedMesh(64, 0.5)
+    # a float or bool cell count is refused, a numpy integer taken
+    for n in (64.5, 64.0, True):
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            GradedMesh(n)
+    assert GradedMesh(np.int64(64)).nodes.size == 65
 
 
 def test_field_validation():
@@ -509,12 +514,12 @@ def test_newton_band_is_the_hessian_where_the_well_is_convex(n, q, w, eps):
     fld = steep_field(mesh, np.random.default_rng([n, 11]))
     assert np.min(np.abs(fld.element_slopes)) > 1.0 / np.sqrt(3.0)
     x = fld.values[1:-1]
-    band = band_to_dense(ops.hessian(x, ops.hessian_base(eps)))
+    band = band_to_dense(ops.hessian(ops.energy(x, eps)[2], ops.hessian_base(eps)))
     assert worst_band_column_error(fld, band, eps, w) <= 1e-6
     # with every slope inside the non-convex zone the band is still the
     # Hessian, and indefinite: the step needs its Levenberg shift there
     flat = fld.with_interior(0.1 * x)
-    band = band_to_dense(ops.hessian(flat.values[1:-1], ops.hessian_base(eps)))
+    band = band_to_dense(ops.hessian(ops.energy(0.1 * x, eps)[2], ops.hessian_base(eps)))
     assert worst_band_column_error(flat, band, eps, w) <= 1e-6
     assert np.min(np.linalg.eigvalsh(band)) < 0.0
 
@@ -730,7 +735,7 @@ def test_unshifted_step_is_the_dense_newton_step(n, q, w, eps):
     fld = DiffuseField(mesh, res.field.values + 1e-3 * np.sin(3.0 * np.pi * t) * t * (1.0 - t))
     x = fld.values[1:-1]
     ops = _operators(n, q, w.alpha, w.beta)
-    hess = band_to_dense(ops.hessian(x, ops.hessian_base(eps)))
+    hess = band_to_dense(ops.hessian(ops.energy(x, eps)[2], ops.hessian_base(eps)))
     np.linalg.cholesky(hess)
     want = np.linalg.solve(hess, -gradient_diffuse(fld, eps, w))
     step = minimize_diffuse(fld, eps, w, max_iter=1)
@@ -785,6 +790,15 @@ def test_a_divergent_bulk_is_refused_before_the_descent(monkeypatch, beta):
     for call in (evaluate_diffuse, minimize_diffuse):
         with pytest.raises(DivergentIntegral, match="bulk term infinite"):
             call(init, 1e-2, WeightParams(0.0, beta))
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 2.0, True])
+def test_a_budget_that_is_not_an_integer_is_refused(max_iter):
+    # max_iter 2.5 took 5 steps and ended converged where 2 stops at 2
+    init = smoothed_graded_init(1e-3, W00, GradedMesh(256, 2.0))
+    with pytest.raises(InvalidConfig, match="must be an integer"):
+        minimize_diffuse(init, 1e-3, W00, max_iter=max_iter)
+    assert minimize_diffuse(init, 1e-3, W00, max_iter=np.int64(2)).status == "max_iter"
 
 
 def test_a_negative_budget_is_refused_before_the_descent(monkeypatch):
@@ -920,7 +934,7 @@ def reference_minimize_diffuse(init, eps, w, max_iter=500, *, bound=None):
     if float(np.max(np.abs(g))) <= gtol:
         status = "converged"
     while status is None and it < max_iter:
-        ab = ops.hessian(x, base)
+        ab = ops.hessian(np.diff(x, prepend=0.0, append=0.0) / ops.h, base)
         diag = ab[0].copy()
         factor = None
         tried.append(0)

@@ -65,7 +65,12 @@ def close(y):
 
 def profile_from_gaps(y):
     """`_profile_from_gaps` on one layout."""
-    return _profile_from_gaps(y)
+    return _profile_from_gaps(y[None], [y.size])[0]
+
+
+def graded_start(n, gamma):
+    """`_graded_start_gaps` of the single count n."""
+    return _graded_start_gaps([n], gamma)[0]
 
 
 def gap_energy_and_grad(y, eps, w):
@@ -76,7 +81,7 @@ def gap_energy_and_grad(y, eps, w):
 
 def refine(n, eps, w, gamma, max_iter):
     """`_refine_jump_positions` on the single count n."""
-    return _refine_jump_positions([n], eps, w, gamma, max_iter)[0]
+    return _refine_jump_positions([n], eps, w, gamma, max_iter)[0][0]
 
 
 def _decode_gaps(x, k_odd):
@@ -108,7 +113,7 @@ def random_clamped_profile(rng, n_lo=1, n_hi=12):
     zs = np.sort(rng.uniform(0.02, 0.98, size=n))
     zs = zs[np.concatenate(([True], np.diff(zs) > 1e-3))]
     # rescale each parity of the gaps to sum to 1/2, so the profile closes
-    return _profile_from_gaps(close(np.diff(zs, prepend=0.0, append=1.0)))
+    return profile_from_gaps(close(np.diff(zs, prepend=0.0, append=1.0)))
 
 
 def test_profile_validation():
@@ -197,7 +202,7 @@ def test_optimizer_beats_graded_initialization():
         gamma = default_gamma(w.beta)
         best_graded = np.inf
         for n in range(1, 14):
-            p = _profile_from_gaps(_graded_start_gaps(n, gamma))
+            p = profile_from_gaps(graded_start(n, gamma))
             best_graded = min(best_graded, evaluate_sharp(p, eps, w).total)
         assert res.energy.total <= best_graded + 1e-14
 
@@ -403,7 +408,7 @@ def test_unrefined_candidate_is_the_start_layout():
     eps, w = 1e-3, WeightParams(0.5, 1.0)
     gamma = default_gamma(w.beta)
     res = optimize_sharp(eps, w, SharpOptions(n_jumps=8, refine=False))
-    assert res.profile == _profile_from_gaps(_graded_start_gaps(8, gamma))
+    assert res.profile == profile_from_gaps(graded_start(8, gamma))
     assert not res.converged
     assert res.energy.total > optimize_sharp(eps, w, SharpOptions(n_jumps=8)).energy.total
 
@@ -504,7 +509,7 @@ def test_reported_count_is_the_effective_count():
     res = optimize_sharp(eps, w)
     assert res.profile.n_jumps == 13
     gaps = np.diff(res.profile.breakpoints)
-    start = _graded_start_gaps(res.profile.n_jumps, default_gamma(w.beta))
+    start = graded_start(res.profile.n_jumps, default_gamma(w.beta))
     assert np.all(gaps >= COLLAPSE_TOL * start)
     # the walk starts at n0 = 13 and goes down until 12..9 have failed
     # to beat it, and up until 14 (collapsed) to 17 have failed
@@ -715,7 +720,7 @@ def test_collapsing_count_stops_short_of_the_cap(monkeypatch):
     # the collapsed layout is not ranked: the count's start layout stands
     # in for it, unconverged
     assert res.n_candidates == 1
-    assert res.profile == _profile_from_gaps(_graded_start_gaps(44, gamma))
+    assert res.profile == profile_from_gaps(graded_start(44, gamma))
     assert not res.converged
 
 
@@ -729,9 +734,9 @@ def test_walk_at_smallest_sweep_eps_converges_every_refinement(monkeypatch):
     refined = {}
 
     def recording(counts, *args):
-        results = refine_counts(counts, *args)
+        results, starts = refine_counts(counts, *args)
         refined.update(zip(counts, results))
-        return results
+        return results, starts
 
     monkeypatch.setattr(mspl.sharp, "_refine_jump_positions", recording)
     res = optimize_sharp(eps, w)
@@ -1001,6 +1006,27 @@ def test_nonpositive_jump_count_rejected():
         optimize_sharp(1e-4, WeightParams(0.0, 0.0), SharpOptions(n_jumps=0))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"n_jumps": 2.0}, {"n_jumps": 2.5}, {"n_jumps": True}, {"max_iter": 2.5}, {"max_iter": True}],
+    ids=str,
+)
+def test_a_count_that_is_not_an_integer_is_refused(kwargs):
+    # n_jumps 2.0 raised a TypeError, True solved one jump under the count
+    # key True, and max_iter 2.5 meant no budget: the refinement never
+    # reached its step count and reported converged
+    with pytest.raises(InvalidConfig, match="must be an integer"):
+        SharpOptions(**kwargs)
+
+
+def test_numpy_integer_counts_solve_as_integers():
+    w = WeightParams(0.5, 1.0)
+    got = optimize_sharp(1e-3, w, SharpOptions(n_jumps=np.int64(8), max_iter=np.int32(2)))
+    want = optimize_sharp(1e-3, w, SharpOptions(n_jumps=8, max_iter=2))
+    assert repr(got) == repr(want)
+    assert not got.converged
+
+
 def test_negative_step_budget_rejected():
     # 0 stays valid: it is the zero-step refinement refine=False makes
     with pytest.raises(InvalidConfig, match="nonnegative"):
@@ -1123,12 +1149,18 @@ def graded_start_reference(n, gamma):
 
 
 def test_batched_starts_are_the_closed_powers():
-    # every count up to MAX_JUMPS, at the grading of beta from -1 to 2.9
+    # every count up to MAX_JUMPS, at the grading of beta from -1 to 2.9,
+    # in shuffled batches of 32 counts: each row is its count's start,
+    # zero-padded
+    rng = np.random.default_rng(2048)
     for beta in (-1.0, 0.0, 1.0, 2.0, 2.9):
         gamma = default_gamma(beta)
-        for n in range(1, MAX_JUMPS + 1):
-            got = _graded_start_gaps(n, gamma)
-            assert got.tobytes() == graded_start_reference(n, gamma).tobytes()
+        for counts in rng.permutation(np.arange(1, MAX_JUMPS + 1)).reshape(-1, 32):
+            starts = _graded_start_gaps(counts, gamma)
+            assert starts.shape == (32, counts.max() + 1)
+            for row, n in zip(starts, counts.tolist()):
+                assert row[: n + 1].tobytes() == graded_start_reference(n, gamma).tobytes()
+                assert not row[n + 1 :].any()
 
 
 def sharp_energy_reference(profile, eps, w):
@@ -1157,6 +1189,12 @@ def test_batched_scores_are_the_profile_scores():
         y[zeros] = 0.0
         degenerate.append(y)
     profiles = [profile_from_gaps(y) for y in layouts + degenerate]
+    # the profiles of one padded batch are those of its rows alone
+    sizes = [y.size for y in layouts + degenerate]
+    batch = np.zeros((len(sizes), max(sizes)))
+    for row, y in zip(batch, layouts + degenerate):
+        row[: y.size] = y
+    assert _profile_from_gaps(batch, sizes) == profiles
     profiles += [SawtoothProfile(p.jumps, -1) for p in profiles[::3]]
     assert {p.initial_slope for p in profiles} == {-1, 1}
     assert sum(len(p.jumps) < y.size - 1 for p, y in zip(profiles, layouts + degenerate)) == 5
@@ -1439,7 +1477,7 @@ def test_gap_gradient_matches_finite_differences(alpha, beta):
         y = _decode_gaps(rng.normal(scale=0.5, size=m), (m + 1) // 2)
         energy, grad = gap_energy_and_grad(y, eps, w)
         # the gaps close the profile, so the kernel scores a real profile
-        ref = evaluate_sharp(_profile_from_gaps(y), eps, w).total
+        ref = evaluate_sharp(profile_from_gaps(y), eps, w).total
         assert energy == pytest.approx(ref, rel=1e-13)
         fd = np.empty(m)
         for i in range(m):
@@ -1514,7 +1552,7 @@ def test_collapsed_gaps_are_normalized():
 def test_profile_from_gaps_normalizes_degenerate_jumps():
     y = np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0])
     # jumps at 0, 0.25, 0.25, 0.5, 1: the pair cancels, 0 flips, 1 drops
-    p = _profile_from_gaps(y)
+    p = profile_from_gaps(y)
     assert p.jumps == (0.5,)
     assert p.initial_slope == -1
     full = np.linspace(0.0, 1.0, 9)
