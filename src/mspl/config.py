@@ -19,6 +19,8 @@ class MeshSpec:
 
     def __post_init__(self):
         check_integer("mesh n", self.n)
+        # a numpy integer is kept as the int it equals, which JSON can write
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,10 @@ class ExperimentConfig:
         check_integer("max_iter", self.max_iter)
         if self.max_iter < 0:
             raise InvalidConfig(f"max_iter must be nonnegative, got {self.max_iter}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.n_jumps is not None:
             check_integer("n_jumps", self.n_jumps)
+            object.__setattr__(self, "n_jumps", int(self.n_jumps))
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise InvalidConfig(f"unknown output format {fmt!r}")

@@ -66,8 +66,10 @@ def test_a_count_that_is_not_an_integer_is_refused(d):
 
 
 def test_numpy_integer_counts_are_integers():
+    # kept as the ints they equal, so the configuration writes as JSON
     cfg = ExperimentConfig(max_iter=np.int64(7), n_jumps=np.int32(3), mesh=MeshSpec(np.int64(64)))
-    assert (cfg.max_iter, cfg.n_jumps, cfg.mesh.n) == (7, 3, 64)
+    assert [type(v) for v in (cfg.max_iter, cfg.n_jumps, cfg.mesh.n)] == [int, int, int]
+    assert ExperimentConfig.from_dict(json.loads(cfg.to_json())) == cfg
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
