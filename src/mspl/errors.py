@@ -3,7 +3,8 @@
 Every failure mode that a caller can provoke through bad inputs gets its
 own class so tests and the CLI can react precisely.  Solver outcomes that
 are *expected* in normal operation (iteration budget exhausted, line
-search stall) are reported as result flags, not exceptions.
+search stall) are reported as result flags, not exceptions.  Counts given
+by a caller are refused by one check, `check_integer`.
 """
 
 import numbers
