@@ -1190,11 +1190,11 @@ def test_batched_scores_are_the_profile_scores():
         degenerate.append(y)
     profiles = [profile_from_gaps(y) for y in layouts + degenerate]
     # the profiles of one padded batch are those of its rows alone
-    sizes = [y.size for y in layouts + degenerate]
-    batch = np.zeros((len(sizes), max(sizes)))
+    m = [y.size for y in layouts + degenerate]
+    batch = np.zeros((len(m), max(m)))
     for row, y in zip(batch, layouts + degenerate):
         row[: y.size] = y
-    assert _profile_from_gaps(batch, sizes) == profiles
+    assert _profile_from_gaps(batch, m) == profiles
     profiles += [SawtoothProfile(p.jumps, -1) for p in profiles[::3]]
     assert {p.initial_slope for p in profiles} == {-1, 1}
     assert sum(len(p.jumps) < y.size - 1 for p, y in zip(profiles, layouts + degenerate)) == 5
