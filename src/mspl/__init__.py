@@ -33,12 +33,11 @@ _HOMES = {
             "period_law_constant",
             "sharp_period",
         ),
-        "config": ("ExperimentConfig", "MeshSpec", "preset"),
+        "config": ("ExperimentConfig", "GradedMesh", "preset"),
         "core": ("EnergyBreakdown",),
         "diffuse": (
             "DiffuseField",
             "DiffuseMinimum",
-            "GradedMesh",
             "build_smoothed",
             "diffuse_surrogate",
             "evaluate_diffuse",

@@ -48,7 +48,10 @@ def sharp_period(s: float, eps: float, w: WeightParams) -> float:
     is least at y**3 = 12 eps s**(alpha+beta), and h is the tooth pair
     2y.  The diffuse model's law is this one at its sharp-interface
     surrogate (`diffuse.diffuse_surrogate`), whose corners cost what a
-    diffuse transition layer costs."""
+    diffuse transition layer costs.  An s outside (0, 1) raises
+    InvalidSample."""
+    if not 0.0 < s < 1.0:
+        raise InvalidSample(f"location must be interior, got {s!r}")
     return _tooth_pair(2.0 * eps * s**w.alpha, s ** (-w.beta))
 
 

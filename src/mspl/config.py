@@ -3,7 +3,9 @@ run needs, with presets for the standard weight regimes."""
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from .errors import InvalidConfig, UnknownPreset, check_integer
 from .weights import WeightParams
@@ -13,7 +15,12 @@ _FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
-class MeshSpec:
+class GradedMesh:
+    """Nodes t_i = (i/n)**q, i = 0..n, clustering toward t = 0 (q = 1 is
+    uniform).  n must be an integer >= 16, q a finite number >= 1 (kept as
+    given), and the first cell, (1/n)**q, must not underflow to 0; else
+    InvalidConfig.  Meshes compare and hash by (n, q)."""
+
     n: int = 4096
     q: float = 2.0
 
@@ -21,6 +28,32 @@ class MeshSpec:
         check_integer("mesh n", self.n)
         # a numpy integer is kept as the int it equals, which JSON can write
         object.__setattr__(self, "n", int(self.n))
+        if self.n < 16:
+            raise InvalidConfig(f"mesh needs at least 16 cells, got {self.n}")
+        real = isinstance(self.q, numbers.Real) and not isinstance(self.q, bool)
+        if not (real and 1.0 <= self.q < math.inf):
+            raise InvalidConfig(f"grading exponent must be finite and >= 1, got {self.q!r}")
+        if not (1 / self.n) ** self.q > 0.0:
+            raise InvalidConfig(f"first cell of {self!r} underflows to 0")
+
+    @property
+    def nodes(self):
+        return _mesh_nodes(self.n, self.q)
+
+    @property
+    def spacings(self):
+        return self.nodes[1:] - self.nodes[:-1]
+
+
+@lru_cache(maxsize=64)
+def _mesh_nodes(n: int, q: float):
+    # imported here so a configuration is built and checked without numpy
+    import numpy as np
+
+    t = (np.arange(n + 1) / n) ** q
+    t[0], t[-1] = 0.0, 1.0
+    t.setflags(write=False)
+    return t
 
 
 @dataclass(frozen=True)
@@ -28,7 +61,7 @@ class ExperimentConfig:
     weights: WeightParams = field(default_factory=lambda: WeightParams(0.0, 0.0))
     eps_list: tuple[float, ...] = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
     model: str = "sharp"
-    mesh: MeshSpec = field(default_factory=MeshSpec)
+    mesh: GradedMesh = field(default_factory=GradedMesh)
     # Newton step budget of every sharp and diffuse descent
     max_iter: int = 500
     n_jumps: int | None = None
@@ -73,7 +106,7 @@ class ExperimentConfig:
             if "weights" in d:
                 d["weights"] = WeightParams(**d["weights"])
             if "mesh" in d:
-                d["mesh"] = MeshSpec(**d["mesh"])
+                d["mesh"] = GradedMesh(**d["mesh"])
             if "eps_list" in d:
                 d["eps_list"] = tuple(d["eps_list"])
             if "formats" in d:

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import GradedMesh
 from .core import EnergyBreakdown, check_energy, power_primitive, segment_moments
 from .errors import (
     InvalidConfig,
@@ -42,38 +43,6 @@ DOMINANCE_WINDOW = 10
 # a descent has converged at this gradient inf-norm, or once an accepted
 # step lowers the energy by at most FTOL of it, as a sharp refinement does
 GTOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class GradedMesh:
-    """Nodes t_i = (i/n)**q, i = 0..n: polynomial clustering toward the
-    singular end t = 0 (q = 1 is uniform)."""
-
-    n: int
-    q: float = 2.0
-
-    def __post_init__(self):
-        check_integer("mesh n", self.n)
-        if self.n < 16:
-            raise InvalidConfig(f"mesh needs at least 16 cells, got {self.n}")
-        if not self.q >= 1.0:
-            raise InvalidConfig(f"grading exponent must be >= 1, got {self.q!r}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return _mesh_nodes(self.n, self.q)
-
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-
-@lru_cache(maxsize=64)
-def _mesh_nodes(n: int, q: float) -> np.ndarray:
-    t = (np.arange(n + 1) / n) ** q
-    t[0], t[-1] = 0.0, 1.0
-    t.setflags(write=False)
-    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +199,12 @@ class _Operators:
     lose 2 log10(t / h) digits (6.4e-8).
     """
 
-    def __init__(self, n: int, q: float, alpha: float, beta: float):
-        t = _mesh_nodes(n, q)
-        self.h = h = np.diff(t)
+    # on cells too thin for the weights a coefficient overflows or divides
+    # by zero; the check at the end refuses the mesh
+    @np.errstate(all="ignore")
+    def __init__(self, mesh: GradedMesh, alpha: float, beta: float):
+        t = mesh.nodes
+        self.h = h = mesh.spacings
         hl, hr = h[:-1], h[1:]
         self.cl = 2.0 / (hl * (hl + hr))
         self.cm = -2.0 / (hl * hr)
@@ -251,6 +223,11 @@ class _Operators:
         q_aa = m0[1:] - 2.0 * m1h + q_bb[1:]
         self.mass_diag = q_bb[:-1] + q_aa
         self.mass_off = q_ab[:-1]
+        if not all(np.isfinite(a).all() for a in vars(self).values()):
+            raise InvalidConfig(
+                f"the cells of {mesh!r} are too thin for the diffuse operators "
+                f"at alpha={alpha:g}, beta={beta:g}"
+            )
 
     def energy(self, x: np.ndarray, eps: float):
         """The discrete energy at the interior values x, and what its
@@ -285,6 +262,9 @@ class _Operators:
         parts, *kept = self.energy(x, eps)
         return parts.total, self.gradient(*kept, eps)
 
+    # on very thin cells the band overflows to inf, which ends the descent
+    # as 'line_search_failure' at its first step
+    @np.errstate(over="ignore")
     def hessian_base(self, eps: float) -> np.ndarray:
         """Hessian of the curvature and bulk terms, 2 eps**2 D^T W D + 2 Q
         on the interior nodes, in LAPACK's lower band storage with
@@ -318,9 +298,7 @@ class _Operators:
         return ab
 
 
-@lru_cache(maxsize=32)
-def _operators(n: int, q: float, alpha: float, beta: float) -> _Operators:
-    return _Operators(n, q, alpha, beta)
+_operators = lru_cache(maxsize=32)(_Operators)
 
 
 def evaluate_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> EnergyBreakdown:
@@ -330,13 +308,14 @@ def evaluate_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> Energy
     trace.  The bulk integrates the linear interpolant against
     t**(-beta) exactly."""
     check_energy(eps, w)
-    ops = _operators(field.mesh.n, field.mesh.q, w.alpha, w.beta)
+    ops = _operators(field.mesh, w.alpha, w.beta)
     return ops.energy(field.values[1:-1], eps)[0]
 
 
 def gradient_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> np.ndarray:
     """Gradient of the discrete energy in the interior nodal values."""
-    ops = _operators(field.mesh.n, field.mesh.q, w.alpha, w.beta)
+    check_energy(eps, w)
+    ops = _operators(field.mesh, w.alpha, w.beta)
     _, g = ops.energy_and_grad(field.values[1:-1], eps)
     return g
 
@@ -416,7 +395,7 @@ def minimize_diffuse(
     # imported here so commands that never minimize skip loading scipy.linalg
     from scipy.linalg.lapack import dpbsv
 
-    ops = _operators(init.mesh.n, init.mesh.q, w.alpha, w.beta)
+    ops = _operators(init.mesh, w.alpha, w.beta)
     base = ops.hessian_base(eps)
 
     x = init.values[1:-1].copy()

@@ -73,7 +73,7 @@ class InsufficientData(LabError):
 
 
 class NonPositiveValue(LabError):
-    """Log-log fit fed non-positive abscissae or ordinates."""
+    """Log-log fit fed non-positive or non-finite abscissae or ordinates."""
 
 
 class UnknownPreset(LabError):

@@ -21,7 +21,7 @@ import numpy as np
 from .asymptotics import extract_period, predicted_period
 from .cell import sharp_period
 from .config import ExperimentConfig
-from .diffuse import GradedMesh, minimize_with_restarts
+from .diffuse import minimize_with_restarts
 from .errors import (
     InsufficientData,
     InvalidConfig,
@@ -74,8 +74,9 @@ def fit_scaling(xs, ys) -> ScalingFit:
         raise InsufficientData(f"need at least 3 points, got {xs.size}")
     if np.all(xs == xs[0]):
         raise InsufficientData("need at least 2 distinct abscissae")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise NonPositiveValue("log-log fit needs positive values")
+    # nan fails every comparison, so it is refused with inf
+    if not np.all((0.0 < xs) & (xs < np.inf) & (0.0 < ys) & (ys < np.inf)):
+        raise NonPositiveValue("log-log fit needs positive finite values")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
@@ -109,7 +110,7 @@ def diffuse_minimum(eps: float, cfg: ExperimentConfig):
     return minimize_with_restarts(
         eps,
         cfg.weights,
-        GradedMesh(cfg.mesh.n, cfg.mesh.q),
+        cfg.mesh,
         n_jumps=cfg.n_jumps,
         max_iter=cfg.max_iter,
     )

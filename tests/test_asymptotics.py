@@ -152,6 +152,15 @@ def test_predicted_period_is_the_sharp_law_at_the_surrogate():
         assert got == pytest.approx(cell, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("s", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+def test_the_period_laws_refuse_a_location_outside_the_interval(s):
+    # s = -0.5 gave the complex (0.2804-0.1619j), and s = 0 a ZeroDivisionError
+    w = WeightParams(0.5, 1.0)
+    for law in (sharp_period, predicted_period):
+        with pytest.raises(InvalidSample, match="interior"):
+            law(s, 1e-3, w)
+
+
 def test_sharp_period_is_the_start_counts_jump_density():
     # jump_count_estimate integrates (12 eps)**(-1/3) s**(-(alpha+beta)/3)
     for s, eps, w in law_draws(500, 37):

@@ -170,6 +170,36 @@ def test_undersized_mesh_is_config_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_a_bad_mesh_is_refused_before_the_sharp_sweep(tmp_path, capsys, monkeypatch):
+    # the sharp half of the sweep ran in full before the mesh was checked
+    import mspl.reports
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sharp sweep ran")
+
+    monkeypatch.setattr(mspl.reports, "optimize_sharp_sweep", never)
+    rc, out, err = run_cli(
+        capsys, "sweep-scaling", "--model", "both", "--eps-list", "1e-2,5e-3,2e-3",
+        "--mesh-n", "8", "--out", str(tmp_path),
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: mesh needs at least 16 cells, got 8\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_infinite_grading_exponent_is_config_error(tmp_path, capsys):
+    # every node but the last was 0: the descent ran on nan energies and
+    # wrote them
+    rc, out, err = run_cli(
+        capsys, "diffuse-min", "--eps", "1e-2", "--grading-q", "inf", "--out", str(tmp_path)
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: grading exponent must be finite")
+    assert os.listdir(tmp_path) == []
+
+
 def test_sharp_count_above_the_limit_is_an_error(tmp_path, capsys):
     # the walk would start at 43508 jumps; it fails before solving any
     rc, _, err = run_cli(

@@ -8,8 +8,8 @@ import pytest
 
 from mspl import (
     ExperimentConfig,
+    GradedMesh,
     InvalidConfig,
-    MeshSpec,
     UnknownPreset,
     WeightParams,
     preset,
@@ -21,7 +21,7 @@ def test_defaults():
     assert cfg.weights == WeightParams(0.0, 0.0)
     assert cfg.model == "sharp"
     assert cfg.eps_list == (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-    assert cfg.mesh == MeshSpec(4096, 2.0)
+    assert cfg.mesh == GradedMesh(4096, 2.0)
     assert cfg.max_iter == 500
     assert cfg.formats == ("csv", "json")
     assert not cfg.plot
@@ -67,9 +67,39 @@ def test_a_count_that_is_not_an_integer_is_refused(d):
 
 def test_numpy_integer_counts_are_integers():
     # kept as the ints they equal, so the configuration writes as JSON
-    cfg = ExperimentConfig(max_iter=np.int64(7), n_jumps=np.int32(3), mesh=MeshSpec(np.int64(64)))
+    cfg = ExperimentConfig(max_iter=np.int64(7), n_jumps=np.int32(3), mesh=GradedMesh(np.int64(64)))
     assert [type(v) for v in (cfg.max_iter, cfg.n_jumps, cfg.mesh.n)] == [int, int, int]
     assert ExperimentConfig.from_dict(json.loads(cfg.to_json())) == cfg
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        {"n": 8},
+        {"q": 0.5},
+        {"q": math.nan},
+        {"q": math.inf},
+        # a bool or a string ran as a number, or raised TypeError
+        {"q": True},
+        {"q": "2"},
+        # (1/8192)**83 underflows to 0: two nodes coincide at t = 0
+        {"n": 8192, "q": 83},
+    ],
+    ids=str,
+)
+def test_a_mesh_the_diffuse_model_cannot_use_is_refused_on_load(mesh):
+    with pytest.raises(InvalidConfig, match="mesh|grading exponent|underflows"):
+        ExperimentConfig.from_dict({"mesh": mesh})
+
+
+def test_a_mesh_is_a_value():
+    # the configuration's mesh is the one the diffuse solver runs on, and
+    # equal meshes compare and hash alike, so configurations do too
+    assert hash(GradedMesh(512, 2)) == hash(GradedMesh(512, 2.0))
+    assert ExperimentConfig.from_dict({"mesh": {"n": 8192, "q": 82}}).mesh.nodes[1] > 0.0
+    # q is kept as given, so a configuration writes back what it read
+    cfg = ExperimentConfig.from_dict({"mesh": {"n": 64, "q": 1}})
+    assert json.dumps(cfg.to_dict()["mesh"]) == '{"n": 64, "q": 1}'
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -89,7 +119,7 @@ def test_json_round_trip():
         weights=WeightParams(0.5, 1.0),
         eps_list=(1e-3, 1e-4),
         model="both",
-        mesh=MeshSpec(8192, 1.0),
+        mesh=GradedMesh(8192, 1.0),
         max_iter=900,
         n_jumps=11,
         out_dir="runs/x",

@@ -268,7 +268,7 @@ def test_segment_kernel_matches_decimal_oracle():
         worst_kernel = max(worst_kernel, abs(float((Decimal(kernel) - exact) / exact)))
 
     mesh, w = GradedMesh(8192, 2.0), WeightParams(0.5, 1.0)
-    ops = _operators(mesh.n, mesh.q, w.alpha, w.beta)
+    ops = _operators(mesh, w.alpha, w.beta)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         # the last 8 elements and the 8 interior nodes they touch

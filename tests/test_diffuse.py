@@ -428,7 +428,7 @@ KERNEL_CASES = [
 def test_kernel_matches_sparse_reference(n, q, w):
     mesh = GradedMesh(n, q)
     ref = sparse_reference(mesh, w)
-    ops = _operators(n, q, w.alpha, w.beta)
+    ops = _operators(mesh, w.alpha, w.beta)
     rng = np.random.default_rng([n, 7])
     for eps in (1e-2, 1e-4):
         f = random_field(mesh, rng)
@@ -470,7 +470,7 @@ def test_hessian_base_matches_dense_reference(n, q, w, eps):
     want = stiff + 2.0 * Qi
     # every product and sum in either assembly is bounded by this scale
     scale = 2.0 * eps * eps * np.abs(Di).T @ (dual_w[:, None] * np.abs(Di)) + 2.0 * np.abs(Qi)
-    got = band_to_dense(_operators(n, q, w.alpha, w.beta).hessian_base(eps))
+    got = band_to_dense(_operators(mesh, w.alpha, w.beta).hessian_base(eps))
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
@@ -510,7 +510,7 @@ def worst_band_column_error(fld, band, eps, w):
 @pytest.mark.parametrize("n, q, w, eps", HESSIAN_CASES)
 def test_newton_band_is_the_hessian_where_the_well_is_convex(n, q, w, eps):
     mesh = GradedMesh(n, q)
-    ops = _operators(n, q, w.alpha, w.beta)
+    ops = _operators(mesh, w.alpha, w.beta)
     fld = steep_field(mesh, np.random.default_rng([n, 11]))
     assert np.min(np.abs(fld.element_slopes)) > 1.0 / np.sqrt(3.0)
     x = fld.values[1:-1]
@@ -734,7 +734,7 @@ def test_unshifted_step_is_the_dense_newton_step(n, q, w, eps):
     t = mesh.nodes
     fld = DiffuseField(mesh, res.field.values + 1e-3 * np.sin(3.0 * np.pi * t) * t * (1.0 - t))
     x = fld.values[1:-1]
-    ops = _operators(n, q, w.alpha, w.beta)
+    ops = _operators(mesh, w.alpha, w.beta)
     hess = band_to_dense(ops.hessian(ops.energy(x, eps)[2], ops.hessian_base(eps)))
     np.linalg.cholesky(hess)
     want = np.linalg.solve(hess, -gradient_diffuse(fld, eps, w))
@@ -787,9 +787,47 @@ def test_a_divergent_bulk_is_refused_before_the_descent(monkeypatch, beta):
 
     init = random_field(GradedMesh(64, 1.0), np.random.default_rng(3))
     monkeypatch.setattr(mspl.diffuse, "_operators", never)
-    for call in (evaluate_diffuse, minimize_diffuse):
+    # the gradient built the operators, and warned at beta 3.5
+    for call in (evaluate_diffuse, gradient_diffuse, minimize_diffuse):
         with pytest.raises(DivergentIntegral, match="bulk term infinite"):
             call(init, 1e-2, WeightParams(0.0, beta))
+
+
+@pytest.mark.parametrize("eps", [0.0, np.nan])
+def test_the_gradient_refuses_an_eps_the_energy_refuses(eps):
+    # the gradient was zeros at eps 0 and nans at eps nan
+    init = random_field(GradedMesh(64, 1.0), np.random.default_rng(3))
+    for call in (evaluate_diffuse, gradient_diffuse):
+        with pytest.raises(InvalidConfig, match="positive and finite"):
+            call(init, eps, W00)
+
+
+# for each n the least grading at which an operator coefficient at (0.5, 1)
+# is not finite, and (8192, 42); the zero field's energy was nan on all but
+# (8192, 41)
+@pytest.mark.parametrize("n, q", [(16, 135), (64, 90), (1024, 54), (8192, 41), (8192, 42)])
+def test_a_mesh_too_thin_for_the_operators_is_refused(n, q):
+    mesh = GradedMesh(n, q)
+    with pytest.raises(InvalidConfig, match=rf"GradedMesh\(n={n}, q={q}\)"):
+        evaluate_diffuse(zero_field(mesh), 1e-3, WeightParams(0.5, 1.0))
+
+
+@pytest.mark.parametrize("n, q", [(16, 134), (64, 89), (1024, 53), (8192, 40)])
+def test_one_step_less_grading_builds_the_operators(n, q):
+    energy = evaluate_diffuse(zero_field(GradedMesh(n, q)), 1e-3, WeightParams(0.5, 1.0))
+    assert energy.total == energy.well > 0.0
+
+
+def test_a_hessian_band_that_overflows_ends_the_descent_silently():
+    # on GradedMesh(8192, 33) the energies are finite, but the curvature
+    # band overflows: numpy warned, and the descent ends at its first step
+    eps, w, mesh = 1e-3, WeightParams(0.5, 1.0), GradedMesh(8192, 33)
+    assert not np.isfinite(_operators(mesh, w.alpha, w.beta).hessian_base(eps)).all()
+    init = smoothed_graded_init(eps, w, mesh)
+    res = minimize_diffuse(init, eps, w)
+    assert res.status == "line_search_failure"
+    assert res.iterations == 0
+    assert np.isfinite(res.energy.total)
 
 
 @pytest.mark.parametrize("max_iter", [2.5, 2.0, True])
@@ -926,7 +964,7 @@ def reference_minimize_diffuse(init, eps, w, max_iter=500, *, bound=None):
     from mspl.diffuse import DOMINANCE_WINDOW, LAM_MIN, DiffuseMinimum
 
     gtol, ftol = 1e-8, 1e-14
-    ops = _operators(init.mesh.n, init.mesh.q, w.alpha, w.beta)
+    ops = _operators(init.mesh, w.alpha, w.beta)
     base = ops.hessian_base(eps)
     x = init.values[1:-1].copy()
     f, g = ops.energy_and_grad(x, eps)

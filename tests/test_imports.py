@@ -43,6 +43,9 @@ def test_commands_that_do_not_solve_load_no_solver():
     # a name loads its home module, and only what that module needs
     assert loaded("import mspl\nmspl.WeightParams, mspl.minimize_cell", SOLVERS) == []
     assert loaded("import mspl\nmspl.SawtoothProfile", SOLVERS) == ["numpy", "mspl.sharp"]
+    # a mesh and a configuration are built and checked without numpy
+    assert loaded("import mspl.config", SOLVERS) == []
+    assert loaded("import mspl\nmspl.GradedMesh(512, 2.0)", SOLVERS) == []
 
 
 def test_light_paths_skip_heavy_scipy():
@@ -98,6 +101,9 @@ NUMPY_FREE_HOMES = {
     "CellMinimum": "mspl.cell",
     "minimize_cell": "mspl.cell",
     "sharp_period": "mspl.cell",
+    "ExperimentConfig": "mspl.config",
+    "GradedMesh": "mspl.config",
+    "preset": "mspl.config",
 }
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from mspl import (
     ExperimentConfig,
+    GradedMesh,
     InsufficientData,
     InvalidConfig,
     InvalidSample,
-    MeshSpec,
     NonPositiveValue,
     SharpOptions,
     WeightParams,
@@ -60,6 +60,24 @@ def test_fit_validation():
         fit_scaling([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_a_fit_over_nan_ordinates_is_refused():
+    # the fit was (nan, nan) with r_squared 1.0, and no warning
+    with pytest.raises(NonPositiveValue, match="positive finite values"):
+        fit_scaling([1e-3, 1e-2, 1e-1], [np.nan, np.nan, np.nan])
+
+
+def test_a_fit_over_a_nan_abscissa_is_refused():
+    # LAPACK printed an illegal-value message and numpy raised LinAlgError
+    with pytest.raises(NonPositiveValue, match="positive finite values"):
+        fit_scaling([1e-3, np.nan, 1e-1], [1.0, 2.0, 3.0])
+
+
+def test_a_fit_over_an_infinite_ordinate_is_refused():
+    # numpy warned, which the test configuration makes an error
+    with pytest.raises(NonPositiveValue, match="positive finite values"):
+        fit_scaling([1e-3, 1e-2, 1e-1], [1.0, np.inf, 3.0])
+
+
 def test_a_fit_over_one_repeated_abscissa_is_refused():
     # the least-squares system is singular: numpy warned and raised LinAlgError
     with pytest.raises(InsufficientData, match="distinct"):
@@ -92,7 +110,7 @@ def test_sweep_both_models():
     cfg = ExperimentConfig(
         eps_list=(3e-3, 1e-3, 3e-4),
         model="both",
-        mesh=MeshSpec(512, 1.0),
+        mesh=GradedMesh(512, 1.0),
         max_iter=400,
     )
     rep = sweep_scaling(cfg)
