@@ -67,7 +67,8 @@ def _build_config(args, model=None) -> ExperimentConfig:
         }
     if getattr(args, "eps_list", None) is not None and args.eps is not None:
         raise InvalidConfig("--eps and --eps-list both set the eps values; give one")
-    if getattr(args, "eps_list", None):
+    # a flag given empty is given: it leaves no eps, which is refused
+    if getattr(args, "eps_list", None) is not None:
         try:
             d["eps_list"] = [
                 float(tok) for tok in args.eps_list.split(",") if tok.strip()

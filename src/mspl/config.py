@@ -88,6 +88,10 @@ class ExperimentConfig:
         for fmt in self.formats:
             if fmt not in _FORMATS:
                 raise InvalidConfig(f"unknown output format {fmt!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise InvalidConfig(f"out_dir must be a nonempty string, got {self.out_dir!r}")
+        if not isinstance(self.plot, bool):
+            raise InvalidConfig(f"plot must be true or false, got {self.plot!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -531,6 +531,10 @@ def minimize_with_restarts(
     Each count descends by `minimize_diffuse` with the same `max_iter`,
     so a row is 'converged' by its GTOL or FTOL stop.
 
+    A mesh whose Hessian band (`_Operators.hessian_base`) is not finite
+    at eps ends every descent as 'line_search_failure' at its first
+    step, so it raises InvalidConfig before the surrogate is solved.
+
     `restarts` and `seed` are ignored: the walk has no random starts, and
     each sharp solve grades its start layouts by `default_gamma`.
     Returns (best DiffuseMinimum, diagnostics rows); one row per count
@@ -542,6 +546,12 @@ def minimize_with_restarts(
     # mspl.sharp.optimize_sharp (bench/tracer.py) also times these solves
     from .sharp import SharpOptions, optimize_sharp
 
+    check_energy(eps, w)
+    if not np.isfinite(_operators(mesh, w.alpha, w.beta).hessian_base(eps)).all():
+        raise InvalidConfig(
+            f"the cells of {mesh!r} are too thin for the diffuse Hessian "
+            f"at eps={eps:g}, alpha={w.alpha:g}, beta={w.beta:g}"
+        )
     surrogate = diffuse_surrogate(eps, w)
     found = optimize_sharp(*surrogate, SharpOptions(n_jumps=n_jumps, max_iter=max_iter))
     # count -> its layout on the surrogate

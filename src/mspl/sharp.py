@@ -307,13 +307,14 @@ def _alternating_signs(m: int) -> np.ndarray:
     return signs
 
 
-def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
+def _gap_kernel(y: np.ndarray, own: np.ndarray, eps, w: WeightParams):
     """Energies and their exact gradients in the (unconstrained) gap
     widths y >= 0 of a batch of layouts.
 
     Row i of the (B, M) array y holds the m[i] gaps of one layout, padded
-    with zeros: padded gaps add zero-width segments at the right end,
-    whose moments, segment integrals and first moments are exactly 0.
+    with zeros, and row i of the boolean mask own marks them (True in its
+    first m[i] columns): padded gaps add zero-width segments at the right
+    end, whose moments, segment integrals and first moments are exactly 0.
     eps is the eps of each row, or one eps for all of them.  The
     elementwise work runs on whole rows, and each energy sum is one
     masked sum over the batch that reads only a row's own m[i] entries,
@@ -344,10 +345,9 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     a row's own m[i] gaps (m[i] - 1 jumps) are padding; those of p0 are 0.
     """
     b, M = y.shape
-    eps = np.broadcast_to(eps, (b,))
+    eps = np.asarray(eps)
     signs = _alternating_signs(M)
-    # the row's own segments, and (from column 1) its own jumps
-    own = np.arange(M) < m[:, None]
+    # own marks each row's own segments, and (from column 1) its own jumps
     bp = np.zeros((b, M + 1))
     y.cumsum(axis=1, out=bp[:, 1:])
     zs = bp[:, 1:-1]
@@ -385,7 +385,7 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     grad = np.empty((b, M))
     grad[:] = np.array([v**2 for v in vals[:, -1].tolist()])[:, None]
     if w.alpha != 0.0:
-        grad[:, :-1] += (2.0 * eps * w.alpha)[:, None] * zpow[:, ::-1].cumsum(axis=1)[:, ::-1]
+        grad[:, :-1] += (2.0 * eps * w.alpha)[..., None] * zpow[:, ::-1].cumsum(axis=1)[:, ::-1]
     # suffix sums of J by parity, added bottom to top starting from the
     # zero pair: row k then holds (sum J[2k::2], sum J[2k+1::2]), so the
     # sum over later segments of the opposite parity of segment i is
@@ -396,12 +396,12 @@ def _gap_kernel(y: np.ndarray, m: np.ndarray, eps, w: WeightParams):
     return energies, grad, p0[:, 1:], vals, zs
 
 
-def _close(y: np.ndarray, m) -> np.ndarray:
-    """Rescale each parity of the m[i] gaps of each row i of y in place to
-    sum to 1/2, so each profile ends at t = 1 with u(1) = 0; returns y.
-    Each parity's sums are one masked sum over the batch, bit for bit the
-    sum of row i's own gaps of that parity."""
-    own = np.arange(y.shape[1]) < np.asarray(m)[:, None]
+def _close(y: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Rescale each parity of the gaps of each row of y that the boolean
+    mask own marks (its first m[i] columns) in place to sum to 1/2, so each
+    profile ends at t = 1 with u(1) = 0; returns y.  Each parity's sums are
+    one masked sum over the batch, bit for bit the sum of row i's own gaps
+    of that parity."""
     for p in (0, 1):
         y[:, p::2] *= (0.5 / np.add.reduce(y[:, p::2], axis=1, where=own[:, p::2]))[:, None]
     return y
@@ -418,7 +418,7 @@ def _graded_start_gaps(counts, gamma: float) -> np.ndarray:
     own = np.arange(M) < m[:, None]
     y = np.where(own, np.arange(1, M + 1, dtype=float) ** gamma, 0.0)
     y /= np.add.reduce(y, axis=1, where=own)[:, None]
-    return _close(y, m)
+    return _close(y, own)
 
 
 def _tridiagonal_solve(p0: list, E: list, P: list, lam: float, h: list):
@@ -462,15 +462,16 @@ def _tridiagonal_solve(p0: list, E: list, P: list, lam: float, h: list):
     return vhat
 
 
-def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
+def _newton_steps(g, zs, p0, vals, m, own, lam: list, eps, w: WeightParams):
     """Gap changes of the constrained Newton steps of
     `_refine_jump_positions` at a batch of layouts, as the rows of a
     zero-padded array like the gaps, and the shifts they took: each row's
     lam, raised tenfold from LAM_MIN until its step's matrix is positive
-    definite.  Row i has m[i] gaps and position gradient g[i, :m[i] - 1];
-    zs, p0 and vals are the jump positions, segment integrals and vertex
-    values of the layouts' kernel call, and eps is each row's eps or one
-    for all.  O(n) per layout: no n x n array is formed.
+    definite.  Row i has m[i] gaps, which row i of the boolean mask own
+    marks, and position gradient g[i, :m[i] - 1]; zs, p0 and vals are the
+    jump positions, segment integrals and vertex values of the layouts'
+    kernel call, and eps is each row's eps or one for all.  O(n) per
+    layout: no n x n array is formed.
 
     Moving z_k flips the slope of everything to its right, so
     du(t)/dz_k = 2 s_k [t > z_k], s_k the slope just left of z_k.  With
@@ -506,15 +507,14 @@ def _newton_steps(g, zs, p0, vals, m, lam: list, eps, w: WeightParams):
     solves read each row's own entries from flat lists and write their
     steps into one zero-padded array."""
     M = vals.shape[1] - 1
-    eps = np.broadcast_to(eps, m.shape)
+    eps = np.asarray(eps)
     s = _alternating_signs(M)[:-1]
-    # each row's own gaps, and (from column 1) its own jumps
-    own = np.arange(M) < m[:, None]
+    # each row's own jumps
     jumps = own[:, 1:]
     P = p0[:, ::-1].cumsum(axis=1)[:, ::-1]
     # e_k / 8 at lam = 0, and e_{n+1} / 8 = c / 8, which no shift moves
     E = (
-        (0.25 * eps * w.alpha * (w.alpha - 1.0))[:, None] * zs ** (w.alpha - 2.0)
+        (0.25 * eps * w.alpha * (w.alpha - 1.0))[..., None] * zs ** (w.alpha - 2.0)
         - 0.5 * s * zs ** (-w.beta) * vals[:, 1:-1]
     )
     inv_P = np.divide(1.0, P, out=np.zeros_like(P), where=jumps)
@@ -579,12 +579,14 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     the next steps of the counts it moved in one `_newton_steps` call.
     The state of the counts still descending -- gaps, step, collapse
     floor, energy, step length, slope, shift, steps, backtracks, gap
-    count and eps -- is one row per count, in count order, of arrays that
-    hold no other row: a round filters them once, when counts leave, and
-    the Armijo, FTOL, collapse and max_iter tests are masks over them,
-    with the float operations of a single count's tests in the same
-    order.  A count leaves once it converges, collapses or stalls, and
-    its result is bit for bit that of a batch of one.
+    count, the mask of its own gaps and eps -- is one row per count, in
+    count order, of arrays that hold no other row: a round filters them
+    once, when counts leave, so the mask that the kernel, the closure,
+    the Newton step and the convergence and slope sums read is built once
+    per batch state.  The Armijo, FTOL, collapse and max_iter tests are
+    masks over the state, with the float operations of a single count's
+    tests in the same order.  A count leaves once it converges, collapses
+    or stalls, and its result is bit for bit that of a batch of one.
 
     Returns one entry per count, (gaps, energy, converged), or None once
     the layout collapses: some gap falls below COLLAPSE_TOL times its own
@@ -599,11 +601,13 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     starts[counts == 1, :2] = 0.5
     results: list = [None] * m.size
 
-    # the state, one row per count still descending: its gaps y, step dy,
-    # collapse floor, energy f, step length t, slope g . p and shift lam,
-    # steps taken and failed trials; f comes from the starts
+    # the state, one row per count still descending: its gaps y, the mask
+    # own of its own gaps, step dy, collapse floor, energy f, step length
+    # t, slope g . p and shift lam, steps taken and failed trials; f comes
+    # from the starts
     idx = np.arange(m.size)
     y, dy, floor = starts.copy(), np.zeros_like(starts), COLLAPSE_TOL * starts
+    own = np.arange(y.shape[1]) < m[:, None]
     t, slope, lam = (np.zeros(m.size) for _ in range(3))
     steps, tries = np.zeros(m.size, dtype=int), np.zeros(m.size, dtype=int)
 
@@ -612,23 +616,26 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         to layouts with the kernel results gy, p0, vals and zs of the whole
         state, for convergence, and set up the next step of the others,
         which then search along it."""
-        gy, mm = gy[rows], m[rows]
+        gy, mm, mine = gy[rows], m[rows], own[rows]
         g = gy[:, :-1] - gy[:, 1:]
-        # the projected-gradient inf-norm of each layout
+        # the projected-gradient inf-norm of each layout, about the mean of
+        # its own s_k g_k; like the slope below, a masked sum over the rows,
+        # silent as the kernel is on an inf it let through
         s = _alternating_signs(y.shape[1])[:-1]
-        mean = [s[:n].dot(row[:n]) / n for row, n in zip(g, (mm - 1).tolist())]
-        jumps = np.arange(g.shape[1]) < (mm - 1)[:, None]
-        dev = np.abs(g - s * np.array(mean)[:, None]).max(axis=1, where=jumps, initial=0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mean = np.add.reduce(s * g, axis=1, where=mine[:, 1:]) / (mm - 1)
+        dev = np.abs(g - s * mean[:, None]).max(axis=1, where=mine[:, 1:], initial=0.0)
         if not (going := dev > GTOL).all():
             ended[rows[~going]] = 1
-            rows, mm, g, gy = rows[going], mm[going], g[going], gy[going]
+            rows, mm, mine, g, gy = (a[going] for a in (rows, mm, mine, g, gy))
             if not rows.size:
                 return
         step, lam[rows] = _newton_steps(
-            g, zs[rows], p0[rows], vals[rows], mm, lam[rows].tolist(), eps[rows], w
+            g, zs[rows], p0[rows], vals[rows], mm, mine, lam[rows].tolist(), eps[rows], w
         )
         # the slope g . p, summed by parts
-        slope[rows] = [a[:k].dot(b[:k]) for a, b, k in zip(gy, step, mm.tolist())]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope[rows] = np.add.reduce(gy * step, axis=1, where=mine)
         # the Newton model predicts no decrease above rounding
         if (flat := -0.5 * slope[rows] <= FTOL * f[rows]).any():
             ended[rows[flat]] = 1
@@ -645,7 +652,7 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     # the starts are scored, and a single jump is its closed start.
     # `ended` is 1 for a descent that has just converged, -1 for one that
     # has stopped unconverged, and 0 otherwise
-    f, gy, p0, vals, zs = _gap_kernel(y, m, eps, w)
+    f, gy, p0, vals, zs = _gap_kernel(y, own, eps, w)
     ended = (counts == 1).astype(int)
     moved, search = counts != 1, np.zeros(m.size, dtype=bool)
     while True:
@@ -657,7 +664,7 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         if not search.all():
             # counts leave: a descent that ended gives its result, and one
             # that collapsed none; the state keeps the others' rows, and
-            # their columns
+            # their columns, and their mask
             for r in (~search).nonzero()[0].tolist():
                 if ended[r]:
                     results[idx[r]] = y[r, : m[r]].copy(), float(f[r]), bool(ended[r] > 0)
@@ -667,10 +674,10 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
             idx, m, eps, f, t, slope, lam, steps, tries = (
                 a[search] for a in (idx, m, eps, f, t, slope, lam, steps, tries)
             )
-            y, dy, floor = (a[search, :width] for a in (y, dy, floor))
+            y, dy, floor, own = (a[search, :width] for a in (y, dy, floor, own))
             ended = np.zeros(m.size, dtype=int)
-        trial = _close(y + t[:, None] * dy, m)
-        f_new, gy, p0, vals, zs = _gap_kernel(trial, m, eps, w)
+        trial = _close(y + t[:, None] * dy, own)
+        f_new, gy, p0, vals, zs = _gap_kernel(trial, own, eps, w)
         # a trial that fails the Armijo test is backtracked, MAX_BACKTRACKS
         # times at most; one that passes is taken, and ends the descent once
         # it lowers f by at most FTOL f, or is dropped once it collapses

@@ -200,6 +200,64 @@ def test_an_infinite_grading_exponent_is_config_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_mesh_whose_hessian_band_overflows_is_config_error(tmp_path, capsys):
+    # the walk descended counts 7-10, each ending 'line_search_failure'
+    # after 0 steps, wrote diffuse_min.json and exited 3
+    out_dir = tmp_path / "band"
+    rc, out, err = run_cli(
+        capsys, "diffuse-min", "--alpha", "0.5", "--beta", "1", "--eps", "1e-3",
+        "--mesh-n", "8192", "--grading-q", "33", "--out", str(out_dir),
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: the cells of GradedMesh(n=8192, q=33.0) are too thin")
+    assert not out_dir.exists()
+
+
+def test_an_empty_eps_list_is_config_error(tmp_path, capsys, monkeypatch):
+    # an empty flag was taken as no flag: the default sweep ran and exited 0
+    import mspl.reports
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sharp sweep ran")
+
+    monkeypatch.setattr(mspl.reports, "optimize_sharp_sweep", never)
+    out_dir = tmp_path / "empty"
+    rc, out, err = run_cli(capsys, "sweep-scaling", "--eps-list", "", "--out", str(out_dir))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: eps_list must be nonempty\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # sweep_scaling.svg was written
+        ({"plot": "no"}, "error: plot must be true or false, got 'no'\n"),
+        # the sweep was solved, then os.makedirs raised a TypeError
+        ({"out_dir": 5}, "error: out_dir must be a nonempty string, got 5\n"),
+    ],
+    ids=("plot", "out_dir"),
+)
+def test_a_config_file_of_the_wrong_type_is_refused_before_the_sweep(
+    tmp_path, capsys, monkeypatch, config, message
+):
+    import mspl.reports
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sharp sweep ran")
+
+    monkeypatch.setattr(mspl.reports, "optimize_sharp_sweep", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"eps_list": [1e-2, 1e-3], **config}))
+    rc, out, err = run_cli(capsys, "sweep-scaling", "--config", "cfg.json")
+    assert rc == 2
+    assert out == ""
+    assert err == message
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
 def test_sharp_count_above_the_limit_is_an_error(tmp_path, capsys):
     # the walk would start at 43508 jumps; it fails before solving any
     rc, _, err = run_cli(

@@ -159,6 +159,20 @@ def test_unknown_field_rejected():
         ExperimentConfig.from_dict({"gamma": 0.5})
 
 
+@pytest.mark.parametrize("plot", ["no", 0, 1, None])
+def test_a_plot_that_is_not_a_bool_is_refused(plot):
+    # "plot": "no" drew the plot
+    with pytest.raises(InvalidConfig, match="plot must be true or false"):
+        ExperimentConfig.from_dict({"plot": plot})
+
+
+@pytest.mark.parametrize("out_dir", [5, None, "", ["runs"]])
+def test_an_out_dir_that_is_not_a_path_string_is_refused(out_dir):
+    # "out_dir": 5 solved the sweep, then failed in os.makedirs
+    with pytest.raises(InvalidConfig, match="out_dir must be a nonempty string"):
+        ExperimentConfig.from_dict({"out_dir": out_dir})
+
+
 def test_presets():
     assert preset("muller").weights == WeightParams(0.0, 0.0)
     assert preset("spherical-ok").weights == WeightParams(0.5, 1.0)

@@ -263,7 +263,7 @@ def test_segment_kernel_matches_decimal_oracle():
         bp = np.concatenate(([0.0], np.cumsum(y)))
         exact = decimal_sharp_total(bp, eps, w)
         total = evaluate_sharp(SawtoothProfile(tuple(bp[1:-1])), eps, w).total
-        kernel = _gap_kernel(y[None], np.array([n + 1]), eps, w)[0][0]
+        kernel = _gap_kernel(y[None], np.ones((1, n + 1), dtype=bool), eps, w)[0][0]
         worst_eval = max(worst_eval, abs(float((Decimal(total) - exact) / exact)))
         worst_kernel = max(worst_kernel, abs(float((Decimal(kernel) - exact) / exact)))
 

@@ -830,6 +830,19 @@ def test_a_hessian_band_that_overflows_ends_the_descent_silently():
     assert np.isfinite(res.energy.total)
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_a_hessian_band_that_overflows_is_refused_before_the_walk(monkeypatch, eps):
+    # the walk solved the surrogate and descended counts 7-10 on this
+    # mesh, each ending 'line_search_failure' after 0 steps
+    import mspl.sharp
+
+    calls = []
+    monkeypatch.setattr(mspl.sharp, "optimize_sharp", lambda *args: calls.append(args))
+    with pytest.raises(InvalidConfig, match=r"too thin for the diffuse Hessian at eps="):
+        minimize_with_restarts(eps, WeightParams(0.5, 1.0), GradedMesh(8192, 33))
+    assert calls == []
+
+
 @pytest.mark.parametrize("max_iter", [2.5, 2.0, True])
 def test_a_budget_that_is_not_an_integer_is_refused(max_iter):
     # max_iter 2.5 took 5 steps and ended converged where 2 stops at 2

@@ -60,7 +60,7 @@ from mspl.sharp import (
 
 def close(y):
     """`_close` on one layout."""
-    return _close(y[None], [y.size])[0]
+    return _close(y[None], np.ones((1, y.size), dtype=bool))[0]
 
 
 def profile_from_gaps(y):
@@ -75,7 +75,7 @@ def graded_start(n, gamma):
 
 def gap_energy_and_grad(y, eps, w):
     """The gap kernel on one layout: its energy and gradient."""
-    energies, grad = _gap_kernel(y[None], np.array([y.size]), eps, w)[:2]
+    energies, grad = _gap_kernel(y[None], np.ones((1, y.size), dtype=bool), eps, w)[:2]
     return energies[0], grad[0]
 
 
@@ -963,16 +963,17 @@ def test_mixed_eps_batches_are_their_single_rows_bitwise():
         batch = np.zeros((len(layouts), sizes.max()))
         for row, y in zip(batch, layouts):
             row[: y.size] = y
+        own = np.arange(sizes.max()) < sizes[:, None]
         lams = [0.0, 1e-3, 1.0, 0.0, 1e-8, 0.1]
-        energies, gy, p0, vals, zs = _gap_kernel(batch, sizes, eps, w)
+        energies, gy, p0, vals, zs = _gap_kernel(batch, own, eps, w)
         dy, lam_taken = _newton_steps(
-            gy[:, :-1] - gy[:, 1:], zs, p0, vals, sizes, lams, eps, w
+            gy[:, :-1] - gy[:, 1:], zs, p0, vals, sizes, own, lams, eps, w
         )
         for i, y in enumerate(layouts):
-            m = np.array([y.size])
-            (e1,), gy1, p01, vals1, zs1 = _gap_kernel(y[None], m, float(eps[i]), w)
+            m, own1 = np.array([y.size]), np.ones((1, y.size), dtype=bool)
+            (e1,), gy1, p01, vals1, zs1 = _gap_kernel(y[None], own1, float(eps[i]), w)
             (dy1,), (lam1,) = _newton_steps(
-                gy1[:, :-1] - gy1[:, 1:], zs1, p01, vals1, m, [lams[i]], float(eps[i]), w
+                gy1[:, :-1] - gy1[:, 1:], zs1, p01, vals1, m, own1, [lams[i]], float(eps[i]), w
             )
             assert np.float64(energies[i]).tobytes() == np.float64(e1).tobytes()
             assert gy[i, : y.size].tobytes() == gy1[0].tobytes()
@@ -1109,7 +1110,8 @@ def test_gap_kernel_matches_loop_reference_bitwise():
             for row, y in zip(batch, layouts):
                 row[: y.size] = y
             sizes = np.array([y.size for y in layouts])
-            energies, grads = _gap_kernel(batch, sizes, 1e-4, w)[:2]
+            own = np.arange(77) < sizes[:, None]
+            energies, grads = _gap_kernel(batch, own, 1e-4, w)[:2]
             for y, e_batch, g_batch in zip(layouts, energies, grads):
                 e_new, g_new = gap_energy_and_grad(y, 1e-4, w)
                 for ref in (gap_energy_and_grad_loop, gap_energy_and_grad_reference):
@@ -1443,8 +1445,8 @@ def test_newton_step_matches_the_dense_step():
         w = WeightParams(rng.uniform(0.0, 2.0), rng.uniform(-1.0, 2.9))
         eps = 10.0 ** rng.uniform(-8.0, -2.0)
         y = _decode_gaps(rng.normal(size=n + 1), (n + 2) // 2)
-        m = np.array([n + 1])
-        _, gy, p0, vals, zs = _gap_kernel(y[None], m, eps, w)
+        m, own = np.array([n + 1]), np.ones((1, n + 1), dtype=bool)
+        _, gy, p0, vals, zs = _gap_kernel(y[None], own, eps, w)
         gs = gy[:, :-1] - gy[:, 1:]
         g = gs[0]
         matrix = dense_step_matrix(y, eps, w)
@@ -1453,7 +1455,7 @@ def test_newton_step_matches_the_dense_step():
             lam = lam0
             while (want := dense_step(matrix, g, lam)) is None:
                 lam = max(10.0 * lam, LAM_MIN)
-            (dy,), (lam_taken,) = _newton_steps(gs, zs, p0, vals, m, [lam0], eps, w)
+            (dy,), (lam_taken,) = _newton_steps(gs, zs, p0, vals, m, own, [lam0], eps, w)
             assert lam_taken == lam
             raised += lam != lam0
             if eig[-1] + lam < 1e8 * (eig[0] + lam):
