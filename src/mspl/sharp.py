@@ -13,7 +13,6 @@ positions and their count.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,6 +25,7 @@ from .core import (
     weighted_square_integrals,
 )
 from .errors import (
+    DivergentIntegral,
     InvalidConfig,
     InvalidProfile,
     InvalidSample,
@@ -114,35 +114,37 @@ def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> Ene
     through its moments (`segment_moments`).  The well component is
     identically zero in this model.  A profile with |u(1)| > CLAMP_TOL
     is not admissible and raises UnclampedProfile.
+
+    The energy does not see `initial_slope`: a profile and its mirror -u
+    have the same energy, bit for bit, since negating every value and
+    slope negates every product of one with another exactly.  So the
+    profile is scored from its breakpoints alone, as the slope +1 one.
     """
     check_energy(eps, w)
     if profile.unclamped:
         raise UnclampedProfile(f"u(1) = {profile.boundary_value:.3e}")
-    return _sharp_energies([profile], [eps], w)[0]
+    return _sharp_energies(profile.breakpoints[None], [profile.n_jumps + 1], [eps], w)[0]
 
 
-def _sharp_energies(profiles, eps, w: WeightParams) -> list[EnergyBreakdown]:
-    """`evaluate_sharp` of each profile at its eps, unchecked, from one
-    zero-padded batch and one call of the segment kernel for all their
-    segments.  Row i of the breakpoint array holds 0, the jumps of
-    profile i, then 1 to its end; one cumsum over the batch of the
-    slopes, alternating from each profile's `initial_slope`, times the
-    gaps gives every value.  The segment integrals and jump powers are
-    taken over the profiles' own entries, in profile order, and each
-    profile's sums are masked sums over its row of a zero-padded array,
-    bit for bit the sums of that profile's own arrays."""
-    n = np.array([p.n_jumps for p in profiles])
-    M = int(n.max()) + 1
-    own = np.arange(M) < (n + 1)[:, None]
-    zs = np.fromiter(chain.from_iterable(p.jumps for p in profiles), float, int(n.sum()))
-    bp = np.ones((n.size, M + 1))
-    bp[:, 0] = 0.0
-    bp[:, 1:M][own[:, 1:]] = zs
-    slopes = np.array([p.initial_slope for p in profiles], dtype=float)[:, None] * _alternating_signs(M)
+def _sharp_energies(bp: np.ndarray, m, eps, w: WeightParams) -> list[EnergyBreakdown]:
+    """`evaluate_sharp` of the profile of each row of the padded
+    breakpoint array bp at its eps, unchecked, from one call of the
+    segment kernel for all their segments.  Row i holds 0, the m[i] - 1
+    jumps of a profile, then 1 to its end, and its slopes alternate +1,
+    -1, ... from the left (a mirrored profile scores the same).  One
+    cumsum over the batch of the slopes times the gaps gives every
+    value.  The segment integrals and jump powers are taken over the
+    rows' own entries, in row order, and each row's sums are masked sums
+    over a zero-padded array, bit for bit the sums of its own arrays."""
+    M = bp.shape[1] - 1
+    signs = _alternating_signs(M)
+    own = np.arange(M) < np.asarray(m)[:, None]
+    zs = bp[:, 1:-1][own[:, 1:]]
     vals = np.zeros_like(bp)
-    np.multiply(slopes, np.diff(bp, axis=1), out=vals[:, 1:]).cumsum(axis=1, out=vals[:, 1:])
+    np.multiply(signs, np.diff(bp, axis=1), out=vals[:, 1:]).cumsum(axis=1, out=vals[:, 1:])
+    slopes = np.broadcast_to(signs, own.shape)[own]
     seg = weighted_square_integrals(
-        bp[:, :-1][own], bp[:, 1:][own], vals[:, :-1][own], slopes[own], w.beta
+        bp[:, :-1][own], bp[:, 1:][own], vals[:, :-1][own], slopes, w.beta
     )
     sums = []
     for values, mask in ((zs**w.alpha, own[:, 1:]), (seg, own)):
@@ -254,10 +256,11 @@ class SharpMinimum:
 
     `candidates` has one row (n, total, profile, converged) per jump count
     n scored, in count order: the count's one candidate, its refined
-    layout, or its start layout where the refinement collapsed, and its
-    `evaluate_sharp` total, by which the counts are ranked.  `bracket`
-    is the lowest and the highest count scored, `n_candidates` the number
-    of counts scored."""
+    layout, or its start layout where the refinement collapsed, with
+    exactly n jumps, and its `evaluate_sharp` total.  `profile` is the
+    candidate of the lowest finite total, the lower count on a tie.
+    `bracket` is the lowest and the highest count scored, `n_candidates`
+    the number of counts scored."""
 
     profile: SawtoothProfile
     energy: EnergyBreakdown
@@ -412,12 +415,24 @@ def _graded_start_gaps(counts, gamma: float) -> np.ndarray:
     rows of a zero-padded array: the graded widths k**gamma, k = 1..n + 1,
     over their sum, each parity rescaled to sum to 1/2 so the profile
     closes.  Each row's sums are masked sums over the batch, bit for bit
-    the sums of that count's own widths."""
+    the sums of that count's own widths.
+
+    Near beta = 3, `default_gamma` grows without bound (199.25 at
+    beta = 2.99), and the widths of a few dozen teeth, or their sum,
+    overflow: that raises DivergentIntegral, naming the smallest such
+    count and gamma."""
     m = np.asarray(counts) + 1
     M = int(m.max())
     own = np.arange(M) < m[:, None]
-    y = np.where(own, np.arange(1, M + 1, dtype=float) ** gamma, 0.0)
-    y /= np.add.reduce(y, axis=1, where=own)[:, None]
+    with np.errstate(over="ignore"):
+        y = np.where(own, np.arange(1, M + 1, dtype=float) ** gamma, 0.0)
+        sums = np.add.reduce(y, axis=1, where=own)
+    if not np.isfinite(sums).all():
+        raise DivergentIntegral(
+            f"the graded start of {int(m[~np.isfinite(sums)].min()) - 1} jumps overflows: "
+            f"its widths k**gamma at gamma = {gamma:g} do not sum to a finite number"
+        )
+    y /= sums[:, None]
     return _close(y, own)
 
 
@@ -586,20 +601,24 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     per batch state.  The Armijo, FTOL, collapse and max_iter tests are
     masks over the state, with the float operations of a single count's
     tests in the same order.  A count leaves once it converges, collapses
-    or stalls, and its result is bit for bit that of a batch of one.
+    or stalls, and its result is bit for bit that of a batch of one.  A
+    count whose start energy is not finite leaves at once, unconverged.
 
-    Returns one entry per count, (gaps, energy, converged), or None once
-    the layout collapses: some gap falls below COLLAPSE_TOL times its own
-    starting width.  The descent stops there, and the layout is not
-    returned, because it is really one of fewer teeth.  Also returns the
-    starts, the rows of a zero-padded array like `_graded_start_gaps`'."""
+    Returns (gaps, status): gaps is the zero-padded array of the starts
+    (`_graded_start_gaps`), each count's row overwritten by its final
+    gaps, and status holds 1 for a count that converged, -1 for one that
+    stopped unconverged, and 0 for one that collapsed: some gap fell
+    below COLLAPSE_TOL times its own starting width.  The descent stops
+    there, and a collapsed count keeps its start, because the layout is
+    really one of fewer teeth.  The energy of a row is that of the gap
+    kernel on the row alone, bit for bit."""
     counts = np.asarray(counts)
     m = counts + 1
     eps = np.broadcast_to(np.asarray(eps, dtype=float), m.shape)
     starts = _graded_start_gaps(counts, gamma)
     # closure pins a single jump to 1/2: nothing to optimize
     starts[counts == 1, :2] = 0.5
-    results: list = [None] * m.size
+    status = np.zeros(m.size, dtype=int)
 
     # the state, one row per count still descending: its gaps y, the mask
     # own of its own gaps, step dy, collapse floor, energy f, step length
@@ -649,12 +668,13 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         dy[rows], t[rows], tries[rows] = step, np.where(cap < 1.0, cap, 1.0), 0
         search[rows] = True
 
-    # the starts are scored, and a single jump is its closed start.
-    # `ended` is 1 for a descent that has just converged, -1 for one that
-    # has stopped unconverged, and 0 otherwise
+    # the starts are scored, and a single jump is its closed start; a
+    # start whose energy is not finite cannot descend.  `ended` is 1 for a
+    # descent that has just converged, -1 for one that has stopped
+    # unconverged, and 0 otherwise
     f, gy, p0, vals, zs = _gap_kernel(y, own, eps, w)
-    ended = (counts == 1).astype(int)
-    moved, search = counts != 1, np.zeros(m.size, dtype=bool)
+    ended = np.where(np.isfinite(f), counts == 1, -1)
+    moved, search = ended == 0, np.zeros(m.size, dtype=bool)
     while True:
         # a count that moved stops after max_iter steps, or sets up a step
         capped = moved & (steps == max_iter)
@@ -662,14 +682,14 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         if (moved := moved & ~capped).any():
             advance(moved.nonzero()[0], gy, p0, vals, zs)
         if not search.all():
-            # counts leave: a descent that ended gives its result, and one
-            # that collapsed none; the state keeps the others' rows, and
-            # their columns, and their mask
-            for r in (~search).nonzero()[0].tolist():
-                if ended[r]:
-                    results[idx[r]] = y[r, : m[r]].copy(), float(f[r]), bool(ended[r] > 0)
+            # counts leave: a descent that ended writes its gaps over its
+            # start, and one that collapsed keeps it; the state keeps the
+            # others' rows, and their columns, and their mask
+            status[idx[~search]] = ended[~search]
+            gave = ~search & (ended != 0)
+            starts[idx[gave], : y.shape[1]] = y[gave]
             if not search.any():
-                return results, starts
+                return starts, status
             width = int(m[search].max())
             idx, m, eps, f, t, slope, lam, steps, tries = (
                 a[search] for a in (idx, m, eps, f, t, slope, lam, steps, tries)
@@ -698,39 +718,21 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
         steps += moved
 
 
-def _profile_from_gaps(y: np.ndarray, m) -> list[SawtoothProfile]:
+def _profile_from_gaps(y: np.ndarray, m) -> tuple[list[SawtoothProfile], np.ndarray]:
     """The profile of each row i of the zero-padded gap array y, whose
     m[i] gaps it holds: slope +1 first and a jump after each gap but the
-    last.  One cumsum over the batch places every jump, and one test over
-    the batch finds the rows whose jumps increase strictly inside (0, 1),
-    which are taken as they stand.
-
-    In the other rows a gap driven below the rounding of its neighbours'
-    partial sums makes jumps coincide, or land on 0 or 1.  Such a layout
-    is normalized without changing u: two reversals at one point cancel,
-    a jump at 0 only flips the initial slope, and one at 1 does nothing.
-    The surface energy of the dropped jumps goes with them.  Refined
-    layouts never get there: `_refine_jump_positions` drops a layout
-    long before, once a gap falls below COLLAPSE_TOL of its start.
-    """
+    last.  One cumsum over the batch places every jump.  Returns the
+    profiles and their padded breakpoints, the rows 0, the jumps of a
+    profile, then 1 to its end, which `_sharp_energies` scores.  A row
+    whose jumps do not increase strictly inside (0, 1) -- coinciding,
+    at 0 or 1, or not finite -- raises InvalidProfile."""
     m = np.asarray(m)
     b, M = y.shape
-    # 0, each row's jumps, then 1 from its right end on
     bp = np.zeros((b, M + 1))
     y.cumsum(axis=1, out=bp[:, 1:])
     np.copyto(bp[:, 1:], 1.0, where=np.arange(M) >= (m - 1)[:, None])
-    plain = (bp[:, 1:] > bp[:, :-1]).all(axis=1, where=np.arange(M) < m[:, None])
-    profiles = []
-    for row, n, ok in zip(bp[:, 1:].tolist(), (m - 1).tolist(), plain.tolist()):
-        if ok:
-            profiles.append(SawtoothProfile(tuple(row[:n])))
-            continue
-        at, count = np.unique(row[:n], return_counts=True)
-        odd = count % 2 == 1
-        initial_slope = -1 if at.size and at[0] == 0.0 and odd[0] else 1
-        keep = odd & (at > 0.0) & (at < 1.0)
-        profiles.append(SawtoothProfile(tuple(float(z) for z in at[keep]), initial_slope))
-    return profiles
+    rows = zip(bp[:, 1:].tolist(), (m - 1).tolist())
+    return [SawtoothProfile(tuple(row[:n])) for row, n in rows], bp
 
 
 def jump_count_estimate(eps: float, w: WeightParams) -> int:
@@ -755,21 +757,19 @@ def jump_count_estimate(eps: float, w: WeightParams) -> int:
 def _count_candidates(counts, eps, w: WeightParams, gamma: float, max_iter: int) -> list:
     """(energy, profile, converged) of the one candidate of each count n
     in `counts`, at its own eps (one per count, or one for all), refined
-    together: its refined layout, or the start layout that
-    `_refine_jump_positions` hands back if the refinement collapsed.
-    The candidates are built from one padded batch of their gaps
-    (`_profile_from_gaps`) and scored by one `_sharp_energies` call, so
-    the energy is `evaluate_sharp`'s, whose total `optimize_sharp`
-    reports; the gap kernel's total differs from it at rounding, and so
-    could its order of the counts in a flat regime."""
+    together: the padded gaps that `_refine_jump_positions` returns, its
+    refined layout or, where the refinement collapsed, its start layout.
+    The profiles and their padded breakpoints are built from that array
+    (`_profile_from_gaps`), and the breakpoints are scored by one
+    `_sharp_energies` call, so the energy is `evaluate_sharp`'s, whose
+    total `optimize_sharp` reports; the gap kernel's total differs from
+    it at rounding, and so could its order of the counts in a flat
+    regime."""
     eps = np.broadcast_to(eps, (len(counts),)).tolist()
-    rows, gaps = _refine_jump_positions(counts, eps, w, gamma, max_iter)
-    for i, row in enumerate(rows):
-        if row is not None:
-            gaps[i, : row[0].size] = row[0]
-    profiles = _profile_from_gaps(gaps, np.asarray(counts) + 1)
-    oks = [row is not None and row[2] for row in rows]
-    return list(zip(_sharp_energies(profiles, eps, w), profiles, oks))
+    m = np.asarray(counts) + 1
+    gaps, status = _refine_jump_positions(counts, eps, w, gamma, max_iter)
+    profiles, bp = _profile_from_gaps(gaps, m)
+    return list(zip(_sharp_energies(bp, m, eps, w), profiles, (status > 0).tolist()))
 
 
 def _count_walk(n0: int, scored: dict):
@@ -848,10 +848,13 @@ def optimize_sharp_sweep(
 
     Every eps is checked by `check_energy` before any count is scored:
     one that is not positive and finite raises InvalidConfig, and
-    beta >= 3 raises DivergentIntegral.  A round holding a count above
-    MAX_JUMPS raises TooManyJumps before any of it is scored, for the
-    first such count in eps-list order, then in walk order; the message
-    names that count and its eps.
+    beta >= 3 raises DivergentIntegral.  Near beta = 3 so does a start
+    layout that overflows (`_graded_start_gaps`), and a walk none of
+    whose counts has a finite total, with a message that names its eps
+    and the weights; each result is the count of the lowest finite
+    total.  A round holding a count above MAX_JUMPS raises TooManyJumps
+    before any of it is scored, for the first such count in eps-list
+    order, then in walk order; the message names that count and its eps.
     """
     eps_list = tuple(eps_list)
     for eps in eps_list:
@@ -887,9 +890,15 @@ def optimize_sharp_sweep(
         rounds = [next(walk, []) if counts else [] for walk, counts in zip(walks, rounds)]
 
     results = []
-    for done in scored:
+    for eps, done in zip(eps_list, scored):
         table = tuple((n, done[n][0].total, *done[n][1:]) for n in sorted(done))
-        n_best = min(table, key=lambda row: (row[1], row[2].n_jumps, row[2].jumps))[0]
+        finite = [(total, n) for n, total, *_ in table if math.isfinite(total)]
+        if not finite:
+            raise DivergentIntegral(
+                f"no jump count has a finite energy at eps={eps:g}, "
+                f"weights ({w.alpha:g}, {w.beta:g})"
+            )
+        n_best = min(finite)[1]
         energy, profile, ok = done[n_best]
         results.append(
             SharpMinimum(profile=profile, energy=energy, converged=ok, candidates=table)

@@ -258,6 +258,19 @@ def test_a_config_file_of_the_wrong_type_is_refused_before_the_sweep(
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def test_a_sharp_walk_with_no_finite_start_is_an_error(tmp_path, capsys):
+    # the start widths overflow at beta = 2.99: this exited 0 with a
+    # 0-jump profile, u(1) = 1, marked converged
+    out_dir = tmp_path / "edge"
+    rc, out, err = run_cli(
+        capsys, "sharp-min", "--beta", "2.99", "--eps", "1e-3", "--out", str(out_dir)
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: the graded start of")
+    assert not out_dir.exists()
+
+
 def test_sharp_count_above_the_limit_is_an_error(tmp_path, capsys):
     # the walk would start at 43508 jumps; it fails before solving any
     rc, _, err = run_cli(

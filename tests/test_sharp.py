@@ -65,7 +65,7 @@ def close(y):
 
 def profile_from_gaps(y):
     """`_profile_from_gaps` on one layout."""
-    return _profile_from_gaps(y[None], [y.size])[0]
+    return _profile_from_gaps(y[None], [y.size])[0][0]
 
 
 def graded_start(n, gamma):
@@ -80,8 +80,13 @@ def gap_energy_and_grad(y, eps, w):
 
 
 def refine(n, eps, w, gamma, max_iter):
-    """`_refine_jump_positions` on the single count n."""
-    return _refine_jump_positions([n], eps, w, gamma, max_iter)[0][0]
+    """`_refine_jump_positions` on the single count n: its gaps, their
+    gap-kernel energy and whether it converged, or None once it
+    collapsed."""
+    (y,), (status,) = _refine_jump_positions([n], eps, w, gamma, max_iter)
+    if status == 0:
+        return None
+    return y, float(gap_energy_and_grad(y, eps, w)[0]), bool(status > 0)
 
 
 def _decode_gaps(x, k_odd):
@@ -734,16 +739,16 @@ def test_walk_at_smallest_sweep_eps_converges_every_refinement(monkeypatch):
     refined = {}
 
     def recording(counts, *args):
-        results, starts = refine_counts(counts, *args)
-        refined.update(zip(counts, results))
-        return results, starts
+        gaps, status = refine_counts(counts, *args)
+        refined.update(zip(counts, status.tolist()))
+        return gaps, status
 
     monkeypatch.setattr(mspl.sharp, "_refine_jump_positions", recording)
     res = optimize_sharp(eps, w)
     assert len(calls) < 500
     assert res.converged and res.profile.n_jumps == 40
-    assert refined[42] is None
-    assert all(r is None or r[2] for r in refined.values())
+    assert refined[42] == 0
+    assert set(refined.values()) <= {0, 1}
 
 
 @pytest.mark.parametrize(
@@ -1050,6 +1055,39 @@ def test_collapsed_gap_gradient_is_silent():
     assert grad.shape == (4,)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, eps, winner",
+    [
+        # 0 jumps with total 100.0 and u(1) = 1, marked converged: a row of
+        # start widths k**199.25 that overflow, normalized to no jumps
+        (0.0, 2.99, 1e-3, "the graded start of 55 jumps overflows"),
+        # 150 jumps with total nan, marked converged: every start energy
+        # is nan, and `not nan > GTOL` passed as convergence
+        (0.0, 2.96, 1e-4, "no jump count has a finite energy at eps=0.0001, weights \\(0, 2.96\\)"),
+        # counts 126-129 are nan, and the lowest finite total wins
+        (0.0, 2.96, 1e-3, (125, "0x1.7d89173978e0bp+0")),
+        (-1.0, 2.99, 1e-2, (1, "0x1.8e2a5a5ddaee1p+6")),
+    ],
+    ids=("0-2.99-1e-3", "0-2.96-1e-4", "0-2.96-1e-3", "-1-2.99-1e-2"),
+)
+def test_a_walk_near_beta_3_is_finite_or_refused(alpha, beta, eps, winner):
+    # near beta = 3 the graded starts overflow or score nan: a walk
+    # returns its lowest finite total, clamped and silent, or raises
+    w = WeightParams(alpha, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(winner, str):
+            with pytest.raises(DivergentIntegral, match=winner):
+                optimize_sharp(eps, w)
+            return
+        res = optimize_sharp(eps, w)
+    n, total = winner
+    assert (res.profile.n_jumps, res.energy.total.hex()) == (n, total)
+    assert res.converged and not res.profile.unclamped
+    # a count whose energy is not finite did not converge
+    assert all(ok is False for _, t, _, ok in res.candidates if not math.isfinite(t))
+
+
 def gap_energy_and_grad_loop(y, eps, w):
     """Reference gap kernel: the segment moments taken one segment at a
     time, each segment's integral and first moment in float arithmetic,
@@ -1176,33 +1214,34 @@ def sharp_energy_reference(profile, eps, w):
 
 
 def test_batched_scores_are_the_profile_scores():
-    # one call scores profiles of 1 to 2048 jumps, each at its own eps:
-    # closed layouts, their mirrors (initial slope -1), and layouts whose
-    # coinciding jumps, or a jump at 0 or 1, are normalized away
+    # one call scores the breakpoints of profiles of 1 to 2048 jumps, each
+    # at its own eps: closed layouts, and the same breakpoints once more
+    # for their mirrors (initial slope -1), which score as they do
     rng = np.random.default_rng(29)
     sizes = [1, 2, 3, 8, 47, 127, 128, 129, 300, 1000, 2047, MAX_JUMPS]
     layouts = [
         _decode_gaps(rng.normal(size=n + 1), (n + 2) // 2)
         for n in sizes + rng.integers(1, MAX_JUMPS + 1, size=8).tolist()
     ]
-    degenerate = [np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0])]
-    for zeros in ([0], [3, 4], [0, 17, 30], [5, 6, 7]):
-        y = _decode_gaps(rng.normal(size=41), 21)
-        y[zeros] = 0.0
-        degenerate.append(y)
-    profiles = [profile_from_gaps(y) for y in layouts + degenerate]
-    # the profiles of one padded batch are those of its rows alone
-    m = [y.size for y in layouts + degenerate]
+    profiles = [profile_from_gaps(y) for y in layouts]
+    # the profiles of one padded batch are those of its rows alone, and
+    # its breakpoint rows are theirs, padded with 1
+    m = [y.size for y in layouts]
     batch = np.zeros((len(m), max(m)))
-    for row, y in zip(batch, layouts + degenerate):
+    for row, y in zip(batch, layouts):
         row[: y.size] = y
-    assert _profile_from_gaps(batch, m) == profiles
+    got_profiles, bp = _profile_from_gaps(batch, m)
+    assert got_profiles == profiles
+    assert bp.shape == (len(m), max(m) + 1)
+    for row, p in zip(bp, profiles):
+        assert row[: p.n_jumps + 2].tobytes() == p.breakpoints.tobytes()
+        assert (row[p.n_jumps + 2 :] == 1.0).all()
     profiles += [SawtoothProfile(p.jumps, -1) for p in profiles[::3]]
     assert {p.initial_slope for p in profiles} == {-1, 1}
-    assert sum(len(p.jumps) < y.size - 1 for p, y in zip(profiles, layouts + degenerate)) == 5
+    bp, m = np.concatenate((bp, bp[::3])), m + m[::3]
     for w in (*ORACLE_WEIGHTS, WeightParams(1.0, 2.9)):
         eps = 10.0 ** rng.uniform(-8.0, -1.0, size=len(profiles))
-        got = _sharp_energies(profiles, eps, w)
+        got = _sharp_energies(bp, m, eps, w)
         want = [sharp_energy_reference(p, e, w) for p, e in zip(profiles, eps.tolist())]
         assert [repr(e) for e in got] == [repr(e) for e in want]
 
@@ -1551,11 +1590,18 @@ def test_collapsed_gaps_are_normalized():
     assert res.energy.total == evaluate_sharp(res.profile, eps, w).total
 
 
-def test_profile_from_gaps_normalizes_degenerate_jumps():
-    y = np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0])
-    # jumps at 0, 0.25, 0.25, 0.5, 1: the pair cancels, 0 flips, 1 drops
-    p = profile_from_gaps(y)
-    assert p.jumps == (0.5,)
-    assert p.initial_slope == -1
-    full = np.linspace(0.0, 1.0, 9)
-    assert np.array_equal(p.evaluate(full), -np.minimum(full, 1.0 - full))
+@pytest.mark.parametrize(
+    "y",
+    [
+        [0.25, 0.0, 0.25, 0.5],  # jumps at 0.25 twice
+        [0.0, 0.5, 0.5],  # a jump at 0
+        [0.5, 0.5, 0.0],  # a jump at 1
+        [0.25, math.nan, 0.25, 0.5],  # jumps that are not finite
+    ],
+    ids=("coinciding", "at-0", "at-1", "nan"),
+)
+def test_profile_from_gaps_refuses_degenerate_jumps(y):
+    # a layout is taken as it stands, and one whose jumps do not increase
+    # strictly inside (0, 1) is not a profile
+    with pytest.raises(InvalidProfile):
+        profile_from_gaps(np.array(y))
