@@ -124,7 +124,8 @@ def _sharp_point(eps: float, res: SharpMinimum):
         "n_jumps": res.profile.n_jumps,
         "converged": res.converged,
         # an unconverged winner need not have spent its budget: a collapsed
-        # count scores its start layout, and a backtrack can stall
+        # count scores its start layout, a backtrack can stall, and a winner
+        # beside a count of no finite total is not bracketed
         "status": "converged" if res.converged else "unconverged",
         "result": res,
     }

@@ -111,9 +111,10 @@ def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> Ene
 
     surface = 2*eps * sum z_k**alpha (each slope reversal carries
     curvature mass 2); bulk integrates t**(-beta) u**2 on each segment
-    through its moments (`segment_moments`).  The well component is
-    identically zero in this model.  A profile with |u(1)| > CLAMP_TOL
-    is not admissible and raises UnclampedProfile.
+    through its moments, by the refinement's arithmetic
+    (`_layout_kernel`).  The well component is identically zero in this
+    model.  A profile with |u(1)| > CLAMP_TOL is not admissible and
+    raises UnclampedProfile.
 
     The energy does not see `initial_slope`: a profile and its mirror -u
     have the same energy, bit for bit, since negating every value and
@@ -128,31 +129,14 @@ def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> Ene
 
 def _sharp_energies(bp: np.ndarray, m, eps, w: WeightParams) -> list[EnergyBreakdown]:
     """`evaluate_sharp` of the profile of each row of the padded
-    breakpoint array bp at its eps, unchecked, from one call of the
-    segment kernel for all their segments.  Row i holds 0, the m[i] - 1
-    jumps of a profile, then 1 to its end, and its slopes alternate +1,
-    -1, ... from the left (a mirrored profile scores the same).  One
-    cumsum over the batch of the slopes times the gaps gives every
-    value.  The segment integrals and jump powers are taken over the
-    rows' own entries, in row order, and each row's sums are masked sums
-    over a zero-padded array, bit for bit the sums of its own arrays."""
-    M = bp.shape[1] - 1
-    signs = _alternating_signs(M)
-    own = np.arange(M) < np.asarray(m)[:, None]
-    zs = bp[:, 1:-1][own[:, 1:]]
-    vals = np.zeros_like(bp)
-    np.multiply(signs, np.diff(bp, axis=1), out=vals[:, 1:]).cumsum(axis=1, out=vals[:, 1:])
-    slopes = np.broadcast_to(signs, own.shape)[own]
-    seg = weighted_square_integrals(
-        bp[:, :-1][own], bp[:, 1:][own], vals[:, :-1][own], slopes, w.beta
-    )
-    sums = []
-    for values, mask in ((zs**w.alpha, own[:, 1:]), (seg, own)):
-        rows = np.zeros(mask.shape)
-        rows[mask] = values
-        sums.append(np.add.reduce(rows, axis=1, where=mask))
-    surface, bulk = (2.0 * np.asarray(eps, dtype=float) * sums[0]).tolist(), sums[1].tolist()
-    return [EnergyBreakdown(surface=s, well=0.0, bulk=b) for s, b in zip(surface, bulk)]
+    breakpoint array bp at its eps, unchecked: one `_layout_kernel` call
+    at the widths np.diff(bp).  Row i holds 0, the m[i] - 1 jumps of a
+    profile, then 1 to its end, and its slopes alternate +1, -1, ... from
+    the left (a mirrored profile scores the same)."""
+    own = np.arange(bp.shape[1] - 1) < np.asarray(m)[:, None]
+    surface, bulk = _layout_kernel(bp, np.diff(bp, axis=1), own, eps, w)[:2]
+    rows = zip(surface.tolist(), bulk.tolist())
+    return [EnergyBreakdown(surface=s, well=0.0, bulk=b) for s, b in rows]
 
 
 @dataclass(frozen=True)
@@ -258,9 +242,10 @@ class SharpMinimum:
     n scored, in count order: the count's one candidate, its refined
     layout, or its start layout where the refinement collapsed, with
     exactly n jumps, and its `evaluate_sharp` total.  `profile` is the
-    candidate of the lowest finite total, the lower count on a tie.
-    `bracket` is the lowest and the highest count scored, `n_candidates`
-    the number of counts scored."""
+    candidate of the lowest finite total, the lower count on a tie, and
+    is `converged` if its refinement converged and it is bracketed: no
+    count n +- 1 was scored with a total that is not finite.  `bracket` is
+    the lowest and the highest count scored, `n_candidates` their number."""
 
     profile: SawtoothProfile
     energy: EnergyBreakdown
@@ -311,18 +296,29 @@ def _alternating_signs(m: int) -> np.ndarray:
 
 
 def _gap_kernel(y: np.ndarray, own: np.ndarray, eps, w: WeightParams):
-    """Energies and their exact gradients in the (unconstrained) gap
-    widths y >= 0 of a batch of layouts.
+    """(surface + bulk, grad, p0, vals, zs) of `_layout_kernel` at the cumsum of y."""
+    bp = np.zeros((y.shape[0], y.shape[1] + 1))
+    y.cumsum(axis=1, out=bp[:, 1:])
+    surface, bulk, *rest = _layout_kernel(bp, y, own, eps, w)
+    return surface + bulk, *rest
+
+
+def _layout_kernel(bp: np.ndarray, y: np.ndarray, own: np.ndarray, eps, w: WeightParams):
+    """Sharp energies of a batch of layouts and their exact gradients in
+    the (unconstrained) gap widths y >= 0: the one energy arithmetic of
+    the refinement (`_gap_kernel`) and of the scores (`_sharp_energies`).
 
     Row i of the (B, M) array y holds the m[i] gaps of one layout, padded
     with zeros, and row i of the boolean mask own marks them (True in its
     first m[i] columns): padded gaps add zero-width segments at the right
     end, whose moments, segment integrals and first moments are exactly 0.
-    eps is the eps of each row, or one eps for all of them.  The
-    elementwise work runs on whole rows, and each energy sum is one
-    masked sum over the batch that reads only a row's own m[i] entries,
-    bit for bit the sum of its unpadded slice, so a row's results do not
-    depend on the rest of the batch.
+    Row i of bp holds 0 and the layout's breakpoints after it; its right
+    end bp[i, m[i]] enters no result (the values come from y), so it may
+    be a cumsum of y or a profile's exact 1.  eps is the eps of each row,
+    or one eps for all of them.  The elementwise work runs on whole rows,
+    and each energy sum is one masked sum over the batch that reads only
+    a row's own m[i] entries, bit for bit the sum of its unpadded slice,
+    so a row's results do not depend on the rest of the batch.
 
     One pass: the moments p0, p1, p2 of t**-beta on each segment
     [z_j, z_j + y_j], written about its left end (`segment_moments`),
@@ -341,18 +337,17 @@ def _gap_kernel(y: np.ndarray, own: np.ndarray, eps, w: WeightParams):
     Products with a slope sigma = +-1 are exact and are regrouped freely;
     every other operation keeps the order of the formulas above.
 
-    Returns (energies, grad, p0, vals, zs): the B energies, the (B, M)
-    gradients, and what the Newton step reuses: p0, the integrals
-    of t**-beta over the segments after the first, vals, u at 0, at each
-    jump and at the right end, and zs, the jump positions.  Entries past
-    a row's own m[i] gaps (m[i] - 1 jumps) are padding; those of p0 are 0.
+    Returns (surface, bulk, grad, p0, vals, zs): the B terms
+    2 eps sum z_k**alpha and bulk sums, the (B, M) gradients, and what the
+    Newton step reuses: p0, the integrals of t**-beta over the segments
+    after the first, vals, u at 0, at each jump and at the right end, and
+    zs, the jump positions.  Entries past a row's own m[i] gaps
+    (m[i] - 1 jumps) are padding; those of p0 are 0.
     """
     b, M = y.shape
     eps = np.asarray(eps)
     signs = _alternating_signs(M)
     # own marks each row's own segments, and (from column 1) its own jumps
-    bp = np.zeros((b, M + 1))
-    y.cumsum(axis=1, out=bp[:, 1:])
     zs = bp[:, 1:-1]
     vals = np.zeros((b, M + 1))
     np.multiply(signs, y, out=vals[:, 1:]).cumsum(axis=1, out=vals[:, 1:])
@@ -379,8 +374,8 @@ def _gap_kernel(y: np.ndarray, own: np.ndarray, eps, w: WeightParams):
         if w.alpha != 0.0:
             np.power(zs, w.alpha - 1.0, out=zpow, where=own[:, 1:])
 
-    surface = np.add.reduce(zs**w.alpha, axis=1, where=own[:, 1:])
-    energies = 2.0 * eps * surface + np.add.reduce(seg, axis=1, where=own)
+    surface = 2.0 * eps * np.add.reduce(zs**w.alpha, axis=1, where=own[:, 1:])
+    bulk = np.add.reduce(seg, axis=1, where=own)
 
     # surface suffix term (a jump at z = 0 gives inf: let it flow through);
     # the last gap moves no jump.  Padded rows read u(1) at their end too,
@@ -396,7 +391,7 @@ def _gap_kernel(y: np.ndarray, own: np.ndarray, eps, w: WeightParams):
     pairs = buf.reshape(b, K + 1, 2)[:, ::-1]
     pairs.cumsum(axis=1, out=pairs)
     grad += 4.0 * signs * buf[:, 1 : M + 1]
-    return energies, grad, p0[:, 1:], vals, zs
+    return surface, bulk, grad, p0[:, 1:], vals, zs
 
 
 def _close(y: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -759,12 +754,12 @@ def _count_candidates(counts, eps, w: WeightParams, gamma: float, max_iter: int)
     in `counts`, at its own eps (one per count, or one for all), refined
     together: the padded gaps that `_refine_jump_positions` returns, its
     refined layout or, where the refinement collapsed, its start layout.
-    The profiles and their padded breakpoints are built from that array
-    (`_profile_from_gaps`), and the breakpoints are scored by one
-    `_sharp_energies` call, so the energy is `evaluate_sharp`'s, whose
-    total `optimize_sharp` reports; the gap kernel's total differs from
-    it at rounding, and so could its order of the counts in a flat
-    regime."""
+    The profiles' padded breakpoints (`_profile_from_gaps`) are scored by
+    one `_sharp_energies` call, so the energy is `evaluate_sharp`'s, whose
+    total `optimize_sharp` reports.  Its arithmetic is the gap kernel's,
+    but a profile's breakpoints end at exactly 1 and its widths are their
+    differences, so its total can differ from the refinement's at
+    rounding, and so could its order of the counts in a flat regime."""
     eps = np.broadcast_to(eps, (len(counts),)).tolist()
     m = np.asarray(counts) + 1
     gaps, status = _refine_jump_positions(counts, eps, w, gamma, max_iter)
@@ -852,9 +847,10 @@ def optimize_sharp_sweep(
     layout that overflows (`_graded_start_gaps`), and a walk none of
     whose counts has a finite total, with a message that names its eps
     and the weights; each result is the count of the lowest finite
-    total.  A round holding a count above MAX_JUMPS raises TooManyJumps
-    before any of it is scored, for the first such count in eps-list
-    order, then in walk order; the message names that count and its eps.
+    total, unconverged beside a scored count of no finite total.  A round
+    holding a count above MAX_JUMPS raises TooManyJumps before any of it
+    is scored, for the first such count in eps-list order, then in walk
+    order; the message names that count and its eps.
     """
     eps_list = tuple(eps_list)
     for eps in eps_list:
@@ -900,6 +896,9 @@ def optimize_sharp_sweep(
             )
         n_best = min(finite)[1]
         energy, profile, ok = done[n_best]
+        # a winner beside a count of no finite total is not bracketed
+        beside = [done[k][0].total for k in (n_best - 1, n_best + 1) if k in done]
+        ok = ok and all(map(math.isfinite, beside))
         results.append(
             SharpMinimum(profile=profile, energy=energy, converged=ok, candidates=table)
         )

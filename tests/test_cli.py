@@ -271,6 +271,19 @@ def test_a_sharp_walk_with_no_finite_start_is_an_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_an_unbracketed_sharp_winner_exits_3_and_writes(tmp_path, capsys):
+    # the totals fall up to count 125 and counts 126-129 are nan, so the
+    # lowest finite total is not bracketed: this exited 0
+    rc, out, _ = run_cli(
+        capsys, "sharp-min", "--alpha", "0", "--beta", "2.96", "--eps", "1e-3",
+        "--out", str(tmp_path),
+    )
+    assert rc == 3
+    payload = json.loads(out)
+    assert (payload["n_jumps"], payload["converged"]) == (125, False)
+    assert json.loads((tmp_path / "sharp_min.json").read_text()) == payload
+
+
 def test_sharp_count_above_the_limit_is_an_error(tmp_path, capsys):
     # the walk would start at 43508 jumps; it fails before solving any
     rc, _, err = run_cli(

@@ -919,6 +919,21 @@ def test_sharp_results_keep_their_bytes(monkeypatch):
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
+def test_the_sweep_and_its_scores_take_no_segment_integral(monkeypatch):
+    # the refinement, the candidate scores and `evaluate_sharp` share one
+    # energy arithmetic, `_layout_kernel`: `weighted_square_integrals` is
+    # left to `cumulative_energy`
+    def never(*args):
+        raise AssertionError("weighted_square_integrals was called")
+
+    monkeypatch.setattr(mspl.sharp, "weighted_square_integrals", never)
+    w = WeightParams(0.5, 1.0)
+    results = optimize_sharp_sweep(SWEEP_EPS, w)
+    for eps, res in zip(SWEEP_EPS, results):
+        assert res.converged
+        assert evaluate_sharp(res.profile, eps, w) == res.energy
+
+
 @pytest.mark.parametrize(
     "eps_list",
     [(1e-2, 1e-3, math.nan), (0.0, 1e-2), (1e-2, -1e-3, 1e-4), (1e-3, math.inf)],
@@ -1064,9 +1079,11 @@ def test_collapsed_gap_gradient_is_silent():
         # 150 jumps with total nan, marked converged: every start energy
         # is nan, and `not nan > GTOL` passed as convergence
         (0.0, 2.96, 1e-4, "no jump count has a finite energy at eps=0.0001, weights \\(0, 2.96\\)"),
-        # counts 126-129 are nan, and the lowest finite total wins
-        (0.0, 2.96, 1e-3, (125, "0x1.7d89173978e0bp+0")),
-        (-1.0, 2.99, 1e-2, (1, "0x1.8e2a5a5ddaee1p+6")),
+        # counts 126-129 are nan, and the lowest finite total wins, but
+        # the totals fall up to it, so it is not bracketed: unconverged
+        (0.0, 2.96, 1e-3, (125, "0x1.7d89173978e0bp+0", False)),
+        # its neighbour 2 is finite (about 4.2e5), so count 1 is bracketed
+        (-1.0, 2.99, 1e-2, (1, "0x1.8e2a5a5ddaee1p+6", True)),
     ],
     ids=("0-2.99-1e-3", "0-2.96-1e-4", "0-2.96-1e-3", "-1-2.99-1e-2"),
 )
@@ -1081,9 +1098,10 @@ def test_a_walk_near_beta_3_is_finite_or_refused(alpha, beta, eps, winner):
                 optimize_sharp(eps, w)
             return
         res = optimize_sharp(eps, w)
-    n, total = winner
-    assert (res.profile.n_jumps, res.energy.total.hex()) == (n, total)
-    assert res.converged and not res.profile.unclamped
+    assert (res.profile.n_jumps, res.energy.total.hex(), res.converged) == winner
+    assert not res.profile.unclamped
+    # the winner's refinement converged: only the bracket decides
+    assert {n: ok for n, _, _, ok in res.candidates}[winner[0]]
     # a count whose energy is not finite did not converge
     assert all(ok is False for _, t, _, ok in res.candidates if not math.isfinite(t))
 
