@@ -82,7 +82,6 @@ _HOMES = {
             "SharpOptions",
             "amplitude_envelope_ratio",
             "cumulative_energy",
-            "default_gamma",
             "distribution_threshold",
             "evaluate_sharp",
             "optimize_sharp",

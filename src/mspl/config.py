@@ -3,11 +3,10 @@ run needs, with presets for the standard weight regimes."""
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
-from .errors import InvalidConfig, UnknownPreset, check_integer
+from .errors import InvalidConfig, UnknownPreset, check_integer, check_real
 from .weights import WeightParams
 
 _MODELS = ("sharp", "diffuse", "both")
@@ -30,8 +29,8 @@ class GradedMesh:
         object.__setattr__(self, "n", int(self.n))
         if self.n < 16:
             raise InvalidConfig(f"mesh needs at least 16 cells, got {self.n}")
-        real = isinstance(self.q, numbers.Real) and not isinstance(self.q, bool)
-        if not (real and 1.0 <= self.q < math.inf):
+        check_real("grading exponent", self.q)
+        if not 1.0 <= self.q < math.inf:
             raise InvalidConfig(f"grading exponent must be finite and >= 1, got {self.q!r}")
         if not (1 / self.n) ** self.q > 0.0:
             raise InvalidConfig(f"first cell of {self!r} underflows to 0")
@@ -74,8 +73,10 @@ class ExperimentConfig:
             raise InvalidConfig(f"model must be one of {_MODELS}, got {self.model!r}")
         if not self.eps_list:
             raise InvalidConfig("eps_list must be nonempty")
-        if any(not 0.0 < e < math.inf for e in self.eps_list):
-            raise InvalidConfig("every eps must be positive and finite")
+        for e in self.eps_list:
+            check_real("eps", e)
+            if not 0.0 < e < math.inf:
+                raise InvalidConfig("every eps must be positive and finite")
         if len(set(self.eps_list)) != len(self.eps_list):
             raise InvalidConfig("eps_list has duplicates")
         check_integer("max_iter", self.max_iter)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegral, InvalidConfig
+from .errors import DivergentIntegral, InvalidConfig, check_real
 from .weights import WeightParams
 
 # The 10-point Gauss-Legendre rule on [0, 1], rounded from 40 digits; it
@@ -62,7 +62,9 @@ class EnergyBreakdown:
 
 def check_energy(eps: float, w: WeightParams) -> None:
     """Refuse an eps or a bulk weight for which the energy of either model
-    is not finite: eps must be positive and finite, and beta < 3."""
+    is not finite: eps must be a positive and finite real number, and
+    beta < 3."""
+    check_real("eps", eps)
     if not 0.0 < eps < math.inf:
         raise InvalidConfig(f"eps must be positive and finite, got {eps!r}")
     if not w.beta < 3.0:

@@ -301,6 +301,16 @@ class _Operators:
 _operators = lru_cache(maxsize=32)(_Operators)
 
 
+@lru_cache(maxsize=8)
+def _hessian_base(mesh: GradedMesh, alpha: float, beta: float, eps: float) -> np.ndarray:
+    """`_Operators.hessian_base` of the operators of (mesh, alpha, beta) at
+    eps, built once and read-only: the walk's band check and each of its
+    descents share it, and `hessian` copies it."""
+    base = _operators(mesh, alpha, beta).hessian_base(eps)
+    base.setflags(write=False)
+    return base
+
+
 def evaluate_diffuse(field: DiffuseField, eps: float, w: WeightParams) -> EnergyBreakdown:
     """Discrete energy of a nodal field, split into curvature (surface),
     double-well, and singular-bulk parts: the arithmetic of the descent's
@@ -396,7 +406,7 @@ def minimize_diffuse(
     from scipy.linalg.lapack import dpbsv
 
     ops = _operators(init.mesh, w.alpha, w.beta)
-    base = ops.hessian_base(eps)
+    base = _hessian_base(init.mesh, w.alpha, w.beta, eps)
 
     x = init.values[1:-1].copy()
     # the energy, and its weighted curvatures, element slopes and Q x
@@ -531,12 +541,12 @@ def minimize_with_restarts(
     Each count descends by `minimize_diffuse` with the same `max_iter`,
     so a row is 'converged' by its GTOL or FTOL stop.
 
-    A mesh whose Hessian band (`_Operators.hessian_base`) is not finite
+    A mesh whose Hessian band (`_hessian_base`) is not finite
     at eps ends every descent as 'line_search_failure' at its first
     step, so it raises InvalidConfig before the surrogate is solved.
 
     `restarts` and `seed` are ignored: the walk has no random starts, and
-    each sharp solve grades its start layouts by `default_gamma`.
+    each sharp solve starts from the graded layouts of its own start rule.
     Returns (best DiffuseMinimum, diagnostics rows); one row per count
     descended, in count order, with the pinned count `n_jumps`, the tooth
     count `teeth` the descent ended with (it differs where the descent
@@ -547,7 +557,7 @@ def minimize_with_restarts(
     from .sharp import SharpOptions, optimize_sharp
 
     check_energy(eps, w)
-    if not np.isfinite(_operators(mesh, w.alpha, w.beta).hessian_base(eps)).all():
+    if not np.isfinite(_hessian_base(mesh, w.alpha, w.beta, eps)).all():
         raise InvalidConfig(
             f"the cells of {mesh!r} are too thin for the diffuse Hessian "
             f"at eps={eps:g}, alpha={w.alpha:g}, beta={w.beta:g}"

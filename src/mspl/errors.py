@@ -4,7 +4,8 @@ Every failure mode that a caller can provoke through bad inputs gets its
 own class so tests and the CLI can react precisely.  Solver outcomes that
 are *expected* in normal operation (iteration budget exhausted, line
 search stall) are reported as result flags, not exceptions.  Counts given
-by a caller are refused by one check, `check_integer`.
+by a caller are refused by one check, `check_integer`, and real parameters
+by another, `check_real`.
 """
 
 import numbers
@@ -38,6 +39,14 @@ def check_integer(name: str, value) -> None:
     whole one, and a bool are refused; numpy integers are integers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a real parameter -- an eps, a weight exponent, a mesh
+    grading -- that is not a real number with InvalidConfig: a bool and a
+    string are refused; numpy floats and integers are real numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
 
 
 class InvalidField(LabError):

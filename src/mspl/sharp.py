@@ -17,13 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (
-    EnergyBreakdown,
-    check_energy,
-    power_primitive,
-    segment_moments,
-    weighted_square_integrals,
-)
+from .core import EnergyBreakdown, check_energy, power_primitive, segment_moments
 from .errors import (
     DivergentIntegral,
     InvalidConfig,
@@ -47,17 +41,13 @@ class SawtoothProfile:
     """Piecewise affine profile with slopes +-1 alternating at `jumps`.
 
     `jumps` are the interior slope-reversal locations, strictly
-    increasing inside (0, 1); the slope on [0, z_1] is `initial_slope`.
-    u(0) = 0 always; u(1) = 0 only if the jump pattern closes, which the
-    `unclamped` flag reports.
-    """
+    increasing inside (0, 1); the slope on [0, z_1] is +1, as the energy
+    is symmetric under u -> -u.  u(0) = 0 always; u(1) = 0 only if the
+    jump pattern closes, which the `unclamped` flag reports."""
 
     jumps: tuple[float, ...]
-    initial_slope: int = 1
 
     def __post_init__(self):
-        if self.initial_slope not in (-1, 1):
-            raise InvalidProfile(f"initial_slope must be +-1, got {self.initial_slope!r}")
         # 0, the jumps and 1 strictly increasing, which nan and inf fail
         bp = np.array((0.0, *self.jumps, 1.0), dtype=float)
         if not (bp[1:] > bp[:-1]).all():
@@ -75,10 +65,8 @@ class SawtoothProfile:
 
     @cached_property
     def slopes(self) -> np.ndarray:
-        """Slope on each of the n_jumps + 1 segments."""
-        signs = np.ones(self.n_jumps + 1)
-        signs[1::2] = -1.0
-        return self.initial_slope * signs
+        """Slope on each of the n_jumps + 1 segments, read-only."""
+        return _alternating_signs(self.n_jumps + 1)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -99,13 +87,6 @@ class SawtoothProfile:
         return np.interp(np.asarray(t, dtype=float), self.breakpoints, self.values)
 
 
-def default_gamma(beta: float) -> float:
-    """Grading exponent of every start layout `optimize_sharp` refines:
-    the smallest nonnegative exponent that balances the bulk-sum scaling,
-    plus a 0.25 safety margin."""
-    return max(0.0, 2.0 / (3.0 - beta) - 1.0) + 0.25
-
-
 def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> EnergyBreakdown:
     """Exact energy of a sawtooth profile.
 
@@ -114,13 +95,7 @@ def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> Ene
     through its moments, by the refinement's arithmetic
     (`_layout_kernel`).  The well component is identically zero in this
     model.  A profile with |u(1)| > CLAMP_TOL is not admissible and
-    raises UnclampedProfile.
-
-    The energy does not see `initial_slope`: a profile and its mirror -u
-    have the same energy, bit for bit, since negating every value and
-    slope negates every product of one with another exactly.  So the
-    profile is scored from its breakpoints alone, as the slope +1 one.
-    """
+    raises UnclampedProfile."""
     check_energy(eps, w)
     if profile.unclamped:
         raise UnclampedProfile(f"u(1) = {profile.boundary_value:.3e}")
@@ -128,11 +103,11 @@ def evaluate_sharp(profile: SawtoothProfile, eps: float, w: WeightParams) -> Ene
 
 
 def _sharp_energies(bp: np.ndarray, m, eps, w: WeightParams) -> list[EnergyBreakdown]:
-    """`evaluate_sharp` of the profile of each row of the padded
-    breakpoint array bp at its eps, unchecked: one `_layout_kernel` call
-    at the widths np.diff(bp).  Row i holds 0, the m[i] - 1 jumps of a
-    profile, then 1 to its end, and its slopes alternate +1, -1, ... from
-    the left (a mirrored profile scores the same)."""
+    """`evaluate_sharp` of the layout of each row of the padded breakpoint
+    array bp at its eps (one per row, or one for all), unchecked: one
+    `_layout_kernel` call at the widths np.diff(bp).  Row i holds 0, the
+    m[i] - 1 jumps of a layout, then its right end padded with itself (1
+    for a profile, x for its part on [0, x]); slopes alternate from +1."""
     own = np.arange(bp.shape[1] - 1) < np.asarray(m)[:, None]
     surface, bulk = _layout_kernel(bp, np.diff(bp, axis=1), own, eps, w)[:2]
     rows = zip(surface.tolist(), bulk.tolist())
@@ -166,9 +141,10 @@ def cumulative_energy(
 ) -> CumulativeEnergyProfile:
     """Sample the cumulative energy phi at sorted locations xs in (0, 1].
 
-    Jumps landing exactly at a sample point count toward it (surface is
-    accumulated inclusively).  Raises UnclampedProfile where
-    |u(1)| > CLAMP_TOL, as `evaluate_sharp` does."""
+    phi(x) is the energy of the layout 0, the jumps z <= x (a jump at x
+    counts), then x; one `_sharp_energies` call scores every sample's, so
+    phi(1) is the `evaluate_sharp` total, bit for bit.  Raises
+    UnclampedProfile where |u(1)| > CLAMP_TOL, as `evaluate_sharp` does."""
     check_energy(eps, w)
     if profile.unclamped:
         raise UnclampedProfile(f"u(1) = {profile.boundary_value:.3e}")
@@ -180,23 +156,14 @@ def cumulative_energy(
     if np.any(np.diff(xs) < 0.0):
         raise InvalidSample("samples must be sorted ascending")
 
-    zs = np.asarray(profile.jumps, dtype=float)
-    surf_prefix = np.concatenate(([0.0], np.cumsum(2.0 * eps * zs**w.alpha)))
-    bp = profile.breakpoints
-    vals = profile.values
-    slopes = profile.slopes
-    seg_bulk = weighted_square_integrals(bp[:-1], bp[1:], vals[:-1], slopes, w.beta)
-    bulk_prefix = np.concatenate(([0.0], np.cumsum(seg_bulk)))
-
-    n_jumps_le = np.searchsorted(zs, xs, side="right")
-    # side="left" puts every x in a segment with bp[j] < x <= bp[j + 1],
-    # so each sample has a partial segment of positive length
-    j = np.searchsorted(bp, xs, side="left") - 1
-    partial = weighted_square_integrals(bp[j], xs, vals[j], slopes[j], w.beta)
-    phis = surf_prefix[n_jumps_le] + bulk_prefix[j] + partial
+    # row i: 0 and the k[i] jumps z <= x_i, then x_i to the row's end
+    head = profile.breakpoints[:-1]
+    k = np.searchsorted(head[1:], xs, side="right")
+    bp = np.repeat(xs[:, None], head.size + 1, axis=1)
+    np.copyto(bp[:, :-1], head, where=np.arange(head.size) <= k[:, None])
     return CumulativeEnergyProfile(
         xs=tuple(float(x) for x in xs),
-        phis=tuple(float(p) for p in phis),
+        phis=tuple(e.total for e in _sharp_energies(bp, k + 1, eps, w)),
         eps=eps,
         weights=w,
     )
@@ -212,7 +179,7 @@ class SharpOptions:
     """Knobs for optimize_sharp: a jump count to solve instead of walking
     the counts from `jump_count_estimate`, the Newton step budget per
     count, and whether to refine at all (refine=False takes zero steps).
-    The start layouts are always graded by `default_gamma`."""
+    The start layouts are always those of `_graded_start_gaps`."""
 
     n_jumps: int | None = None
     max_iter: int = 500
@@ -314,11 +281,12 @@ def _layout_kernel(bp: np.ndarray, y: np.ndarray, own: np.ndarray, eps, w: Weigh
     end, whose moments, segment integrals and first moments are exactly 0.
     Row i of bp holds 0 and the layout's breakpoints after it; its right
     end bp[i, m[i]] enters no result (the values come from y), so it may
-    be a cumsum of y or a profile's exact 1.  eps is the eps of each row,
-    or one eps for all of them.  The elementwise work runs on whole rows,
-    and each energy sum is one masked sum over the batch that reads only
-    a row's own m[i] entries, bit for bit the sum of its unpadded slice,
-    so a row's results do not depend on the rest of the batch.
+    be a cumsum of y, a profile's exact 1 or a sample x of
+    `cumulative_energy`.  eps is the eps of each row, or one eps for all
+    of them.  The elementwise work runs on whole rows, and each energy sum
+    is one masked sum over the batch that reads only a row's own m[i]
+    entries, bit for bit the sum of its unpadded slice, so a row's results
+    do not depend on the rest of the batch.
 
     One pass: the moments p0, p1, p2 of t**-beta on each segment
     [z_j, z_j + y_j], written about its left end (`segment_moments`),
@@ -405,17 +373,20 @@ def _close(y: np.ndarray, own: np.ndarray) -> np.ndarray:
     return y
 
 
-def _graded_start_gaps(counts, gamma: float) -> np.ndarray:
+def _graded_start_gaps(counts, w: WeightParams) -> np.ndarray:
     """Starting gaps of the refinement of each count n in `counts`, the
     rows of a zero-padded array: the graded widths k**gamma, k = 1..n + 1,
     over their sum, each parity rescaled to sum to 1/2 so the profile
     closes.  Each row's sums are masked sums over the batch, bit for bit
-    the sums of that count's own widths.
+    the sums of that count's own widths.  This is the sharp solver's one
+    start rule.
 
-    Near beta = 3, `default_gamma` grows without bound (199.25 at
-    beta = 2.99), and the widths of a few dozen teeth, or their sum,
-    overflow: that raises DivergentIntegral, naming the smallest such
-    count and gamma."""
+    The grading gamma is the smallest nonnegative exponent that balances
+    the bulk-sum scaling, plus 1/4.  Near beta = 3 it grows without bound
+    (199.25 at beta = 2.99), and the widths of a few dozen teeth, or their
+    sum, overflow: that raises DivergentIntegral, naming the smallest
+    such count and beta."""
+    gamma = max(0.0, 2.0 / (3.0 - w.beta) - 1.0) + 0.25
     m = np.asarray(counts) + 1
     M = int(m.max())
     own = np.arange(M) < m[:, None]
@@ -425,7 +396,8 @@ def _graded_start_gaps(counts, gamma: float) -> np.ndarray:
     if not np.isfinite(sums).all():
         raise DivergentIntegral(
             f"the graded start of {int(m[~np.isfinite(sums)].min()) - 1} jumps overflows: "
-            f"its widths k**gamma at gamma = {gamma:g} do not sum to a finite number"
+            f"its widths k**gamma at beta = {w.beta:g} (gamma = {gamma:g}) "
+            "do not sum to a finite number"
         )
     y /= sums[:, None]
     return _close(y, own)
@@ -557,7 +529,7 @@ def _newton_steps(g, zs, p0, vals, m, own, lam: list, eps, w: WeightParams):
     return dy, lam
 
 
-def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter: int):
+def _refine_jump_positions(counts, eps, w: WeightParams, max_iter: int):
     """Best n-jump profile for each count n in `counts`, at its own eps
     (eps holds one per count, or one for all): damped Newton
     descent on the interior jump positions z from the parity-projected
@@ -610,7 +582,7 @@ def _refine_jump_positions(counts, eps, w: WeightParams, gamma: float, max_iter:
     counts = np.asarray(counts)
     m = counts + 1
     eps = np.broadcast_to(np.asarray(eps, dtype=float), m.shape)
-    starts = _graded_start_gaps(counts, gamma)
+    starts = _graded_start_gaps(counts, w)
     # closure pins a single jump to 1/2: nothing to optimize
     starts[counts == 1, :2] = 0.5
     status = np.zeros(m.size, dtype=int)
@@ -749,7 +721,7 @@ def jump_count_estimate(eps: float, w: WeightParams) -> int:
     return max(1, round(float((12.0 * eps) ** (-1.0 / 3.0) * density)))
 
 
-def _count_candidates(counts, eps, w: WeightParams, gamma: float, max_iter: int) -> list:
+def _count_candidates(counts, eps, w: WeightParams, max_iter: int) -> list:
     """(energy, profile, converged) of the one candidate of each count n
     in `counts`, at its own eps (one per count, or one for all), refined
     together: the padded gaps that `_refine_jump_positions` returns, its
@@ -762,7 +734,7 @@ def _count_candidates(counts, eps, w: WeightParams, gamma: float, max_iter: int)
     rounding, and so could its order of the counts in a flat regime."""
     eps = np.broadcast_to(eps, (len(counts),)).tolist()
     m = np.asarray(counts) + 1
-    gaps, status = _refine_jump_positions(counts, eps, w, gamma, max_iter)
+    gaps, status = _refine_jump_positions(counts, eps, w, max_iter)
     profiles, bp = _profile_from_gaps(gaps, m)
     return list(zip(_sharp_energies(bp, m, eps, w), profiles, (status > 0).tolist()))
 
@@ -798,7 +770,7 @@ def optimize_sharp(
     Each count scored has one candidate: its jump positions refined on
     the closure manifold by damped Newton steps with the exact Hessian
     (`_refine_jump_positions`, at most `max_iter` steps, none with
-    refine=False), from widths graded by `default_gamma(w.beta)`.  A
+    refine=False), from the graded widths of `_graded_start_gaps`.  A
     refinement whose gap falls below COLLAPSE_TOL times its starting
     width has collapsed into a layout of fewer teeth:
     it is stopped there, and the count is scored by its unrefined start
@@ -856,7 +828,6 @@ def optimize_sharp_sweep(
     for eps in eps_list:
         check_energy(eps, w)
     opts = options or SharpOptions()
-    gamma = default_gamma(w.beta)
     max_iter = opts.max_iter if opts.refine else 0
 
     # per eps: count -> (energy, profile, converged)
@@ -879,7 +850,7 @@ def optimize_sharp_sweep(
                     f"is above MAX_JUMPS = {MAX_JUMPS}"
                 )
         rows = _count_candidates(
-            [n for _, n in batch], [eps_list[i] for i, _ in batch], w, gamma, max_iter
+            [n for _, n in batch], [eps_list[i] for i, _ in batch], w, max_iter
         )
         for (i, n), row in zip(batch, rows):
             scored[i][n] = row

@@ -7,7 +7,7 @@ Pure Python, so the commands that only describe a regime (`cell`,
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_real
 
 
 @dataclass(frozen=True)
@@ -19,6 +19,8 @@ class WeightParams:
     beta: float
 
     def __post_init__(self):
+        check_real("weight exponent alpha", self.alpha)
+        check_real("weight exponent beta", self.beta)
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise InvalidConfig(
                 f"weight exponents must be finite, got ({self.alpha!r}, {self.beta!r})"

@@ -472,6 +472,25 @@ def test_a_count_in_a_config_file_that_is_not_an_integer_is_config_error(
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("command", ["sharp-min", "sweep-scaling"])
+@pytest.mark.parametrize(
+    "config",
+    [{"eps_list": [True]}, {"weights": {"alpha": True, "beta": 1}}],
+    ids=("eps-true", "alpha-true"),
+)
+def test_a_bool_in_a_config_file_is_config_error(tmp_path, capsys, command, config):
+    # eps true solved at eps = 1, and alpha true ran as 1 and was written
+    # back as "alpha": true; both exited 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be a real number, got True" in err
+    assert not out_dir.exists()
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "preset", "spherical-ok")
     cfg_path = tmp_path / "cfg.json"

@@ -114,6 +114,35 @@ def test_non_finite_eps_and_weights_rejected(bad):
         ExperimentConfig.from_dict({"weights": {"alpha": bad, "beta": 1.0}})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExperimentConfig.from_dict({"eps_list": [True]}),
+        lambda: ExperimentConfig.from_dict({"eps_list": [1e-2, False]}),
+        lambda: ExperimentConfig(eps_list=("1e-3",)),
+        lambda: ExperimentConfig.from_dict({"weights": {"alpha": True, "beta": 1}}),
+        lambda: WeightParams(True, False),
+        lambda: WeightParams(0.5, "1"),
+        lambda: WeightParams(np.bool_(True), 1.0),
+        lambda: GradedMesh(64, "2"),
+    ],
+    ids=("eps-true", "eps-false", "eps-string", "alpha-true", "weights-bools",
+         "beta-string", "alpha-numpy-bool", "q-string"),
+)
+def test_a_real_parameter_that_is_not_a_number_is_refused(make):
+    # eps true solved at eps = 1 and weights (True, False) ran as (1, 0);
+    # an eps string raised a bare TypeError
+    with pytest.raises(InvalidConfig, match="must be a real number"):
+        make()
+
+
+def test_numpy_reals_are_real_parameters():
+    cfg = ExperimentConfig(
+        weights=WeightParams(np.float64(0.5), np.int64(1)), eps_list=(np.float32(1e-2),)
+    )
+    assert cfg.weights == WeightParams(0.5, 1.0)
+
+
 def test_json_round_trip():
     cfg = ExperimentConfig(
         weights=WeightParams(0.5, 1.0),
@@ -154,7 +183,7 @@ def test_unknown_field_rejected():
     # the budget is a field of its own; the descents have no tolerance
     with pytest.raises(InvalidConfig):
         ExperimentConfig.from_dict({"optimizer": {"max_iter": 500}})
-    # the sharp solver grades every start by default_gamma; no grading to set
+    # the sharp solver grades every start by its one start rule; no grading to set
     with pytest.raises(InvalidConfig, match="gamma"):
         ExperimentConfig.from_dict({"gamma": 0.5})
 

@@ -1152,6 +1152,27 @@ def test_walk_winners_keep_their_goldens(case):
     assert sum(r["iterations"] for r in rows) <= steps
 
 
+def test_a_walk_builds_its_hessian_band_once(monkeypatch):
+    # the band check and each of the five descents built the band afresh,
+    # six builds; a configuration no other test walks, so no earlier build
+    # is kept
+    import mspl.diffuse
+
+    eps, w, mesh = 1e-2, WeightParams(0.5, 1.0), GradedMesh(384, 2.0)
+    hessian_base, built = mspl.diffuse._Operators.hessian_base, []
+
+    def building(self, eps):
+        built.append(eps)
+        return hessian_base(self, eps)
+
+    monkeypatch.setattr(mspl.diffuse._Operators, "hessian_base", building)
+    _, rows = minimize_with_restarts(eps, w, mesh)
+    assert [r["n_jumps"] for r in rows] == [3, 4, 5, 6, 7]
+    assert built == [eps]
+    # the kept band is read-only; each step's Hessian is a copy of it
+    assert not mspl.diffuse._hessian_base(mesh, w.alpha, w.beta, eps).flags.writeable
+
+
 @pytest.mark.parametrize("broken", ["nan", "inf", "overflow"])
 def test_failed_descents_match_the_reference(monkeypatch, broken):
     import mspl.diffuse

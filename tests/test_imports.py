@@ -123,6 +123,9 @@ def test_unknown_names_are_attribute_errors():
     with pytest.raises(AttributeError, match="no_such_name"):
         mspl.no_such_name
     assert not hasattr(mspl, "round12")
+    # the start grading is private to `sharp._graded_start_gaps`
+    with pytest.raises(AttributeError, match="default_gamma"):
+        mspl.default_gamma
 
 
 def test_round12_maps_numpy_scalars_like_python_numbers():

@@ -14,7 +14,6 @@ from mspl import (
     NonPositiveValue,
     SharpOptions,
     WeightParams,
-    default_gamma,
     emit_distribution,
     emit_period,
     emit_sweep,
@@ -126,7 +125,7 @@ def test_an_unconverged_sharp_row_is_not_labelled_budget_exhaustion():
     # count 44 collapses at this eps, so the row scores the count's start
     # layout: unconverged, without having used up any iteration budget
     w = WeightParams(0.5, 1.0)
-    assert _refine_jump_positions([44], 1e-5, w, default_gamma(w.beta), 500)[1].tolist() == [0]
+    assert _refine_jump_positions([44], 1e-5, w, 500)[1].tolist() == [0]
     cfg = ExperimentConfig(eps_list=(1e-5,), model="sharp", weights=w, n_jumps=44)
     rep = sweep_scaling(cfg)
     (row,) = rep.rows

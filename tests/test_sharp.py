@@ -53,7 +53,6 @@ from mspl.sharp import (
     _profile_from_gaps,
     _refine_jump_positions,
     _sharp_energies,
-    default_gamma,
     jump_count_estimate,
 )
 
@@ -68,9 +67,15 @@ def profile_from_gaps(y):
     return _profile_from_gaps(y[None], [y.size])[0][0]
 
 
-def graded_start(n, gamma):
+def start_grading(beta):
+    """The grading exponent of the starts of `_graded_start_gaps`, restated
+    here as a reference: max(0, 2 / (3 - beta) - 1) plus a 1/4 margin."""
+    return max(0.0, 2.0 / (3.0 - beta) - 1.0) + 0.25
+
+
+def graded_start(n, w):
     """`_graded_start_gaps` of the single count n."""
-    return _graded_start_gaps([n], gamma)[0]
+    return _graded_start_gaps([n], w)[0]
 
 
 def gap_energy_and_grad(y, eps, w):
@@ -79,11 +84,11 @@ def gap_energy_and_grad(y, eps, w):
     return energies[0], grad[0]
 
 
-def refine(n, eps, w, gamma, max_iter):
+def refine(n, eps, w, max_iter):
     """`_refine_jump_positions` on the single count n: its gaps, their
     gap-kernel energy and whether it converged, or None once it
     collapsed."""
-    (y,), (status,) = _refine_jump_positions([n], eps, w, gamma, max_iter)
+    (y,), (status,) = _refine_jump_positions([n], eps, w, max_iter)
     if status == 0:
         return None
     return y, float(gap_energy_and_grad(y, eps, w)[0]), bool(status > 0)
@@ -126,8 +131,6 @@ def test_profile_validation():
         SawtoothProfile((0.5, 0.25))  # not increasing
     with pytest.raises(InvalidProfile):
         SawtoothProfile((0.0, 0.5))  # touches the boundary
-    with pytest.raises(InvalidProfile):
-        SawtoothProfile((0.5,), initial_slope=2)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +207,9 @@ def test_optimizer_beats_graded_initialization():
     for w in [WeightParams(0.0, 0.0), WeightParams(0.5, 1.0)]:
         eps = 2e-3
         res = optimize_sharp(eps, w)
-        gamma = default_gamma(w.beta)
         best_graded = np.inf
         for n in range(1, 14):
-            p = profile_from_gaps(graded_start(n, gamma))
+            p = profile_from_gaps(graded_start(n, w))
             best_graded = min(best_graded, evaluate_sharp(p, eps, w).total)
         assert res.energy.total <= best_graded + 1e-14
 
@@ -258,9 +260,12 @@ def test_cumulative_below_first_jump():
 )
 def test_cumulative_refuses_an_infinite_energy_before_any_integral(monkeypatch, eps, beta, error):
     def never(*args):
-        raise AssertionError("an integral was taken")
+        raise AssertionError("an energy was scored")
 
-    monkeypatch.setattr(mspl.sharp, "weighted_square_integrals", never)
+    # `_sharp_energies` takes every sharp integral; the per-segment kernel
+    # is not even imported
+    assert not hasattr(mspl.sharp, "weighted_square_integrals")
+    monkeypatch.setattr(mspl.sharp, "_sharp_energies", never)
     match = "finite" if error is InvalidConfig else "bulk term infinite"
     with pytest.raises(error, match=match):
         cumulative_energy(SawtoothProfile((0.25, 0.75)), eps, WeightParams(0.0, beta), [0.5, 1.0])
@@ -295,7 +300,9 @@ def test_cumulative_slice_additivity():
 
 
 def cumulative_phis_loop(profile, eps, w, xs):
-    """Per-sample reference for cumulative_energy's phis."""
+    """Per-sample reference for cumulative_energy's phis, through the
+    segment integrals of `weighted_square_integrals`, an arithmetic of its
+    own."""
     zs = np.asarray(profile.jumps, dtype=float)
     surf_prefix = np.concatenate(([0.0], np.cumsum(2.0 * eps * zs**w.alpha)))
     bp, vals, slopes = profile.breakpoints, profile.values, profile.slopes
@@ -326,7 +333,22 @@ def test_cumulative_matches_per_sample_loop():
                 np.concatenate((np.geomspace(1e-4, 1.0, 60), p.jumps, [1.0]))
             )
             got = np.asarray(cumulative_energy(p, 1e-3, w, xs).phis)
-            assert got.tobytes() == cumulative_phis_loop(p, 1e-3, w, xs).tobytes()
+            np.testing.assert_allclose(got, cumulative_phis_loop(p, 1e-3, w, xs), rtol=1e-14, atol=0)
+
+
+def test_cumulative_total_is_the_sharp_total_bitwise():
+    # phi(1) scores the whole profile by the arithmetic of `evaluate_sharp`,
+    # so it is the reported total to the last bit: random profiles and the
+    # optimized ones, over the oracle weights
+    rng = np.random.default_rng(41)
+    for w in ORACLE_WEIGHTS:
+        profiles = [random_clamped_profile(rng, n_hi=60) for _ in range(6)]
+        profiles.append(optimize_sharp(1e-3, w).profile)
+        for p in profiles:
+            xs = np.unique(np.concatenate((rng.uniform(1e-4, 1.0, 20), p.jumps, [1.0])))
+            for eps in (1e-3, 1e-6):
+                phis = cumulative_energy(p, eps, w, xs).phis
+                assert phis[-1] == evaluate_sharp(p, eps, w).total
 
 
 def test_cumulative_sample_validation():
@@ -411,9 +433,8 @@ def test_unrefined_candidate_is_the_start_layout():
     # refine=False takes zero Newton steps: the candidate is the count's
     # closed graded start, scored as it stands and never converged
     eps, w = 1e-3, WeightParams(0.5, 1.0)
-    gamma = default_gamma(w.beta)
     res = optimize_sharp(eps, w, SharpOptions(n_jumps=8, refine=False))
-    assert res.profile == profile_from_gaps(graded_start(8, gamma))
+    assert res.profile == profile_from_gaps(graded_start(8, w))
     assert not res.converged
     assert res.energy.total > optimize_sharp(eps, w, SharpOptions(n_jumps=8)).energy.total
 
@@ -514,7 +535,7 @@ def test_reported_count_is_the_effective_count():
     res = optimize_sharp(eps, w)
     assert res.profile.n_jumps == 13
     gaps = np.diff(res.profile.breakpoints)
-    start = graded_start(res.profile.n_jumps, default_gamma(w.beta))
+    start = graded_start(res.profile.n_jumps, w)
     assert np.all(gaps >= COLLAPSE_TOL * start)
     # the walk starts at n0 = 13 and goes down until 12..9 have failed
     # to beat it, and up until 14 (collapsed) to 17 have failed
@@ -526,8 +547,7 @@ def test_a_collapse_does_not_end_the_upward_leg(monkeypatch):
     # below it (136): stopping the walk at 137 cost 7.9e-4 of the energy.
     # The estimate starts the walk at 141 itself, so start it below 137
     eps, w = 1e-7, WeightParams(0.5, 0.5)
-    gamma = default_gamma(w.beta)
-    assert refine(137, eps, w, gamma, 500) is None
+    assert refine(137, eps, w, 500) is None
     start_walk_at(monkeypatch, 129)
     res = optimize_sharp(eps, w)
     assert res.converged
@@ -675,8 +695,7 @@ def test_a_surface_dominated_count_stops_where_a_bulk_tolerance_would(monkeypatc
     # 4e-16 of the bulk; the same tolerance relative to the bulk alone
     # stops at the same step
     eps, w = 1e-2, WeightParams(0.0, 0.0)
-    gamma = default_gamma(w.beta)
-    y, f, ok = refine(20, eps, w, gamma, 500)
+    y, f, ok = refine(20, eps, w, 500)
     assert ok
     exact = evaluate_sharp(SawtoothProfile(tuple((2 * k - 1) / 40 for k in range(1, 21))), eps, w)
     assert f == pytest.approx(exact.total, rel=1e-15)
@@ -684,7 +703,7 @@ def test_a_surface_dominated_count_stops_where_a_bulk_tolerance_would(monkeypatc
     g = gy[:-1] - gy[1:]
     assert -0.5 * float(g @ dense_step(dense_step_matrix(y, eps, w), g, 0.0)) <= FTOL * exact.bulk
     monkeypatch.setattr(mspl.sharp, "FTOL", FTOL * exact.bulk / exact.total)
-    y_bulk, f_bulk, ok_bulk = refine(20, eps, w, gamma, 500)
+    y_bulk, f_bulk, ok_bulk = refine(20, eps, w, 500)
     assert ok_bulk and f_bulk == f
     assert_same_bits(y_bulk, y)
 
@@ -718,14 +737,13 @@ def test_collapsing_count_stops_short_of_the_cap(monkeypatch):
     # count 44 at eps = 1e-5 collapses, and its refinement must stop there
     # instead of running towards the iteration cap
     eps, w = 1e-5, WeightParams(0.5, 1.0)
-    gamma = default_gamma(w.beta)
     calls = count_kernel_calls(monkeypatch)
     res = optimize_sharp(eps, w, SharpOptions(n_jumps=44))
     assert len(calls) < 300
     # the collapsed layout is not ranked: the count's start layout stands
     # in for it, unconverged
     assert res.n_candidates == 1
-    assert res.profile == profile_from_gaps(graded_start(44, gamma))
+    assert res.profile == profile_from_gaps(graded_start(44, w))
     assert not res.converged
 
 
@@ -887,7 +905,9 @@ GOLDEN_SOLVES = (
     (0.5, 1.0, 1e-8),
     (0.5, 2.0, 1e-5),
 )
-GOLDEN_SHA256 = "82855bd45a0621c49c353bf49dbfae4ed7af15d1c603d2e230019d99eb50369e"
+# the digest of the rows (n, total, jumps, converged); it hashes no
+# dataclass repr, so it moves with the results alone
+GOLDEN_SHA256 = "30689d897e66645d789f57ac245590ae4963e76e0fb285f00eabb675baf0a8bc"
 
 
 def test_sharp_results_keep_their_bytes(monkeypatch):
@@ -915,23 +935,31 @@ def test_sharp_results_keep_their_bytes(monkeypatch):
     )
     assert (len(calls), sum(calls), len(steps), len(solves)) == (37, 971, 36, 1979)
     results += [optimize_sharp(eps, WeightParams(a, b)) for a, b, eps in GOLDEN_SOLVES]
-    digest = hashlib.sha256("".join(repr(r.candidates) for r in results).encode())
+    rows = ((n, total, p.jumps, ok) for r in results for n, total, p, ok in r.candidates)
+    digest = hashlib.sha256("".join(map(repr, rows)).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
 def test_the_sweep_and_its_scores_take_no_segment_integral(monkeypatch):
-    # the refinement, the candidate scores and `evaluate_sharp` share one
-    # energy arithmetic, `_layout_kernel`: `weighted_square_integrals` is
-    # left to `cumulative_energy`
-    def never(*args):
-        raise AssertionError("weighted_square_integrals was called")
+    # the refinement, the candidate scores, `evaluate_sharp` and
+    # `cumulative_energy` share one energy arithmetic, `_layout_kernel`:
+    # the per-segment `weighted_square_integrals` is not even imported, and
+    # every candidate is scored once by `_sharp_energies`
+    assert not hasattr(mspl.sharp, "weighted_square_integrals")
+    sharp_energies, scored = mspl.sharp._sharp_energies, []
 
-    monkeypatch.setattr(mspl.sharp, "weighted_square_integrals", never)
+    def scoring(bp, *args):
+        scored.append(bp.shape[0])
+        return sharp_energies(bp, *args)
+
+    monkeypatch.setattr(mspl.sharp, "_sharp_energies", scoring)
     w = WeightParams(0.5, 1.0)
     results = optimize_sharp_sweep(SWEEP_EPS, w)
+    assert sum(scored) == sum(r.n_candidates for r in results)
     for eps, res in zip(SWEEP_EPS, results):
         assert res.converged
         assert evaluate_sharp(res.profile, eps, w) == res.energy
+    assert scored[-len(SWEEP_EPS) :] == [1] * len(SWEEP_EPS)
 
 
 @pytest.mark.parametrize(
@@ -1008,7 +1036,7 @@ def test_curvature_across_the_closure_is_not_damped(monkeypatch):
     # former crawls to the iteration cap, the constrained step converges
     eps, w = 1e-2, WeightParams(1.0, 2.5)
     calls = count_kernel_calls(monkeypatch)
-    refined = refine(48, eps, w, default_gamma(w.beta), 500)
+    refined = refine(48, eps, w, 500)
     assert refined is not None and refined[2]
     assert len(calls) < 100
 
@@ -1020,6 +1048,19 @@ def test_eps_that_is_not_positive_and_finite_rejected(eps):
         optimize_sharp(eps, w)
     with pytest.raises(InvalidConfig, match="finite"):
         evaluate_sharp(SawtoothProfile((0.5,)), eps, w)
+
+
+@pytest.mark.parametrize("eps", [True, "1e-3", None])
+def test_eps_that_is_not_a_number_rejected(eps):
+    # eps True solved at eps = 1; a string or None raised a bare TypeError
+    w, p = WeightParams(0.5, 1.0), SawtoothProfile((0.5,))
+    for call in (
+        lambda: optimize_sharp(eps, w),
+        lambda: evaluate_sharp(p, eps, w),
+        lambda: cumulative_energy(p, eps, w, [1.0]),
+    ):
+        with pytest.raises(InvalidConfig, match="must be a real number"):
+            call()
 
 
 def test_nonpositive_jump_count_rejected():
@@ -1199,10 +1240,11 @@ def test_masked_row_sums_are_the_row_sums():
             assert masked.tobytes() == np.array(own).tobytes()
 
 
-def graded_start_reference(n, gamma):
+def graded_start_reference(n, beta):
     """Reference for `_graded_start_gaps`: the widths k**gamma of one
-    count over their sum, each parity closed by `closed_reference`."""
-    y = np.arange(1, n + 2, dtype=float) ** gamma
+    count, at the grading `start_grading(beta)`, over their sum, each
+    parity closed by `closed_reference`."""
+    y = np.arange(1, n + 2, dtype=float) ** start_grading(beta)
     return closed_reference(y / y.sum())
 
 
@@ -1212,12 +1254,11 @@ def test_batched_starts_are_the_closed_powers():
     # zero-padded
     rng = np.random.default_rng(2048)
     for beta in (-1.0, 0.0, 1.0, 2.0, 2.9):
-        gamma = default_gamma(beta)
         for counts in rng.permutation(np.arange(1, MAX_JUMPS + 1)).reshape(-1, 32):
-            starts = _graded_start_gaps(counts, gamma)
+            starts = _graded_start_gaps(counts, WeightParams(0.0, beta))
             assert starts.shape == (32, counts.max() + 1)
             for row, n in zip(starts, counts.tolist()):
-                assert row[: n + 1].tobytes() == graded_start_reference(n, gamma).tobytes()
+                assert row[: n + 1].tobytes() == graded_start_reference(n, beta).tobytes()
                 assert not row[n + 1 :].any()
 
 
@@ -1232,9 +1273,8 @@ def sharp_energy_reference(profile, eps, w):
 
 
 def test_batched_scores_are_the_profile_scores():
-    # one call scores the breakpoints of profiles of 1 to 2048 jumps, each
-    # at its own eps: closed layouts, and the same breakpoints once more
-    # for their mirrors (initial slope -1), which score as they do
+    # one call scores the breakpoints of closed profiles of 1 to 2048
+    # jumps, each at its own eps
     rng = np.random.default_rng(29)
     sizes = [1, 2, 3, 8, 47, 127, 128, 129, 300, 1000, 2047, MAX_JUMPS]
     layouts = [
@@ -1254,9 +1294,6 @@ def test_batched_scores_are_the_profile_scores():
     for row, p in zip(bp, profiles):
         assert row[: p.n_jumps + 2].tobytes() == p.breakpoints.tobytes()
         assert (row[p.n_jumps + 2 :] == 1.0).all()
-    profiles += [SawtoothProfile(p.jumps, -1) for p in profiles[::3]]
-    assert {p.initial_slope for p in profiles} == {-1, 1}
-    bp, m = np.concatenate((bp, bp[::3])), m + m[::3]
     for w in (*ORACLE_WEIGHTS, WeightParams(1.0, 2.9)):
         eps = 10.0 ** rng.uniform(-8.0, -1.0, size=len(profiles))
         got = _sharp_energies(bp, m, eps, w)
@@ -1382,9 +1419,7 @@ def dense_step(matrix, g: np.ndarray, lam: float):
     return d * (b * (float(ds @ a) / float(ds @ b)) - a)
 
 
-def refine_jump_positions_reference(
-    n: int, eps: float, w: WeightParams, gamma: float, max_iter: int
-):
+def refine_jump_positions_reference(n: int, eps: float, w: WeightParams, max_iter: int):
     """Reference for `_refine_jump_positions`: the same descent through
     the dense step, with every array formed afresh."""
     if n == 1:
@@ -1392,7 +1427,7 @@ def refine_jump_positions_reference(
         gaps = np.array([0.5, 0.5])
         return gaps, gap_energy_and_grad_reference(gaps, eps, w)[0], True
 
-    y = np.arange(1, n + 2, dtype=float) ** gamma
+    y = np.arange(1, n + 2, dtype=float) ** start_grading(w.beta)
     y = closed_reference(y / y.sum())
     floor = COLLAPSE_TOL * y
     f, gy = gap_energy_and_grad_reference(y, eps, w)
@@ -1469,11 +1504,9 @@ def test_refinement_matches_its_reference(eps):
     # each count's gaps, energy and flag, or a collapse (None) on both
     # sides; counts below, at and above the optimum, where most collapse
     for w in ORACLE_WEIGHTS:
-        gamma = default_gamma(w.beta)
         for n in oracle_counts(eps, w):
             assert_same_refinement(
-                refine(n, eps, w, gamma, 500),
-                refine_jump_positions_reference(n, eps, w, gamma, 500),
+                refine(n, eps, w, 500), refine_jump_positions_reference(n, eps, w, 500)
             )
 
 
@@ -1481,11 +1514,10 @@ def test_collapsing_refinement_matches_its_reference():
     # count 44 at eps = 1e-5 collapses, and a small budget stops a count
     # unconverged after the same steps
     w = WeightParams(0.5, 1.0)
-    gamma = default_gamma(w.beta)
-    assert refine(44, 1e-5, w, gamma, 500) is None
-    assert refine_jump_positions_reference(44, 1e-5, w, gamma, 500) is None
-    got = refine(40, 1e-5, w, gamma, 7)
-    want = refine_jump_positions_reference(40, 1e-5, w, gamma, 7)
+    assert refine(44, 1e-5, w, 500) is None
+    assert refine_jump_positions_reference(44, 1e-5, w, 500) is None
+    got = refine(40, 1e-5, w, 7)
+    want = refine_jump_positions_reference(40, 1e-5, w, 7)
     assert got[2] is want[2] is False
     assert_same_refinement(got, want)
 
